@@ -390,15 +390,24 @@ def _pair_event(pair: PathPair) -> dict:
     }
 
 
+def _plan_local_policy(state: _EpisodeState) -> Policy | None:
+    """Build the local lattice around the robot and search it. Only the
+    planners that use a local policy (MLDM, HCP) pay for the lattice."""
+    config = state.config
+    local_graph = build_local_irm(
+        state.belief, state.risk_field, state.pose,
+        radius=config.local_radius, sensor=config.sensor, horizon=config.horizon_local,
+    )
+    return plan_local(
+        local_graph, config.reward, horizon=config.horizon_local,
+        budget=config.expansion_budget, created_at=state.cycle,
+    )
+
+
 def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
     """Run the configured planner for one cycle. Returns the candidate to
     execute (None means no policy anywhere) plus the cycle event payload."""
     config = state.config
-    sensor = config.sensor
-    local_graph = build_local_irm(
-        state.belief, state.risk_field, state.pose,
-        radius=config.local_radius, sensor=sensor, horizon=config.horizon_local,
-    )
     state.global_graph = update_global_irm(
         state.global_graph, state.belief, state.risk_field, state.pose,
         breadcrumb_spacing=config.breadcrumb_spacing,
@@ -414,10 +423,7 @@ def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
     }
 
     if config.planner == "MLDM":
-        local_policy = plan_local(
-            local_graph, config.reward, horizon=config.horizon_local,
-            budget=config.expansion_budget, created_at=state.cycle,
-        )
+        local_policy = _plan_local_policy(state)
         global_policy = plan_global(
             state.global_graph, config.reward, ROBOT_NODE_ID,
             horizon=config.horizon_global, created_at=state.cycle,
@@ -453,10 +459,7 @@ def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
         return chosen, event
 
     if config.planner == "HCP":
-        local_policy = plan_local(
-            local_graph, config.reward, horizon=config.horizon_local,
-            budget=config.expansion_budget, created_at=state.cycle,
-        )
+        local_policy = _plan_local_policy(state)
         event["local_found"] = local_policy is not None
         commit_cells = config.hcp_commit_distance / state.world.cell_size
         if state.hcp_goal is not None:
@@ -502,7 +505,7 @@ def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
         policy = plan_nbv(
             state.belief, state.risk_field, state.pose,
             samples=config.nbv_samples, rng=rng, radius=config.nbv_radius,
-            sensor=sensor, reward_model=config.reward,
+            sensor=config.sensor, reward_model=config.reward,
             risk_weight=config.astar_risk_weight, created_at=state.cycle,
         )
         chosen = _candidate_for(state, policy)

@@ -119,72 +119,88 @@ def plan_local(
         raise ValueError("local graph has no robot node")
     gamma = reward_model.gamma_for(LOCAL)
     w = reward_model.coverage_weight
+    dc = reward_model.distance_cost
     total_gain = local_graph.total_info_gain()
 
+    # per node: (neighbour, first-visit reward, revisit reward, gain), in
+    # adjacency order; a walk has at most `horizon` nodes, so `nb in walk`
+    # is the visited test
+    moves = {}
+    for u in local_graph.nodes:
+        out = []
+        for nb in local_graph.neighbors(u):
+            length = local_graph.get_edge(u, nb).length
+            gain = local_graph.nodes[nb].info_gain
+            out.append((nb, w * gain - dc * length, w * 0.0 - dc * length, gain))
+        moves[u] = out
+    discount = [gamma ** depth for depth in range(max(horizon, 1))]
+
     best_utility = 0.0
-    best_walk: list[int] | None = None
-    # heap entries: (-utility, walk, utility, remaining_gain, visited)
-    root_rem = total_gain - robot.info_gain
-    heap: list[tuple[float, tuple[int, ...], float, float, frozenset[int]]] = [
-        (0.0, (robot.id,), 0.0, root_rem, frozenset([robot.id]))
+    best_walk: tuple[int, ...] | None = None
+    # heap entries: (-utility, walk, utility, remaining_gain); walks are
+    # unique, so ties in utility are broken by the walk tuple
+    heap: list[tuple[float, tuple[int, ...], float, float]] = [
+        (0.0, (robot.id,), 0.0, total_gain - robot.info_gain)
     ]
+    pop, push = heapq.heappop, heapq.heappush
     expansions = 0
     while heap and expansions < budget:
-        neg_u, walk, utility, rem_gain, visited = heapq.heappop(heap)
+        _, walk, utility, rem_gain = pop(heap)
         expansions += 1
-        if len(walk) > 1 and utility > best_utility:
+        n = len(walk)
+        if n > 1 and utility > best_utility:
             best_utility = utility
-            best_walk = list(walk)
-        if len(walk) >= horizon:
+            best_walk = walk
+        if n >= horizon:
             continue
         if utility + w * rem_gain <= best_utility:
             continue
-        depth = len(walk) - 1  # moves taken so far
-        cur = walk[-1]
-        for nb in local_graph.neighbors(cur):
-            edge = local_graph.get_edge(cur, nb)
-            node = local_graph.nodes[nb]
-            first_visit = nb not in visited
-            gain = node.info_gain if first_visit else 0.0
-            reward = w * gain - reward_model.distance_cost * edge.length
-            new_u = utility + (gamma ** depth) * reward
-            new_rem = rem_gain - gain
+        g = discount[n - 1]  # gamma ** moves taken so far
+        for nb, first_reward, revisit_reward, gain in moves[walk[-1]]:
+            if nb in walk:
+                new_u = utility + g * revisit_reward
+                new_rem = rem_gain
+            else:
+                new_u = utility + g * first_reward
+                new_rem = rem_gain - gain
             if new_u + w * new_rem <= best_utility:
                 continue
-            heapq.heappush(heap, (
-                -new_u,
-                walk + (nb,),
-                new_u,
-                new_rem,
-                visited | {nb} if first_visit else visited,
-            ))
+            push(heap, (-new_u, walk + (nb,), new_u, new_rem))
 
     if best_walk is None or best_utility <= 0.0:
         return None
-    edges = list(zip(best_walk, best_walk[1:]))
+    best_walk = list(best_walk)
     utility, rewards = rollout_walk(local_graph, best_walk, reward_model, LOCAL)
-    policy = Policy(
-        scope=LOCAL,
-        node_sequence=best_walk,
-        edge_sequence=edges,
-        utility=utility,
-        risk=policy_risk_over(local_graph, edges),
-        created_at=created_at,
-        step_rewards=rewards,
-        goal_pose=local_graph.nodes[best_walk[-1]].pose,
+    return _policy_over(
+        local_graph, LOCAL, best_walk, utility, created_at, step_rewards=rewards,
         path_cells=[local_graph.nodes[i].pose for i in best_walk],
     )
+
+
+def _policy_over(
+    graph: RoadmapGraph,
+    scope: str,
+    nodes: list[int],
+    utility: float,
+    created_at: int,
+    step_rewards: list[float] | None = None,
+    path_cells: list[Cell] | None = None,
+) -> Policy:
+    """Policy for a node walk over graph, with its summed edge risk; the goal
+    is the walk's last node."""
+    policy = Policy(
+        scope=scope,
+        node_sequence=nodes,
+        edge_sequence=list(zip(nodes, nodes[1:])),
+        utility=utility,
+        risk=0.0,
+        created_at=created_at,
+        step_rewards=step_rewards or [],
+        goal_pose=graph.nodes[nodes[-1]].pose,
+        path_cells=path_cells,
+    )
+    policy.risk = policy_risk(policy, graph)
     return policy
-
-
-def policy_risk_over(graph: RoadmapGraph, edges: list[tuple[int, int]]) -> float:
-    total = 0.0
-    for u, v in edges:
-        e = graph.get_edge(u, v)
-        if e is None:
-            raise ValueError(f"missing edge ({u}, {v})")
-        total += e.risk
-    return total
 
 
 def _shortest_paths(graph: RoadmapGraph, source: int):
@@ -260,17 +276,7 @@ def plan_global(
         return None
     utility, target = best
     nodes = _path_from_parents(parent, robot_node, target)
-    edges = list(zip(nodes, nodes[1:]))
-    return Policy(
-        scope=GLOBAL,
-        node_sequence=nodes,
-        edge_sequence=edges,
-        utility=utility,
-        risk=policy_risk_over(global_graph, edges),
-        created_at=created_at,
-        step_rewards=[],
-        goal_pose=global_graph.nodes[target].pose,
-    )
+    return _policy_over(global_graph, GLOBAL, nodes, utility, created_at)
 
 
 def plan_nbv(
@@ -367,14 +373,4 @@ def plan_hfe(
         return None
     score, target = best
     nodes = _path_from_parents(parent, robot_node, target)
-    edges = list(zip(nodes, nodes[1:]))
-    return Policy(
-        scope=GLOBAL,
-        node_sequence=nodes,
-        edge_sequence=edges,
-        utility=score,
-        risk=policy_risk_over(global_graph, edges),
-        created_at=created_at,
-        step_rewards=[],
-        goal_pose=global_graph.nodes[target].pose,
-    )
+    return _policy_over(global_graph, GLOBAL, nodes, score, created_at)

@@ -8,16 +8,19 @@ square meters.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import world as gw
-from .risk import RiskField, edge_risk
-from .world import BeliefGrid, SensorSpec, visible_unknown_count
+from .risk import RiskField, edge_risk, edge_risks
+from .world import BeliefGrid, SensorSpec, visible_unknown_counts
+# not called here; kept as a module attribute because
+# benchmark/layer_trace.py wraps roadmap.visible_unknown_count
+from .world import visible_unknown_count  # noqa: F401
 
 Cell = tuple[int, int]
 
@@ -76,11 +79,9 @@ class RoadmapGraph:
         key = (src, dst) if src <= dst else (dst, src)
         self.edges[key] = RoadmapEdge(key[0], key[1], length, risk)
         if dst not in self.adjacency[src]:
-            self.adjacency[src].append(dst)
-            self.adjacency[src].sort()
+            bisect.insort(self.adjacency[src], dst)
         if src not in self.adjacency[dst]:
-            self.adjacency[dst].append(src)
-            self.adjacency[dst].sort()
+            bisect.insort(self.adjacency[dst], src)
 
     def get_edge(self, u: int, v: int) -> RoadmapEdge | None:
         return self.edges.get((u, v) if u <= v else (v, u))
@@ -136,32 +137,18 @@ def build_local_irm(
     graph = RoadmapGraph(scope=LOCAL, horizon=horizon)
     ids = {cell: i for i, cell in enumerate(cells)}
     cell_area = belief.cell_size * belief.cell_size
+    counts = visible_unknown_counts(belief, cells, sensor).tolist()
 
-    # distance-to-unknown prefilter: gain is zero beyond sensor range
-    known = belief.state != gw.UNKNOWN
-    if np.all(known):
-        dist_to_unknown = np.full(belief.state.shape, np.inf)
-    else:
-        dist_to_unknown = ndimage.distance_transform_edt(known)
-    range_cells = sensor.range_m / belief.cell_size
-
-    for cell in cells:
-        if dist_to_unknown[cell] <= range_cells + 1e-9:
-            gain = visible_unknown_count(belief, cell, sensor) * cell_area
-        else:
-            gain = 0.0
+    for cell, count in zip(cells, counts):
         kind = ROBOT if cell == (r0, c0) else LATTICE
-        graph.add_node(RoadmapNode(id=ids[cell], pose=cell, kind=kind, info_gain=gain))
+        graph.add_node(RoadmapNode(id=ids[cell], pose=cell, kind=kind, info_gain=count * cell_area))
 
-    for cell in cells:
-        for dr, dc in ((0, 1), (1, 0)):
-            nb = (cell[0] + dr, cell[1] + dc)
-            if nb in ids:
-                graph.add_edge(
-                    ids[cell], ids[nb],
-                    length=belief.cell_size,
-                    risk=edge_risk(risk_field, cell, nb),
-                )
+    edges = [
+        (cell, nb) for cell in cells
+        for nb in ((cell[0], cell[1] + 1), (cell[0] + 1, cell[1])) if nb in ids
+    ]
+    for (cell, nb), risk in zip(edges, edge_risks(risk_field, edges)):
+        graph.add_edge(ids[cell], ids[nb], length=belief.cell_size, risk=risk)
     return graph
 
 
@@ -184,7 +171,7 @@ def detect_frontiers(
     if not frontier_mask.any():
         return []
 
-    labels, n_clusters = ndimage.label(frontier_mask, structure=np.ones((3, 3)))
+    labels, n_clusters = gw.label_components(frontier_mask, diagonal=True)
     cell_area = belief.cell_size * belief.cell_size
     nodes: list[RoadmapNode] = []
     next_id = 0
@@ -315,9 +302,6 @@ def update_global_irm(
     out.add_node(RoadmapNode(id=ROBOT_NODE_ID, pose=robot_pose, kind=ROBOT))
     if hit is not None:
         crumb_id, hops = hit
-        if hops == 0 and len(crumbs) > 1:
-            # robot sits on a breadcrumb; attach to it through its chain edge
-            pass
         if hops > 0:
             out.add_edge(ROBOT_NODE_ID, crumb_id, length=hops * cs,
                          risk=edge_risk(risk_field, robot_pose, crumbs[crumb_id]))

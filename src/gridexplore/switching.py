@@ -21,7 +21,7 @@ import numpy as np
 
 from .motion import PathPair
 from .planners import Policy
-from .risk import RiskField, edge_risk
+from .risk import RiskField, edge_risk, edge_risks
 from .roadmap import GLOBAL, LOCAL
 from .world import WorldModel
 
@@ -209,20 +209,26 @@ def calibrate_j_max(
     Run once per episode so the threshold matches the field's risk scale."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x4A]))
     h, w = world.height, world.width
-    sums = []
+    paths = []
     dirs = ((0, 1), (1, 0), (0, -1), (-1, 0))
     for _ in range(n_samples):
         r = int(rng.integers(0, h))
         c = int(rng.integers(0, w))
         dr, dc = dirs[int(rng.integers(0, 4))]
-        total = 0.0
-        cur = (r, c)
+        path = [(r, c)]
         for _step in range(max(horizon - 1, 1)):
-            nxt = (cur[0] + dr, cur[1] + dc)
+            nxt = (path[-1][0] + dr, path[-1][1] + dc)
             if not (0 <= nxt[0] < h and 0 <= nxt[1] < w):
                 break
+            path.append(nxt)
+        paths.append(path)
+    # one batch fills the edge cache; the sums below are cache hits
+    edge_risks(risk_field, [edge for path in paths for edge in zip(path, path[1:])])
+    sums = []
+    for path in paths:
+        total = 0.0
+        for cur, nxt in zip(path, path[1:]):
             total += edge_risk(risk_field, cur, nxt)
-            cur = nxt
         sums.append(total)
     value = float(np.percentile(np.asarray(sums), percentile)) if sums else 0.0
     return max(value, 1e-3)

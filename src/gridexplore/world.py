@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 FREE = 0
 OBSTACLE = 1
@@ -320,13 +319,47 @@ def visible_unknown_count(
     Optimistic proxy for newly coverable area: rays are blocked by believed
     obstacles only, so unknown space is treated as see-through.
     """
+    return int(visible_unknown_counts(belief, [pose], sensor)[0])
+
+
+def visible_unknown_counts(
+    belief: BeliefGrid,
+    poses,
+    sensor: SensorSpec | None = None,
+) -> np.ndarray:
+    """visible_unknown_count for every (row, col) in poses, as one int array.
+
+    One gather reads the target cell of every (pose, ray) pair; occlusion is
+    tested only on rays whose target is unknown, with one reduceat over
+    their interior chains. Poses must be in bounds.
+    """
     sensor = sensor or SensorSpec()
-    range_cells = sensor.range_m / belief.cell_size
-    vr, vc = _visible_targets(
-        belief.state, KNOWN_OBSTACLE, (int(pose[0]), int(pose[1])),
-        range_cells, sensor.occlusion,
-    )
-    return int(np.sum(belief.state[vr, vc] == UNKNOWN))
+    poses = np.asarray(poses, dtype=np.int64).reshape(-1, 2)
+    tab = _ray_table(sensor.range_m / belief.cell_size)
+    h, w = belief.state.shape
+    # a border as wide as the range keeps every target index inside the
+    # array; border cells are not unknown, so their rays never count
+    pad = int(np.abs(tab["targets"]).max(initial=0))
+    wp = w + 2 * pad
+    grid = np.full((h + 2 * pad, wp), KNOWN_FREE, dtype=np.uint8)
+    grid[pad:pad + h, pad:pad + w] = belief.state
+    grid = grid.ravel()
+    origin = (poses[:, 0] + pad) * wp + (poses[:, 1] + pad)
+    target_off = tab["targets"][:, 0] * wp + tab["targets"][:, 1]
+    pose_i, ray = np.nonzero(grid[origin[:, None] + target_off[None, :]] == UNKNOWN)
+    visible = np.ones(pose_i.shape, dtype=bool)
+    lens = tab["lens"][ray]
+    chained = lens > 0  # rays to adjacent cells have no interior to block
+    if sensor.occlusion and chained.any():
+        # an in-bounds target has an in-bounds chain, so no index leaves the grid
+        chain_off = tab["chain"][:, 0] * wp + tab["chain"][:, 1]
+        lens = lens[chained]
+        seg_start = np.cumsum(lens) - lens
+        pos = np.arange(int(lens.sum())) + np.repeat(tab["starts"][ray[chained]] - seg_start, lens)
+        cells = np.repeat(origin[pose_i[chained]], lens) + chain_off[pos]
+        blocked = (grid[cells] == KNOWN_OBSTACLE).astype(np.int32)
+        visible[chained] = np.add.reduceat(blocked, seg_start) == 0
+    return np.bincount(pose_i[visible], minlength=len(poses))
 
 
 def covered_area(belief: BeliefGrid) -> float:
@@ -359,6 +392,71 @@ def flood_fill_free(occupancy: np.ndarray, start: Cell) -> np.ndarray:
 
 def reachable_free_count(world: WorldModel) -> int:
     return int(np.sum(flood_fill_free(world.occupancy, world.spawn)))
+
+
+def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray, int]:
+    """Connected components of a boolean mask: (labels, count), with 0 for
+    background and components numbered from 1 in raster order of their first
+    cell. 4-connected, or 8-connected with diagonal=True. This is the
+    numbering of scipy.ndimage.label with the matching structure."""
+    h, w = mask.shape
+    wp = w + 2
+    padded = np.zeros((h + 2, wp), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    if diagonal:
+        steps = (-wp - 1, -wp, -wp + 1, -1, 1, wp - 1, wp, wp + 1)
+    else:
+        steps = (-wp, -1, 1, wp)
+    inside = padded.ravel().tolist()
+    labels = [0] * len(inside)
+    count = 0
+    for first in np.flatnonzero(padded).tolist():
+        if labels[first]:
+            continue
+        count += 1
+        labels[first] = count
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            for step in steps:
+                j = i + step
+                if inside[j] and not labels[j]:
+                    labels[j] = count
+                    stack.append(j)
+    out = np.array(labels, dtype=np.int32).reshape(h + 2, wp)[1:-1, 1:-1]
+    return out, count
+
+
+def _obstacle_neighbours(occ: np.ndarray) -> np.ndarray:
+    """Obstacles among each cell's 8 neighbours; cells beyond the border
+    count as obstacles."""
+    h, w = occ.shape
+    p = np.ones((h + 2, w + 2), dtype=np.int16)
+    p[1:-1, 1:-1] = occ == OBSTACLE
+    return (p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:] + p[1:-1, :-2]
+            + p[1:-1, 2:] + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:])
+
+
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a 2-D array with mirrored borders and a kernel cut at
+    4 sigma. Each output cell adds its terms in the order
+    scipy.ndimage.gaussian_filter uses for a symmetric kernel (centre, then
+    the mirrored pairs from the outermost in), so the result is the same to
+    the last bit."""
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+    kernel = kernel / kernel.sum()
+    out = np.asarray(x, dtype=np.float64)
+    for axis in (0, 1):
+        line = np.moveaxis(out, axis, 0)
+        n = line.shape[0]
+        p = np.pad(line, ((radius, radius), (0, 0)), mode="symmetric")
+        acc = p[radius:radius + n] * kernel[radius]
+        for j in range(radius, 0, -1):
+            acc += (p[radius - j:radius - j + n] + p[radius + j:radius + j + n]) * kernel[radius - j]
+        out = np.moveaxis(acc, 0, axis)
+    return np.ascontiguousarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +714,16 @@ def generate_cave(
         occ = (rng.random((height, width)) < fill_probability).astype(np.uint8)
         occ[0, :] = occ[-1, :] = OBSTACLE
         occ[:, 0] = occ[:, -1] = OBSTACLE
-        kernel = np.ones((3, 3), dtype=np.int16)
-        kernel[1, 1] = 0
         for _ in range(automaton_steps):
-            neighbors = ndimage.convolve(
-                (occ == OBSTACLE).astype(np.int16), kernel, mode="constant", cval=1
-            )
-            occ = np.where(neighbors >= 5, OBSTACLE, FREE).astype(np.uint8)
+            occ = np.where(_obstacle_neighbours(occ) >= 5, OBSTACLE, FREE).astype(np.uint8)
             occ[0, :] = occ[-1, :] = OBSTACLE
             occ[:, 0] = occ[:, -1] = OBSTACLE
 
-        labels, n_comp = ndimage.label(occ == FREE)
+        labels, n_comp = label_components(occ == FREE)
         noise = rng.standard_normal((height, width))
         if n_comp == 0:
             continue
-        sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, n_comp + 1))
+        sizes = np.bincount(labels.ravel(), minlength=n_comp + 1)[1:]
         keep = 1 + int(np.argmax(sizes))
         occ = np.where(labels == keep, FREE, OBSTACLE).astype(np.uint8)
 
@@ -641,7 +734,7 @@ def generate_cave(
         d2 = np.sum((free_cells - center) ** 2, axis=1)
         spawn = tuple(int(x) for x in free_cells[int(np.argmin(d2))])
 
-        smooth = ndimage.gaussian_filter(noise, sigma=3.0)
+        smooth = _gaussian_smooth(noise, sigma=3.0)
         lo, hi = float(smooth.min()), float(smooth.max())
         base = (smooth - lo) / (hi - lo) if hi > lo else np.zeros_like(smooth)
         mu = risk_intensity * base
