@@ -2,7 +2,9 @@
 cave worlds. A change that moves one cave cell, one risk draw or one planner
 choice changes a hash here. The values were recorded before the local layer
 and the generators were rewritten for speed, so these tests prove that the
-rewrites changed no behaviour."""
+rewrites changed no behaviour. SHAPE_SHA256 was recorded before the planners
+became one table and the grid searches one BFS, and pins the cycle-event
+shapes the first pins do not reach."""
 import hashlib
 
 import pytest
@@ -34,6 +36,33 @@ EPISODE_SHA256 = {
     ("cave", "MLDM", 2**32 + 5): "08342b1e47fc68f2b2132b2563d5403c457e77c8e10101532c58e9689081e0ef",
 }
 
+# Cycle-event shapes the pins above do not reach: (label, generator, planner,
+# world seed, step budget, golden settings) -> sha256 of events_to_ndjson.
+# "Golden settings" are the settings of the pins above; without them the
+# episode runs on RunConfig defaults.
+SHAPE_SHA256 = {
+    # an MLDM cycle with no candidate at all; ends no_policy at step 150
+    ("mldm_no_candidate", "subway", "MLDM", 5, 160, False):
+        "a7681135eda983ef575b9713b64443db4f429b033b6c185ed6b7bf70250820d4",
+    # HCP with no policy; ends no_policy at step 150
+    ("hcp_no_policy", "subway", "HCP", 5, 160, False):
+        "24632d6a19943992313902545f18a14f244336a4e4dee721309bc7d6a29a1e75",
+    # HCP gives up its committed goal and calls plan_global (global_found)
+    ("hcp_global_fallback", "subway", "HCP", 3, 120, True):
+        "06b19cb5deff4542118ebfa386f038a061b19161f3eedc3f0c579656bb8270d0",
+    # HFE with no policy (chosen: null)
+    ("hfe_no_policy", "maze", "HFE", 3, 120, True):
+        "a1249547f2a7abf4188b41ee297bc3e46654f25657e871abfba7dfb394556423",
+    # MLDM discrepancy override
+    ("mldm_d_exceeded", "subway", "MLDM", 3, 120, True):
+        "4e77c3068d620a00d96e5cb000daafde67f03d25100adb56941fa4bc5f6f899f",
+    # MLDM risk override
+    ("mldm_j_exceeded", "cave", "MLDM", 0, 60, True):
+        "e5e60f237a5c04e3401a0c01733d86cef35ab6d72e1823ff05f6919bf2f39f92",
+}
+
+GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global": 40}
+
 # (seed, width, height) -> (sha256 of occupancy bytes, sha256 of risk_mu bytes)
 CAVE_SHA256 = {
     (0, 51, 51): ("5d8b50d118a99cf1fc3d83bc9fa1fe8db5185bed181d9bcd4ab403d7283b0698",
@@ -59,6 +88,18 @@ def test_episode_log_matches_golden_hash(generator, planner, seed):
     record = run_episode(config)
     text = events_to_ndjson(record.events)
     assert sha256(text.encode("utf-8")) == EPISODE_SHA256[(generator, planner, seed)]
+
+
+@pytest.mark.parametrize("label,generator,planner,seed,budget,golden", sorted(SHAPE_SHA256))
+def test_event_shape_log_matches_golden_hash(label, generator, planner, seed, budget, golden):
+    config = RunConfig(
+        world=WorldSpec(generator=generator, seed=seed, params=dict(PARAMS[generator])),
+        planner=planner, step_budget=budget, **(GOLDEN_SETTINGS if golden else {}),
+    )
+    record = run_episode(config)
+    text = events_to_ndjson(record.events)
+    key = (label, generator, planner, seed, budget, golden)
+    assert sha256(text.encode("utf-8")) == SHAPE_SHA256[key]
 
 
 @pytest.mark.parametrize("seed,width,height", sorted(CAVE_SHA256))
