@@ -11,7 +11,7 @@ import json
 from gridexplore import (
     BeliefGrid, Candidate, HistoryWindow, RewardModel, RiskField, SwitchConfig,
     build_local_irm, decide, explain, generate_maze, make_path_pair,
-    plan_global, plan_local, record_plan_outcome, sense, update_global_irm,
+    plan_global, plan_local, sense, update_global_irm,
 )
 from gridexplore.motion import KinodynamicSpec, astar, cells_to_waypoints
 from gridexplore.roadmap import GLOBAL, LOCAL, ROBOT_NODE_ID
@@ -36,8 +36,8 @@ print(f"global policy: {'found' if global_policy else 'none'}"
          if global_policy else ""))
 
 window = HistoryWindow(window=10)
-record_plan_outcome(window, LOCAL, local_policy is not None)
-record_plan_outcome(window, GLOBAL, global_policy is not None)
+window.record(LOCAL, local_policy is not None)
+window.record(GLOBAL, global_policy is not None)
 
 
 def candidate_for(policy):

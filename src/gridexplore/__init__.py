@@ -27,12 +27,11 @@ from .motion import (
 )
 from .switching import (
     Candidate, HistoryWindow, NoPolicyError, SwitchConfig, SwitchDecision,
-    calibrate_j_max, decide, execution_score, explain, record_plan_outcome,
+    calibrate_j_max, decide, execution_score, explain,
 )
 from .harness import (
     ReplayError, RunConfig, RunRecord, SwitchSettings, WorldSpec,
-    config_from_dict, config_to_dict, load_config, replay, run_batch,
-    run_episode,
+    config_from_dict, load_config, replay, run_batch, run_episode,
 )
 from .scenarios import ScenarioResult, scenario_regressions
 
@@ -45,12 +44,12 @@ __all__ = [
     "RoadmapGraph", "RoadmapNode", "RunConfig", "RunRecord", "ScenarioResult",
     "SensorSpec", "SwitchConfig", "SwitchDecision", "SwitchSettings",
     "WorldModel", "WorldSpec", "astar", "build_local_irm", "calibrate_j_max",
-    "config_from_dict", "config_to_dict", "covered_area", "cvar", "decide",
+    "config_from_dict", "covered_area", "cvar", "decide",
     "detect_frontiers", "discounted_utility", "discrepancy", "edge_risk",
     "execute_step", "execution_score", "explain", "generate_cave",
     "generate_maze", "generate_subway", "graph_to_dict", "load_config",
     "load_world", "make_path_pair", "plan_global", "plan_hfe", "plan_local",
-    "plan_nbv", "policy_risk", "record_plan_outcome", "replay", "run_batch",
+    "plan_nbv", "policy_risk", "replay", "run_batch",
     "run_episode", "save_world", "scenario_regressions", "sense",
     "smooth_kinodynamic", "step_reward", "update_global_irm",
     "visible_unknown_count",

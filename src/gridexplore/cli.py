@@ -12,8 +12,9 @@ from pathlib import Path
 
 from . import world as gw
 from .harness import (
-    ConfigError, ReplayError, config_from_dict, load_config, replay,
-    run_batch, run_episode, write_summary_csv,
+    GENERATORS, ConfigError, ReplayError, WorldSpec, build_world,
+    config_from_dict, load_config, replay, run_batch, run_episode,
+    write_summary_csv,
 )
 from .scenarios import scenario_regressions
 
@@ -75,21 +76,14 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_gen_world(args) -> int:
-    if args.generator == "subway":
-        world = gw.generate_subway(
-            args.seed, rooms=args.rooms,
-            room_size_range=(args.room_min, args.room_max),
-        )
-    elif args.generator == "maze":
-        world = gw.generate_maze(
-            args.seed, width=args.width, height=args.height,
-            deadend_fraction=args.deadend_fraction,
-        )
-    else:
-        world = gw.generate_cave(
-            args.seed, width=args.width, height=args.height,
-            risk_intensity=args.risk_intensity,
-        )
+    flags = {
+        "rooms": args.rooms, "room_size_range": (args.room_min, args.room_max),
+        "width": args.width, "height": args.height,
+        "deadend_fraction": args.deadend_fraction, "risk_intensity": args.risk_intensity,
+    }
+    _, accepted = GENERATORS[args.generator]
+    params = {name: value for name, value in flags.items() if name in accepted}
+    world = build_world(WorldSpec(generator=args.generator, seed=args.seed, params=params))
     gw.save_world(world, args.out)
     print(f"{args.generator} world ({world.width}x{world.height}, "
           f"{world.free_cell_count()} free cells) -> {args.out}")

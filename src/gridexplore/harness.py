@@ -30,13 +30,11 @@ from .roadmap import (
     update_global_irm,
 )
 from .switching import (
-    Candidate, HistoryWindow, NoPolicyError, SwitchConfig, calibrate_j_max,
-    decide, explain, record_plan_outcome,
+    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, decide, explain,
 )
 from .world import BeliefGrid, SensorSpec, WorldModel
 
 EVENT_SCHEMA_VERSION = 1
-PLANNERS = ("MLDM", "HCP", "NBV", "HFE")
 
 Cell = tuple[int, int]
 
@@ -114,11 +112,6 @@ _NESTED_SECTIONS = {
 }
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    doc = asdict(config)
-    return doc
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     doc = dict(doc)
     known = set(RunConfig.__dataclass_fields__)
@@ -136,7 +129,9 @@ def config_from_dict(doc: dict) -> RunConfig:
                 kwargs[key] = section(**value)
             else:
                 kwargs[key] = value
-        return RunConfig(**kwargs)
+        config = RunConfig(**kwargs)
+        _generator_and_params(config.world)
+        return config
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -155,7 +150,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_hash(config: RunConfig) -> str:
-    canonical = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -186,34 +181,22 @@ def events_to_ndjson(events: list[dict]) -> str:
 # World construction
 # ---------------------------------------------------------------------------
 
+def _generator_and_params(spec: WorldSpec):
+    """The registered builder for spec and its params, defaults filled in.
+    ConfigError for an unknown generator or param."""
+    if spec.generator not in GENERATORS:
+        raise ConfigError(f"unknown world generator {spec.generator!r}")
+    builder, defaults = GENERATORS[spec.generator]
+    unknown = set(spec.params) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown params for generator {spec.generator!r}: "
+                          f"{sorted(unknown)}; accepted: {sorted(defaults)}")
+    return builder, {**defaults, **spec.params}
+
+
 def build_world(spec: WorldSpec) -> WorldModel:
-    params = dict(spec.params)
-    if spec.generator == "subway":
-        return gw.generate_subway(
-            spec.seed,
-            rooms=params.get("rooms", 5),
-            room_size_range=tuple(params.get("room_size_range", (6.0, 10.0))),
-            cell_size=params.get("cell_size", gw.DEFAULT_CELL_SIZE),
-        )
-    if spec.generator == "maze":
-        return gw.generate_maze(
-            spec.seed,
-            width=params.get("width", 51),
-            height=params.get("height", 51),
-            deadend_fraction=params.get("deadend_fraction", 1.0),
-            cell_size=params.get("cell_size", gw.DEFAULT_CELL_SIZE),
-        )
-    if spec.generator == "cave":
-        return gw.generate_cave(
-            spec.seed,
-            width=params.get("width", 51),
-            height=params.get("height", 51),
-            risk_intensity=params.get("risk_intensity", 0.5),
-            cell_size=params.get("cell_size", gw.DEFAULT_CELL_SIZE),
-        )
-    if spec.generator in _SCENARIO_BUILDERS:
-        return _SCENARIO_BUILDERS[spec.generator]()
-    raise ConfigError(f"unknown world generator {spec.generator!r}")
+    builder, params = _generator_and_params(spec)
+    return builder(spec.seed, **params)
 
 
 def _apply_precover(world: WorldModel, belief: BeliefGrid, rects) -> None:
@@ -324,27 +307,14 @@ class _EpisodeState:
 def _nearest_reachable_to(state: _EpisodeState, goal: Cell) -> Cell:
     """Believed-free cell in the robot's component closest to goal (squared
     Euclidean, ties row-major)."""
-    from collections import deque
-
-    belief = state.belief
-    start = state.pose
-    best = start
-    best_d = (start[0] - goal[0]) ** 2 + (start[1] - goal[1]) ** 2
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (r + dr, c + dc)
-            if nb in seen or not belief.is_known_free(*nb):
-                continue
-            seen.add(nb)
-            queue.append(nb)
-            d = (nb[0] - goal[0]) ** 2 + (nb[1] - goal[1]) ** 2
-            if d < best_d or (d == best_d and nb < best):
-                best_d = d
-                best = nb
-    return best
+    passable, wp = gw.padded_mask(state.belief.state == gw.KNOWN_FREE)
+    r0, c0 = state.pose
+    reached = gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1)
+    # padded indices follow row-major cell order, so ties go row-major
+    _, i = min(
+        ((i // wp - 1 - goal[0]) ** 2 + (i % wp - 1 - goal[1]) ** 2, i) for i, _ in reached
+    )
+    return i // wp - 1, i % wp - 1
 
 
 def _candidate_for(
@@ -390,9 +360,26 @@ def _pair_event(pair: PathPair) -> dict:
     }
 
 
+# A planner builds only the roadmap layers it reads and returns the candidate
+# to execute (or None), the candidates whose policies and paths are logged,
+# and its own cycle-event fields.
+PlanOutcome = tuple[Candidate | None, list[Candidate], dict]
+
+
+def _update_global_graph(state: _EpisodeState) -> RoadmapGraph:
+    """Rebuild the global roadmap; its breadcrumb trail grows every cycle."""
+    config = state.config
+    state.global_graph = update_global_irm(
+        state.global_graph, state.belief, state.risk_field, state.pose,
+        breadcrumb_spacing=config.breadcrumb_spacing,
+        min_cluster=config.min_frontier_cluster,
+        horizon=config.horizon_global,
+    )
+    return state.global_graph
+
+
 def _plan_local_policy(state: _EpisodeState) -> Policy | None:
-    """Build the local lattice around the robot and search it. Only the
-    planners that use a local policy (MLDM, HCP) pay for the lattice."""
+    """Build the local lattice around the robot and search it."""
     config = state.config
     local_graph = build_local_irm(
         state.belief, state.risk_field, state.pose,
@@ -404,127 +391,120 @@ def _plan_local_policy(state: _EpisodeState) -> Policy | None:
     )
 
 
+def _plan_global_policy(state: _EpisodeState) -> Policy | None:
+    config = state.config
+    return plan_global(
+        state.global_graph, config.reward, ROBOT_NODE_ID,
+        horizon=config.horizon_global, created_at=state.cycle,
+    )
+
+
+def _plan_mldm(state: _EpisodeState) -> PlanOutcome:
+    """Meta-level decision: plan both scopes and let the switching rule pick."""
+    _update_global_graph(state)
+    local_policy = _plan_local_policy(state)
+    global_policy = _plan_global_policy(state)
+    state.window.record(LOCAL, local_policy is not None)
+    state.window.record(GLOBAL, global_policy is not None)
+    local_cand = _candidate_for(state, local_policy)
+    global_cand = _candidate_for(state, global_policy)
+    fields = {"local_found": local_policy is not None, "global_found": global_policy is not None}
+    logged = [cand for cand in (local_cand, global_cand) if cand is not None]
+    if not logged:
+        return None, [], fields
+    decision = decide(
+        local_cand, global_cand, state.window, state.switch_config, cycle=state.cycle,
+    )
+    if decision.override_fired:
+        state.counts["overrides"] += 1
+    fields["decision"] = explain(decision)
+    return (local_cand if decision.chosen == LOCAL else global_cand), logged, fields
+
+
+def _plan_hcp(state: _EpisodeState) -> PlanOutcome:
+    """Fixed precedence: pursue the committed frontier goal until within the
+    commit distance, else the local policy, else commit to a new frontier."""
+    config = state.config
+    _update_global_graph(state)
+    local_policy = _plan_local_policy(state)
+    fields: dict = {"local_found": local_policy is not None}
+    commit_cells = config.hcp_commit_distance / state.world.cell_size
+    if state.hcp_goal is not None:
+        dist = math.hypot(
+            state.pose[0] - state.hcp_goal[0], state.pose[1] - state.hcp_goal[1]
+        )
+        if dist <= commit_cells:
+            state.hcp_goal = None
+    chosen: Candidate | None = None
+    if state.hcp_goal is not None:
+        pursuit = Policy(
+            scope=GLOBAL, node_sequence=[], edge_sequence=[], utility=0.0,
+            risk=0.0, created_at=state.cycle, goal_pose=state.hcp_goal,
+        )
+        chosen = _candidate_for(state, pursuit)
+        if chosen is None:
+            state.hcp_goal = None  # goal became unreachable; release
+    if state.hcp_goal is None:
+        if local_policy is not None:
+            chosen = _candidate_for(state, local_policy)
+        else:
+            global_policy = _plan_global_policy(state)
+            fields["global_found"] = global_policy is not None
+            chosen = _candidate_for(state, global_policy)
+            if chosen is not None:
+                state.hcp_goal = chosen.policy.goal_pose
+    if chosen is None:
+        return None, [], fields
+    fields["committed_goal"] = list(state.hcp_goal) if state.hcp_goal else None
+    return chosen, [chosen], fields
+
+
+def _baseline_outcome(state: _EpisodeState, policy: Policy | None) -> PlanOutcome:
+    """NBV and HFE execute their one policy as is; a cycle without a
+    candidate still logs chosen (null) and the policy's goal."""
+    chosen = _candidate_for(state, policy)
+    goal = list(policy.goal_pose) if policy and policy.goal_pose else None
+    return chosen, [] if chosen is None else [chosen], {"chosen": None, "goal": goal}
+
+
+def _plan_nbv(state: _EpisodeState) -> PlanOutcome:
+    """Next-best-view baseline; it reads neither roadmap layer."""
+    config = state.config
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0x9B, state.cycle])
+    )
+    policy = plan_nbv(
+        state.belief, state.risk_field, state.pose,
+        samples=config.nbv_samples, rng=rng, radius=config.nbv_radius,
+        sensor=config.sensor, reward_model=config.reward,
+        risk_weight=config.astar_risk_weight, created_at=state.cycle,
+    )
+    return _baseline_outcome(state, policy)
+
+
+def _plan_hfe(state: _EpisodeState) -> PlanOutcome:
+    """Greedy frontier baseline over the global roadmap."""
+    graph = _update_global_graph(state)
+    policy = plan_hfe(graph, state.config.reward, ROBOT_NODE_ID, created_at=state.cycle)
+    return _baseline_outcome(state, policy)
+
+
+_PLANNERS = {"MLDM": _plan_mldm, "HCP": _plan_hcp, "NBV": _plan_nbv, "HFE": _plan_hfe}
+PLANNERS = tuple(_PLANNERS)
+
+
 def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
     """Run the configured planner for one cycle. Returns the candidate to
     execute (None means no policy anywhere) plus the cycle event payload."""
-    config = state.config
-    state.global_graph = update_global_irm(
-        state.global_graph, state.belief, state.risk_field, state.pose,
-        breadcrumb_spacing=config.breadcrumb_spacing,
-        min_cluster=config.min_frontier_cluster,
-        horizon=config.horizon_global,
-    )
-    event: dict = {
-        "type": "cycle",
-        "cycle": state.cycle,
-        "step": state.steps,
-        "planner": config.planner,
-        "pose": list(state.pose),
-    }
-
-    if config.planner == "MLDM":
-        local_policy = _plan_local_policy(state)
-        global_policy = plan_global(
-            state.global_graph, config.reward, ROBOT_NODE_ID,
-            horizon=config.horizon_global, created_at=state.cycle,
-        )
-        record_plan_outcome(state.window, LOCAL, local_policy is not None)
-        record_plan_outcome(state.window, GLOBAL, global_policy is not None)
-        local_cand = _candidate_for(state, local_policy)
-        global_cand = _candidate_for(state, global_policy)
-        event["local_found"] = local_policy is not None
-        event["global_found"] = global_policy is not None
-        if local_cand is None and global_cand is None:
-            return None, event
-        decision = decide(
-            local_cand, global_cand, state.window, state.switch_config,
-            cycle=state.cycle,
-        )
-        chosen = local_cand if decision.chosen == LOCAL else global_cand
-        if decision.override_fired:
-            state.counts["overrides"] += 1
-        event["decision"] = explain(decision)
-        event["chosen"] = decision.chosen
-        event["policies"] = {
-            scope: cand.policy.to_dict()
-            for scope, cand in (("local", local_cand), ("global", global_cand))
-            if cand is not None
-        }
-        event["paths"] = {
-            scope: _pair_event(cand.path_pair)
-            for scope, cand in (("local", local_cand), ("global", global_cand))
-            if cand is not None
-        }
-        event["goal"] = list(chosen.policy.goal_pose) if chosen.policy.goal_pose else None
-        return chosen, event
-
-    if config.planner == "HCP":
-        local_policy = _plan_local_policy(state)
-        event["local_found"] = local_policy is not None
-        commit_cells = config.hcp_commit_distance / state.world.cell_size
-        if state.hcp_goal is not None:
-            dist = math.hypot(
-                state.pose[0] - state.hcp_goal[0], state.pose[1] - state.hcp_goal[1]
-            )
-            if dist <= commit_cells:
-                state.hcp_goal = None
-        chosen: Candidate | None = None
-        if state.hcp_goal is not None:
-            pursuit = Policy(
-                scope=GLOBAL, node_sequence=[], edge_sequence=[], utility=0.0,
-                risk=0.0, created_at=state.cycle, goal_pose=state.hcp_goal,
-            )
-            chosen = _candidate_for(state, pursuit)
-            if chosen is None:
-                state.hcp_goal = None  # goal became unreachable; release
-        if state.hcp_goal is None:
-            if local_policy is not None:
-                chosen = _candidate_for(state, local_policy)
-            else:
-                global_policy = plan_global(
-                    state.global_graph, config.reward, ROBOT_NODE_ID,
-                    horizon=config.horizon_global, created_at=state.cycle,
-                )
-                event["global_found"] = global_policy is not None
-                chosen = _candidate_for(state, global_policy)
-                if chosen is not None:
-                    state.hcp_goal = chosen.policy.goal_pose
-        if chosen is None:
-            return None, event
-        event["chosen"] = chosen.policy.scope
-        event["committed_goal"] = list(state.hcp_goal) if state.hcp_goal else None
-        event["goal"] = list(chosen.policy.goal_pose) if chosen.policy.goal_pose else None
-        event["policies"] = {chosen.policy.scope: chosen.policy.to_dict()}
-        event["paths"] = {chosen.policy.scope: _pair_event(chosen.path_pair)}
-        return chosen, event
-
-    if config.planner == "NBV":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0x9B, state.cycle])
-        )
-        policy = plan_nbv(
-            state.belief, state.risk_field, state.pose,
-            samples=config.nbv_samples, rng=rng, radius=config.nbv_radius,
-            sensor=config.sensor, reward_model=config.reward,
-            risk_weight=config.astar_risk_weight, created_at=state.cycle,
-        )
-        chosen = _candidate_for(state, policy)
-        event["chosen"] = "local" if chosen else None
-        event["goal"] = list(policy.goal_pose) if policy and policy.goal_pose else None
-        if chosen is not None:
-            event["policies"] = {"local": chosen.policy.to_dict()}
-            event["paths"] = {"local": _pair_event(chosen.path_pair)}
-        return chosen, event
-
-    # HFE
-    policy = plan_hfe(state.global_graph, config.reward, ROBOT_NODE_ID,
-                      created_at=state.cycle)
-    chosen = _candidate_for(state, policy)
-    event["chosen"] = "global" if chosen else None
-    event["goal"] = list(policy.goal_pose) if policy and policy.goal_pose else None
+    chosen, logged, fields = _PLANNERS[state.config.planner](state)
+    event = {"type": "cycle", "cycle": state.cycle, "step": state.steps,
+             "planner": state.config.planner, "pose": list(state.pose), **fields}
     if chosen is not None:
-        event["policies"] = {"global": chosen.policy.to_dict()}
-        event["paths"] = {"global": _pair_event(chosen.path_pair)}
+        policy = chosen.policy
+        event["chosen"] = policy.scope
+        event["goal"] = list(policy.goal_pose) if policy.goal_pose else None
+        event["policies"] = {cand.scope: cand.policy.to_dict() for cand in logged}
+        event["paths"] = {cand.scope: _pair_event(cand.path_pair) for cand in logged}
     return chosen, event
 
 
@@ -536,7 +516,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
     state.events.append({
         "type": "header",
         "version": EVENT_SCHEMA_VERSION,
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "config_hash": chash,
         "j_max": state.switch_config.j_max,
         "reachable_free_cells": state.reachable_free,
@@ -559,11 +539,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
         if state.cycle > max_cycles:
             termination = "stalled"
             break
-        try:
-            chosen, event = _plan_cycle(state)
-        except NoPolicyError:
-            chosen, event = None, {"type": "cycle", "cycle": state.cycle,
-                                   "step": state.steps, "planner": config.planner}
+        chosen, event = _plan_cycle(state)
         state.events.append(event)
         if chosen is None:
             termination = "no_policy"
@@ -655,9 +631,9 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
 
 def _episode_job(args: tuple[dict, int, str | None]) -> dict:
     doc, rep, out_dir = args
-    config = config_from_dict(doc)
-    config.world.seed = config.world.seed + rep
     try:
+        config = config_from_dict(doc)
+        config.world.seed = config.world.seed + rep
         record = run_episode(config, out_dir=out_dir)
         return {"ok": True, "record": record.to_dict(), "rep": rep}
     except Exception as exc:  # noqa: BLE001 - batch keeps going per contract
@@ -679,7 +655,7 @@ def run_batch(
             job_dir = None
             if out_dir is not None:
                 job_dir = str(Path(out_dir) / f"config{idx:03d}_rep{rep:02d}")
-            jobs.append((idx, (config_to_dict(config), rep, job_dir)))
+            jobs.append((idx, (asdict(config), rep, job_dir)))
 
     results: list[dict] = [None] * len(jobs)  # type: ignore[list-item]
     if parallelism > 1:
@@ -862,13 +838,14 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
 
 
 # ---------------------------------------------------------------------------
-# Scripted scenario worlds (registered into build_world)
+# Generator registry (read by build_world, config_from_dict and gen-world)
 # ---------------------------------------------------------------------------
 
-def _scenario_switchback_world() -> WorldModel:
+def _scenario_switchback_world(seed: int) -> WorldModel:
     """A long corridor to a distant frontier passing a side pocket that is
     invisible until the robot gets close: en-route local coverage appears
-    after the robot commits to the far goal."""
+    after the robot commits to the far goal. The layout is fixed; seed is
+    ignored."""
     h, w = 21, 46
     occ = np.full((h, w), gw.OBSTACLE, dtype=np.uint8)
     occ[9:12, 1:45] = gw.FREE          # main corridor
@@ -881,10 +858,10 @@ def _scenario_switchback_world() -> WorldModel:
     )
 
 
-def _scenario_riskpocket_world() -> WorldModel:
+def _scenario_riskpocket_world(seed: int) -> WorldModel:
     """A high-risk cluttered pocket around the robot with uncovered cells,
     plus a clean distant frontier: the risky local policy wins the score but
-    trips the risk threshold."""
+    trips the risk threshold. The layout is fixed; seed is ignored."""
     h, w = 25, 40
     occ = np.full((h, w), gw.OBSTACLE, dtype=np.uint8)
     occ[6:15, 2:13] = gw.FREE          # pocket
@@ -904,7 +881,18 @@ def _scenario_riskpocket_world() -> WorldModel:
     )
 
 
-_SCENARIO_BUILDERS = {
-    "scenario_switchback": _scenario_switchback_world,
-    "scenario_riskpocket": _scenario_riskpocket_world,
+# generator name -> (builder, the params it accepts with their defaults); a
+# builder is called as builder(seed, **params)
+GENERATORS = {
+    "subway": (gw.generate_subway, {
+        "rooms": 5, "room_size_range": (6.0, 10.0), "cell_size": gw.DEFAULT_CELL_SIZE,
+    }),
+    "maze": (gw.generate_maze, {
+        "width": 51, "height": 51, "deadend_fraction": 1.0, "cell_size": gw.DEFAULT_CELL_SIZE,
+    }),
+    "cave": (gw.generate_cave, {
+        "width": 51, "height": 51, "risk_intensity": 0.5, "cell_size": gw.DEFAULT_CELL_SIZE,
+    }),
+    "scenario_switchback": (_scenario_switchback_world, {}),
+    "scenario_riskpocket": (_scenario_riskpocket_world, {}),
 }

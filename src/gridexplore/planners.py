@@ -239,27 +239,24 @@ def _path_from_parents(parent: dict[int, int], source: int, target: int) -> list
     return path[::-1]
 
 
-def plan_global(
+def _best_frontier(
     global_graph: RoadmapGraph,
     reward_model: RewardModel,
     robot_node: int,
-    horizon: int = 20,
-    created_at: int = 0,
+    gamma: float,
+    horizon: float,
+    created_at: int,
 ) -> Policy | None:
-    """Pick the best frontier by discounted gain minus travel cost.
-
-    Each frontier scores gamma_global^hops * coverage_weight * gain minus
-    distance_cost times its shortest-path distance; hops beyond the horizon
-    disqualify a frontier and disconnected frontiers are skipped. Returns the
-    shortest-path policy to the argmax frontier (ties to the lowest node id),
-    or None when no frontier qualifies."""
+    """Shortest-path policy to the frontier with the highest gamma^hops *
+    coverage_weight * gain minus distance_cost times its shortest-path
+    distance. Frontiers more than horizon hops away, or disconnected, are
+    skipped; ties go to the lowest node id. None when no frontier qualifies."""
     if robot_node not in global_graph.nodes:
         raise ValueError(f"robot node {robot_node} not in global graph")
     frontiers = global_graph.nodes_of_kind(FRONTIER)
     if not frontiers:
         return None
     dist, parent, hops = _shortest_paths(global_graph, robot_node)
-    gamma = reward_model.gamma_for(GLOBAL)
     best: tuple[float, int] | None = None
     for node in frontiers:
         if node.id not in dist or node.id == robot_node:
@@ -277,6 +274,21 @@ def plan_global(
     utility, target = best
     nodes = _path_from_parents(parent, robot_node, target)
     return _policy_over(global_graph, GLOBAL, nodes, utility, created_at)
+
+
+def plan_global(
+    global_graph: RoadmapGraph,
+    reward_model: RewardModel,
+    robot_node: int,
+    horizon: int = 20,
+    created_at: int = 0,
+) -> Policy | None:
+    """Pick the best frontier by discounted gain minus travel cost: the
+    frontier search with gamma_global and a hop horizon."""
+    return _best_frontier(
+        global_graph, reward_model, robot_node,
+        gamma=reward_model.gamma_for(GLOBAL), horizon=horizon, created_at=created_at,
+    )
 
 
 def plan_nbv(
@@ -352,25 +364,10 @@ def plan_hfe(
     created_at: int = 0,
 ) -> Policy | None:
     """Greedy frontier baseline: one-step look-ahead score gain minus travel
-    cost, no discounting and no switching logic."""
-    if robot_node not in global_graph.nodes:
-        raise ValueError(f"robot node {robot_node} not in global graph")
-    frontiers = global_graph.nodes_of_kind(FRONTIER)
-    if not frontiers:
-        return None
-    dist, parent, _hops = _shortest_paths(global_graph, robot_node)
-    best: tuple[float, int] | None = None
-    for node in frontiers:
-        if node.id not in dist or node.id == robot_node:
-            continue
-        score = (
-            reward_model.coverage_weight * node.info_gain
-            - reward_model.distance_cost * dist[node.id]
-        )
-        if best is None or score > best[0]:
-            best = (score, node.id)
-    if best is None:
-        return None
-    score, target = best
-    nodes = _path_from_parents(parent, robot_node, target)
-    return _policy_over(global_graph, GLOBAL, nodes, score, created_at)
+    cost, no discounting and no switching logic. This is the frontier search
+    with gamma 1 (1.0 ** hops * w * gain is w * gain to the bit) and no hop
+    horizon."""
+    return _best_frontier(
+        global_graph, reward_model, robot_node,
+        gamma=1.0, horizon=math.inf, created_at=created_at,
+    )

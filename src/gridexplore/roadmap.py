@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,20 +119,19 @@ def build_local_irm(
     radius_cells = radius / belief.cell_size
 
     # connected component of believed-free cells within the radius disk
-    members: set[Cell] = {(r0, c0)}
-    queue = deque([(r0, c0)])
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nr, nc = r + dr, c + dc
-            if (nr, nc) in members or not belief.is_known_free(nr, nc):
-                continue
-            if math.hypot(nr - r0, nc - c0) > radius_cells + 1e-9:
-                continue
-            members.add((nr, nc))
-            queue.append((nr, nc))
+    h, w = belief.state.shape
+    limit = radius_cells + 1e-9
+    k = max(int(min(limit, h + w)), 0)
+    rows = range(max(r0 - k, 0), min(r0 + k + 1, h))
+    cols = range(max(c0 - k, 0), min(c0 + k + 1, w))
+    disk = np.zeros((h, w), dtype=bool)
+    disk[rows.start:rows.stop, cols.start:cols.stop] = [
+        [math.hypot(r - r0, c - c0) <= limit for c in cols] for r in rows
+    ]
+    passable, wp = gw.padded_mask((belief.state == gw.KNOWN_FREE) & disk)
+    members = sorted(i for i, _ in gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1))
+    cells = [(i // wp - 1, i % wp - 1) for i in members]
 
-    cells = sorted(members)
     graph = RoadmapGraph(scope=LOCAL, horizon=horizon)
     ids = {cell: i for i, cell in enumerate(cells)}
     cell_area = belief.cell_size * belief.cell_size
@@ -197,38 +195,26 @@ def detect_frontiers(
     return nodes
 
 
-def _bfs_to_targets(
-    belief: BeliefGrid,
-    start: Cell,
-    targets: dict[Cell, int],
+def _nearest_crumb(
+    passable: bytes,
+    width: int,
+    crumb_at: dict[int, int],
+    pose: Cell,
 ) -> tuple[int, int] | None:
-    """4-connected BFS to the nearest target, or None.
-
-    Traverses everything that is not a believed obstacle: the global graph is
-    optimistic about unknown space, since frontiers are by definition
-    gateways into it. Diagonal-ray sensing can otherwise leave known-free
-    islands whose frontiers would never attach to the graph."""
-    if start in targets:
-        return targets[start], 0
-    h, w = belief.state.shape
-
-    def passable(r: int, c: int) -> bool:
-        return 0 <= r < h and 0 <= c < w and belief.state[r, c] != gw.KNOWN_OBSTACLE
-
-    if not passable(*start):
+    """(crumb id, hops) of the breadcrumb a 4-connected BFS from pose reaches
+    first, or None. passable (a gw.padded_mask) is everything that is not a
+    believed obstacle: the global graph is optimistic about unknown space,
+    since frontiers are by definition gateways into it. Diagonal-ray sensing
+    can otherwise leave known-free islands whose frontiers would never attach
+    to the graph."""
+    start = (pose[0] + 1) * width + pose[1] + 1
+    if start in crumb_at:
+        return crumb_at[start], 0
+    if not passable[start]:
         return None
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        (r, c), d = queue.popleft()
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (r + dr, c + dc)
-            if nb in seen or not passable(*nb):
-                continue
-            if nb in targets:
-                return targets[nb], d + 1
-            seen.add(nb)
-            queue.append((nb, d + 1))
+    for i, depth in gw.grid_bfs(passable, width, start):
+        if i in crumb_at:
+            return crumb_at[i], depth
     return None
 
 
@@ -281,13 +267,14 @@ def update_global_irm(
             if all(belief.state[cell] == gw.KNOWN_FREE for cell in segment):
                 out.add_edge(i, j, length=d * cs, risk=edge_risk(risk_field, a, b))
 
-    crumb_ids = {pose: i for i, pose in enumerate(crumbs)}
+    passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
+    crumb_at = {(r + 1) * wp + c + 1: i for i, (r, c) in enumerate(crumbs)}
 
     frontiers = detect_frontiers(belief, min_cluster=min_cluster)
     frontiers.sort(key=lambda n: n.pose)
     next_id = len(crumbs)
     for node in frontiers:
-        hit = _bfs_to_targets(belief, node.pose, crumb_ids)
+        hit = _nearest_crumb(passable, wp, crumb_at, node.pose)
         if hit is None:
             continue
         crumb_id, hops = hit
@@ -298,7 +285,7 @@ def update_global_irm(
         out.add_edge(fid, crumb_id, length=length,
                      risk=edge_risk(risk_field, node.pose, crumbs[crumb_id]))
 
-    hit = _bfs_to_targets(belief, robot_pose, crumb_ids)
+    hit = _nearest_crumb(passable, wp, crumb_at, robot_pose)
     out.add_node(RoadmapNode(id=ROBOT_NODE_ID, pose=robot_pose, kind=ROBOT))
     if hit is not None:
         crumb_id, hops = hit

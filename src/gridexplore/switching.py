@@ -71,12 +71,6 @@ class HistoryWindow:
         return {scope: [int(v) for v in buf] for scope, buf in self._buffers.items()}
 
 
-def record_plan_outcome(window: HistoryWindow, scope: str, found: bool) -> HistoryWindow:
-    """Push one plan outcome, evicting beyond the window length."""
-    window.record(scope, found)
-    return window
-
-
 def execution_score(
     found_count: int,
     risk: float,

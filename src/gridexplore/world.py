@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,23 +370,50 @@ def covered_area(belief: BeliefGrid) -> float:
 # Connectivity helpers
 # ---------------------------------------------------------------------------
 
+def padded_mask(mask: np.ndarray) -> tuple[bytes, int]:
+    """A boolean mask with a one-cell False border, flattened for grid_bfs:
+    (bytes, padded row width). Cell (r, c) sits at index (r + 1) * width + c + 1."""
+    h, w = mask.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = mask
+    return padded.tobytes(), w + 2
+
+
+def grid_bfs(passable: bytes, width: int, start: int):
+    """4-connected breadth-first search over a padded_mask from the flat
+    index start, which must be an in-bounds cell and is entered whether or
+    not it is passable. Neighbours are tried in the order (1, 0), (-1, 0),
+    (0, 1), (0, -1). Yields (index, depth) for every cell reached, in
+    discovery order, the start first with depth 0."""
+    unseen = bytearray(passable)
+    unseen[start] = 0
+    steps = (width, -width, 1, -1)
+    yield start, 0
+    level = [start]
+    depth = 0
+    while level:
+        depth += 1
+        reached = []
+        for i in level:
+            for step in steps:
+                j = i + step
+                if unseen[j]:
+                    unseen[j] = 0
+                    reached.append(j)
+                    yield j, depth
+        level = reached
+
+
 def flood_fill_free(occupancy: np.ndarray, start: Cell) -> np.ndarray:
     """4-connected reachability mask over free cells from start."""
     h, w = occupancy.shape
-    mask = np.zeros((h, w), dtype=bool)
     r0, c0 = start
     if not (0 <= r0 < h and 0 <= c0 < w) or occupancy[r0, c0] != FREE:
-        return mask
-    mask[r0, c0] = True
-    queue = deque([(r0, c0)])
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and not mask[nr, nc] and occupancy[nr, nc] == FREE:
-                mask[nr, nc] = True
-                queue.append((nr, nc))
-    return mask
+        return np.zeros((h, w), dtype=bool)
+    passable, wp = padded_mask(occupancy == FREE)
+    mask = np.zeros((h + 2) * wp, dtype=bool)
+    mask[[i for i, _ in grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1)]] = True
+    return mask.reshape(h + 2, wp)[1:-1, 1:-1].copy()
 
 
 def reachable_free_count(world: WorldModel) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 
 import numpy as np
 
@@ -14,6 +15,9 @@ from gridexplore import world as gw
 from gridexplore.planners import Policy, rollout_walk
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import LOCAL, RoadmapGraph
+from gridexplore.world import FREE, BeliefGrid
+
+Cell = tuple[int, int]
 
 
 def plan_local(local_graph: RoadmapGraph, reward_model, horizon=10, budget=20000,
@@ -114,3 +118,107 @@ def edge_risk_miss(field: RiskField, a, b) -> float:
     tail = np.sort(segment)[::-1][:k]
     euclid = math.hypot(b[0] - a[0], b[1] - a[1])
     return float(tail.mean()) * euclid / (len(cells) - 1)
+
+
+# --- the four 4-connected BFS copies that grid_bfs replaced ------------------------
+
+def flood_fill_free(occupancy: np.ndarray, start: Cell) -> np.ndarray:
+    """4-connected reachability mask over free cells from start."""
+    h, w = occupancy.shape
+    mask = np.zeros((h, w), dtype=bool)
+    r0, c0 = start
+    if not (0 <= r0 < h and 0 <= c0 < w) or occupancy[r0, c0] != FREE:
+        return mask
+    mask[r0, c0] = True
+    queue = deque([(r0, c0)])
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < h and 0 <= nc < w and not mask[nr, nc] and occupancy[nr, nc] == FREE:
+                mask[nr, nc] = True
+                queue.append((nr, nc))
+    return mask
+
+
+def local_component(belief: BeliefGrid, robot_pose: Cell, radius: float) -> list[Cell]:
+    """The cells of the local lattice, as build_local_irm found them: the
+    flood over believed-free cells within the radius disk, sorted."""
+    r0, c0 = int(robot_pose[0]), int(robot_pose[1])
+    radius_cells = radius / belief.cell_size
+
+    # connected component of believed-free cells within the radius disk
+    members: set[Cell] = {(r0, c0)}
+    queue = deque([(r0, c0)])
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nr, nc = r + dr, c + dc
+            if (nr, nc) in members or not belief.is_known_free(nr, nc):
+                continue
+            if math.hypot(nr - r0, nc - c0) > radius_cells + 1e-9:
+                continue
+            members.add((nr, nc))
+            queue.append((nr, nc))
+    return sorted(members)
+
+
+def _bfs_to_targets(
+    belief: BeliefGrid,
+    start: Cell,
+    targets: dict[Cell, int],
+) -> tuple[int, int] | None:
+    """4-connected BFS to the nearest target, or None.
+
+    Traverses everything that is not a believed obstacle: the global graph is
+    optimistic about unknown space, since frontiers are by definition
+    gateways into it. Diagonal-ray sensing can otherwise leave known-free
+    islands whose frontiers would never attach to the graph."""
+    if start in targets:
+        return targets[start], 0
+    h, w = belief.state.shape
+
+    def passable(r: int, c: int) -> bool:
+        return 0 <= r < h and 0 <= c < w and belief.state[r, c] != gw.KNOWN_OBSTACLE
+
+    if not passable(*start):
+        return None
+    seen = {start}
+    queue = deque([(start, 0)])
+    while queue:
+        (r, c), d = queue.popleft()
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nb = (r + dr, c + dc)
+            if nb in seen or not passable(*nb):
+                continue
+            if nb in targets:
+                return targets[nb], d + 1
+            seen.add(nb)
+            queue.append((nb, d + 1))
+    return None
+
+
+def _nearest_reachable_to(state: _EpisodeState, goal: Cell) -> Cell:
+    """Believed-free cell in the robot's component closest to goal (squared
+    Euclidean, ties row-major)."""
+    from collections import deque
+
+    belief = state.belief
+    start = state.pose
+    best = start
+    best_d = (start[0] - goal[0]) ** 2 + (start[1] - goal[1]) ** 2
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nb = (r + dr, c + dc)
+            if nb in seen or not belief.is_known_free(*nb):
+                continue
+            seen.add(nb)
+            queue.append(nb)
+            d = (nb[0] - goal[0]) ** 2 + (nb[1] - goal[1]) ** 2
+            if d < best_d or (d == best_d and nb < best):
+                best_d = d
+                best = nb
+    return best

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from gridexplore import world as gw
 from gridexplore.cli import main as cli_main
 from gridexplore.harness import (
     ConfigError, ReplayError, RunConfig, SwitchSettings, WorldSpec,
-    build_world, config_from_dict, config_hash, config_to_dict,
+    build_world, config_from_dict, config_hash,
     events_to_ndjson, replay, run_batch, run_episode, write_summary_csv,
 )
 from gridexplore.scenarios import scenario_regressions
@@ -40,18 +41,18 @@ def empty_room_config(planner):
 
 def test_config_round_trip():
     cfg = small_maze_config()
-    doc = config_to_dict(cfg)
+    doc = asdict(cfg)
     again = config_from_dict(json.loads(json.dumps(doc)))
-    assert config_to_dict(again) == doc
+    assert asdict(again) == doc
     assert config_hash(again) == config_hash(cfg)
 
 
 def test_config_rejects_unknown_keys():
-    doc = config_to_dict(small_maze_config())
+    doc = asdict(small_maze_config())
     doc["budget"] = 5
     with pytest.raises(ConfigError):
         config_from_dict(doc)
-    doc2 = config_to_dict(small_maze_config())
+    doc2 = asdict(small_maze_config())
     doc2["reward"]["gamma"] = 0.5
     with pytest.raises(ConfigError):
         config_from_dict(doc2)
@@ -274,7 +275,7 @@ def test_cli_gen_world_and_run(tmp_path):
     assert loaded.generator == "maze"
 
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps(config_to_dict(small_maze_config(budget=30))))
+    config_path.write_text(json.dumps(asdict(small_maze_config(budget=30))))
     out_dir = tmp_path / "run_out"
     assert cli_main(["run", "--config", str(config_path),
                      "--out", str(out_dir)]) == 0
@@ -292,8 +293,16 @@ def test_cli_invalid_config_exits_2(tmp_path):
     assert cli_main(["run", "--config", str(notjson)]) == 2
 
 
+def test_cli_unknown_generator_param_exits_2(tmp_path):
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps({"world": {"generator": "maze", "params": {"widht": 9}}}))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    with pytest.raises(ConfigError):
+        config_from_dict({"world": {"generator": "cave", "params": {"fill_probability": 0.5}}})
+
+
 def test_cli_batch(tmp_path):
-    configs = [config_to_dict(small_maze_config(p, budget=30))
+    configs = [asdict(small_maze_config(p, budget=30))
                for p in ("MLDM", "NBV")]
     path = tmp_path / "batch.json"
     path.write_text(json.dumps(configs))

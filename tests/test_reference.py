@@ -1,12 +1,16 @@
 """The fast paths against the implementations they replaced (reference_impl.py)
 and, where scipy is installed, against the scipy.ndimage calls the world and
 roadmap code no longer makes. Every comparison is exact."""
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
+from gridexplore import harness, roadmap
 from gridexplore import world as gw
 from gridexplore.planners import RewardModel, plan_local
 from gridexplore.risk import RiskField, cvar, edge_risk, edge_risks
@@ -96,6 +100,90 @@ def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma
         assert got is not None
         assert got.to_dict() == want.to_dict()
         assert got.path_cells == want.path_cells
+
+
+# --- grid BFS -------------------------------------------------------------------
+
+def random_cells(rng, shape, count, margin=0):
+    return [(int(rng.integers(-margin, shape[0] + margin)),
+             int(rng.integers(-margin, shape[1] + margin))) for _ in range(count)]
+
+
+def random_grid_belief(rng):
+    """A belief of 1 to 24 rows and columns with random shares of unknown,
+    free and obstacle cells, so that both open and walled-in starts occur."""
+    shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+    p = rng.dirichlet([1.0, 1.0, 1.0])
+    state = rng.choice(np.array([gw.UNKNOWN, gw.KNOWN_FREE, gw.KNOWN_OBSTACLE], dtype=np.uint8),
+                       size=shape, p=p)
+    return BeliefGrid(state=state, covered=np.zeros(shape, dtype=bool), cell_size=0.5)
+
+
+@given(seed=seeds, density=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_flood_fill_free_equals_reference(seed, density):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+    occ = (rng.random(shape) < density).astype(np.uint8)
+    for start in random_cells(rng, shape, 4, margin=2):
+        got = gw.flood_fill_free(occ, start)
+        want = ref.flood_fill_free(occ, start)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@given(seed=seeds, n_targets=st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_nearest_crumb_equals_bfs_to_targets(seed, n_targets):
+    rng = np.random.default_rng(seed)
+    belief = random_grid_belief(rng)
+    targets = {cell: i for i, cell in enumerate(random_cells(rng, belief.state.shape, n_targets))}
+    passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
+    crumb_at = {(r + 1) * wp + c + 1: i for (r, c), i in targets.items()}
+    for start in random_cells(rng, belief.state.shape, 4):
+        assert roadmap._nearest_crumb(passable, wp, crumb_at, start) == \
+            ref._bfs_to_targets(belief, start, targets)
+
+
+@given(seed=seeds)
+@settings(max_examples=200, deadline=None)
+def test_grid_bfs_yields_each_cell_once_at_its_reference_depth(seed):
+    rng = np.random.default_rng(seed)
+    belief = random_grid_belief(rng)
+    (r0, c0), = random_cells(rng, belief.state.shape, 1)
+    belief.state[r0, c0] = gw.KNOWN_FREE
+    passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
+    order = list(gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1))
+    assert order[0] == ((r0 + 1) * wp + c0 + 1, 0)
+    assert len({i for i, _ in order}) == len(order)
+    for i, depth in order:
+        cell = (i // wp - 1, i % wp - 1)
+        assert ref._bfs_to_targets(belief, (r0, c0), {cell: 0}) == (0, depth)
+
+
+@given(seed=seeds)
+@settings(max_examples=300, deadline=None)
+def test_nearest_reachable_equals_reference(seed):
+    rng = np.random.default_rng(seed)
+    belief = random_grid_belief(rng)
+    shape = belief.state.shape
+    for pose in random_cells(rng, shape, 3):
+        state = SimpleNamespace(belief=belief, pose=pose)
+        for goal in random_cells(rng, shape, 3, margin=5):
+            assert harness._nearest_reachable_to(state, goal) == \
+                ref._nearest_reachable_to(state, goal)
+
+
+@given(seed=seeds,
+       radius=st.one_of(st.floats(0.0, 12.0),
+                        # disks whose rim cells lie exactly on the radius
+                        st.integers(0, 250).map(lambda n: math.sqrt(n) / 2)))
+@settings(max_examples=200, deadline=None)
+def test_lattice_cells_equal_reference_flood(seed, radius):
+    belief, field, robot, sensor = random_lattice(seed, radius, 1.0, True)
+    graph = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
+    nodes = sorted(graph.nodes.values(), key=lambda n: n.id)
+    assert [n.pose for n in nodes] == ref.local_component(belief, robot, radius)
 
 
 # --- edge risk ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from gridexplore.risk import RiskField
 from gridexplore.roadmap import GLOBAL, LOCAL
 from gridexplore.switching import (
     Candidate, HistoryWindow, NoPolicyError, SwitchConfig, calibrate_j_max,
-    decide, execution_score, explain, record_plan_outcome,
+    decide, execution_score, explain,
 )
 
 
@@ -26,9 +26,9 @@ def make_candidate(scope, utility, risk, disc):
 def window_with(local_found, global_found, window=10):
     w = HistoryWindow(window)
     for v in local_found:
-        record_plan_outcome(w, LOCAL, v)
+        w.record(LOCAL, v)
     for v in global_found:
-        record_plan_outcome(w, GLOBAL, v)
+        w.record(GLOBAL, v)
     return w
 
 
