@@ -4,13 +4,16 @@ choice changes a hash here. The values were recorded before the local layer
 and the generators were rewritten for speed, so these tests prove that the
 rewrites changed no behaviour. SHAPE_SHA256 was recorded before the planners
 became one table and the grid searches one BFS, and pins the cycle-event
-shapes the first pins do not reach."""
+shapes the first pins do not reach. TIE_SHA256 was recorded before NBV's
+argmax became a branch-and-bound and A* a flat-index search, and pins
+episodes whose NBV and A* choices are decided by ties."""
 import hashlib
 
 import pytest
 
 from gridexplore import world as gw
 from gridexplore.harness import RunConfig, WorldSpec, events_to_ndjson, run_episode
+from gridexplore.planners import RewardModel
 
 PARAMS = {
     "maze": {"width": 51, "height": 51},
@@ -63,6 +66,23 @@ SHAPE_SHA256 = {
 
 GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global": 40}
 
+# Tie-heavy NBV and A* episodes, run with golden settings, the overrides
+# below and step budget 120: label -> (generator, planner, world seed,
+# overrides, sha256 of events_to_ndjson).
+TIE_SHA256 = {
+    # risk-free A*: equal-cost paths are told apart only by heap order
+    "nbv_risk_free": ("cave", "NBV", 5, {"astar_risk_weight": 0.0},
+                      "e9f2806e710d3c886588505956ffc22b7eb5a682d659406cfdc17839c2e0c94a"),
+    "hfe_risk_free": ("cave", "HFE", 5, {"astar_risk_weight": 0.0},
+                      "f825df279b53cff58d4a89644bf07ae1fd7cc6ddb45f0aa6c33485c0f094fd30"),
+    # free travel: every NBV score equals its bound, so the tie rule decides
+    "nbv_free_travel": ("cave", "NBV", 5, {"reward": RewardModel(distance_cost=0.0)},
+                        "43bb4922f19a70ed2af5020663786e3e9f13bb68d3cb7a45070d9648a611875d"),
+    # many viewpoints per cycle
+    "nbv_200_samples": ("subway", "NBV", 4, {"nbv_samples": 200},
+                        "277b404c4db26d7ee29e2db8cdc9c7911b17f8c4f25b59dda199a40f48bf1196"),
+}
+
 # (seed, width, height) -> (sha256 of occupancy bytes, sha256 of risk_mu bytes)
 CAVE_SHA256 = {
     (0, 51, 51): ("5d8b50d118a99cf1fc3d83bc9fa1fe8db5185bed181d9bcd4ab403d7283b0698",
@@ -100,6 +120,18 @@ def test_event_shape_log_matches_golden_hash(label, generator, planner, seed, bu
     text = events_to_ndjson(record.events)
     key = (label, generator, planner, seed, budget, golden)
     assert sha256(text.encode("utf-8")) == SHAPE_SHA256[key]
+
+
+@pytest.mark.parametrize("label", sorted(TIE_SHA256))
+def test_tie_heavy_log_matches_golden_hash(label):
+    generator, planner, seed, overrides, expected = TIE_SHA256[label]
+    config = RunConfig(
+        world=WorldSpec(generator=generator, seed=seed, params=dict(PARAMS[generator])),
+        planner=planner, step_budget=120, **{**GOLDEN_SETTINGS, **overrides},
+    )
+    record = run_episode(config)
+    text = events_to_ndjson(record.events)
+    assert sha256(text.encode("utf-8")) == expected
 
 
 @pytest.mark.parametrize("seed,width,height", sorted(CAVE_SHA256))
