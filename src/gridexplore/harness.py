@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -101,6 +102,12 @@ class RunConfig:
             raise ConfigError("step_budget must be >= 0")
         if self.metrics_interval < 1:
             raise ConfigError("metrics_interval must be >= 1")
+        for name in ("replan_interval", "expansion_budget", "nbv_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        # a negative weight makes negative-cost cycles, on which A* never ends
+        if not (math.isfinite(self.astar_risk_weight) and self.astar_risk_weight >= 0):
+            raise ConfigError("astar_risk_weight must be finite and >= 0")
 
 
 _NESTED_SECTIONS = {
@@ -121,7 +128,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     kwargs = {}
     try:
         for key, value in doc.items():
-            if key in _NESTED_SECTIONS and isinstance(value, dict):
+            if key in _NESTED_SECTIONS:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section {key!r} must be an object, "
+                                      f"got {type(value).__name__}")
                 section = _NESTED_SECTIONS[key]
                 extra = set(value) - set(section.__dataclass_fields__)
                 if extra:
@@ -181,16 +191,41 @@ def events_to_ndjson(events: list[dict]) -> str:
 # World construction
 # ---------------------------------------------------------------------------
 
+def _matches_type(value, default) -> bool:
+    """Whether value has the type of default: a bool only for a bool, an int
+    also for a float, and for a tuple a list or tuple of the same length
+    whose items match. Nothing is converted."""
+    if isinstance(value, (bool, np.bool_)):
+        return isinstance(default, bool)
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_matches_type(v, d) for v, d in zip(value, default)))
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, type(default))
+
+
 def _generator_and_params(spec: WorldSpec):
     """The registered builder for spec and its params, defaults filled in.
-    ConfigError for an unknown generator or param."""
+    ConfigError for an unknown generator, a seed that is not an int, or a
+    param that is unknown or does not have its default's type."""
     if spec.generator not in GENERATORS:
         raise ConfigError(f"unknown world generator {spec.generator!r}")
+    if not _matches_type(spec.seed, 0):
+        raise ConfigError(f"world seed must be an int, got {spec.seed!r}")
+    if not isinstance(spec.params, dict):
+        raise ConfigError(f"world params must be an object, got {spec.params!r}")
     builder, defaults = GENERATORS[spec.generator]
     unknown = set(spec.params) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown params for generator {spec.generator!r}: "
                           f"{sorted(unknown)}; accepted: {sorted(defaults)}")
+    for name, value in spec.params.items():
+        if not _matches_type(value, defaults[name]):
+            raise ConfigError(f"param {name!r} of generator {spec.generator!r} must be "
+                              f"like {defaults[name]!r}, got {value!r}")
     return builder, {**defaults, **spec.params}
 
 

@@ -59,21 +59,6 @@ def cells_to_waypoints(cells: list[Cell], cell_size: float) -> np.ndarray:
     return np.array([cell_center(c, cell_size) for c in cells], dtype=np.float64)
 
 
-def _neighbors8(belief: BeliefGrid, r: int, c: int):
-    """8-connected moves over believed-free cells; diagonals may not cut
-    corners past a believed obstacle."""
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        if belief.is_known_free(r + dr, c + dc):
-            yield (r + dr, c + dc), 1.0
-    for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-        if (
-            belief.is_known_free(r + dr, c + dc)
-            and belief.is_known_free(r + dr, c)
-            and belief.is_known_free(r, c + dc)
-        ):
-            yield (r + dr, c + dc), SQRT2
-
-
 def astar(
     belief: BeliefGrid,
     risk_field: RiskField,
@@ -85,9 +70,14 @@ def astar(
 
     Edge cost is metric length plus risk_weight times the entered cell's mean
     terrain cost; the Euclidean heuristic ignores risk, so it stays
-    admissible. Nodes are re-expanded on strict g-improvement, which makes the
-    returned cost bit-identical to a Dijkstra run over the same grid.
+    admissible. Diagonal moves may not cut corners past a cell that is not
+    believed free. Nodes are re-expanded on strict g-improvement, which makes
+    the returned cost bit-identical to a Dijkstra run over the same grid.
     Returns None when the goal is unreachable (not a fault).
+
+    The search runs over flat indices of a padded_mask: the padded row-major
+    index orders cells as (row, col) does, so heap ties pop in (f, g, row,
+    col) order.
     """
     start = (int(start[0]), int(start[1]))
     goal = (int(goal[0]), int(goal[1]))
@@ -96,32 +86,47 @@ def astar(
     if not belief.is_known_free(*goal):
         return None
     cs = belief.cell_size
+    free, width = gw.padded_mask(belief.state == gw.KNOWN_FREE)
+    mu = np.zeros((belief.height + 2, width))
+    mu[1:-1, 1:-1] = risk_field.mu
+    mu = mu.ravel().tolist()
+    straight, diagonal = 1.0 * cs, SQRT2 * cs
+    # (index offset, row offset, col offset, step cost, offsets of the two
+    # cells a diagonal passes), straight moves first; a straight move
+    # passes only the cell it leaves
+    moves = [(dr * width + dc, dr, dc, straight, 0, 0)
+             for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))]
+    moves += [(dr * width + dc, dr, dc, diagonal, dr * width, dc)
+              for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1))]
+    hypot = math.hypot
+    gr, gc = goal[0] + 1, goal[1] + 1
+    source = (start[0] + 1) * width + start[1] + 1
+    target = gr * width + gc
 
-    def heuristic(cell: Cell) -> float:
-        return math.hypot(cell[0] - goal[0], cell[1] - goal[1]) * cs
-
-    g_best: dict[Cell, float] = {start: 0.0}
-    parent: dict[Cell, Cell] = {}
-    open_heap: list[tuple[float, float, int, int]] = [
-        (heuristic(start), 0.0, start[0], start[1])
-    ]
+    g_best = {source: 0.0}
+    parent: dict[int, int] = {}
+    open_heap = [(hypot(start[0] - goal[0], start[1] - goal[1]) * cs, 0.0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    inf = math.inf
     while open_heap:
-        f, g, r, c = heapq.heappop(open_heap)
-        cur = (r, c)
-        if g > g_best.get(cur, math.inf):
+        f, g, i = pop(open_heap)
+        if g > g_best.get(i, inf):
             continue
-        if cur == goal:
-            path = [cur]
-            while cur != start:
-                cur = parent[cur]
-                path.append(cur)
-            return path[::-1]
-        for nb, steps in _neighbors8(belief, r, c):
-            ng = g + steps * cs + risk_weight * float(risk_field.mu[nb])
-            if ng < g_best.get(nb, math.inf):
-                g_best[nb] = ng
-                parent[nb] = cur
-                heapq.heappush(open_heap, (ng + heuristic(nb), ng, nb[0], nb[1]))
+        if i == target:
+            path = [i]
+            while i != source:
+                i = parent[i]
+                path.append(i)
+            return [(j // width - 1, j % width - 1) for j in reversed(path)]
+        r, c = divmod(i, width)
+        for off, dr, dc, step, side_a, side_b in moves:
+            nb = i + off
+            if free[nb] and free[i + side_a] and free[i + side_b]:
+                ng = g + step + risk_weight * mu[nb]
+                if ng < g_best.get(nb, inf):
+                    g_best[nb] = ng
+                    parent[nb] = i
+                    push(open_heap, (ng + hypot(r + dr - gr, c + dc - gc) * cs, ng, nb))
     return None
 
 
@@ -158,6 +163,15 @@ def path_length(path: list[Cell], cell_size: float) -> float:
         math.hypot(a[0] - b[0], a[1] - b[1]) * cell_size
         for a, b in zip(path, path[1:])
     )
+
+
+def path_length_lower_bound(a: Cell, b: Cell, cell_size: float) -> float:
+    """A float never above path_length of any 8-connected path from a to b:
+    the octile distance, shrunk by a relative 1e-9 that covers the rounding
+    of path_length's sum."""
+    dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
+    octile = abs(dr - dc) + SQRT2 * min(dr, dc)
+    return octile * cell_size * (1.0 - 1e-9)
 
 
 def _wrap_angle(a: float) -> float:

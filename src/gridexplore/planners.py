@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .motion import astar, path_length
+from .motion import astar, path_length, path_length_lower_bound
 from .risk import RiskField, edge_risk, policy_risk
 from .roadmap import FRONTIER, GLOBAL, LOCAL, ROBOT, RoadmapGraph, RoadmapNode
-from .world import BeliefGrid, SensorSpec, visible_unknown_count
+from .world import BeliefGrid, InvalidPoseError, SensorSpec, visible_unknown_counts
+# not called here; kept as a module attribute because
+# benchmark/layer_trace.py wraps planners.visible_unknown_count
+from .world import visible_unknown_count  # noqa: F401
 
 Cell = tuple[int, int]
 
@@ -33,6 +36,12 @@ class RewardModel:
         for g in (self.gamma_local, self.gamma_global):
             if not (0.0 < g <= 1.0):
                 raise ValueError("discount factors must be in (0, 1]")
+        # plan_nbv's bound on a viewpoint's score needs finite weights and a
+        # travel cost that grows with distance
+        if not math.isfinite(self.coverage_weight):
+            raise ValueError("coverage_weight must be finite")
+        if not (math.isfinite(self.distance_cost) and self.distance_cost >= 0.0):
+            raise ValueError("distance_cost must be finite and >= 0")
 
     def gamma_for(self, scope: str) -> float:
         return self.gamma_local if scope == LOCAL else self.gamma_global
@@ -305,7 +314,13 @@ def plan_nbv(
 ) -> Policy | None:
     """Next-best-view baseline: sample viewpoints near the robot, plan an A*
     path to each, score by gain minus travel cost, keep the argmax. Returns
-    None when no reachable viewpoint scores positive."""
+    None when no reachable viewpoint scores positive.
+
+    The argmax is exact branch and bound: a path is never shorter than the
+    octile distance, so w * gain - distance_cost * octile bounds a
+    viewpoint's score. Viewpoints are visited by falling bound, and A* runs
+    only for one that can still win; the result is the first maximum of the
+    positive scores in sampled-index order."""
     sensor = sensor or SensorSpec()
     reward_model = reward_model or RewardModel()
     rng = rng or np.random.default_rng(0)
@@ -321,26 +336,38 @@ def plan_nbv(
     pool = pool[np.lexsort((pool[:, 1], pool[:, 0]))]
     count = min(samples, len(pool))
     picks = rng.choice(len(pool), size=count, replace=False)
+    if count == 0:
+        return None
+    if not belief.is_known_free(*robot_pose):
+        raise InvalidPoseError(f"A* start {robot_pose!r} is not believed free")
+    viewpoints = [(int(r), int(c)) for r, c in pool[np.sort(picks)]]
     cell_area = belief.cell_size * belief.cell_size
+    w = reward_model.coverage_weight
+    dc = reward_model.distance_cost
+    gains = [n * cell_area for n in visible_unknown_counts(belief, viewpoints, sensor).tolist()]
+    bounds = [
+        w * gain - dc * path_length_lower_bound(robot_pose, vp, belief.cell_size)
+        for gain, vp in zip(gains, viewpoints)
+    ]
 
     best_score = 0.0
-    best: tuple[list[Cell], Cell] | None = None
-    for idx in sorted(picks):
-        vp = (int(pool[idx][0]), int(pool[idx][1]))
-        path = astar(belief, risk_field, robot_pose, vp, risk_weight)
+    best: tuple[int, list[Cell]] | None = None
+    for k in sorted(range(count), key=lambda k: (-bounds[k], k)):
+        if bounds[k] < best_score:
+            break
+        if bounds[k] == best_score and (best is None or k > best[0]):
+            continue
+        path = astar(belief, risk_field, robot_pose, viewpoints[k], risk_weight)
         if path is None:
             continue
-        gain = visible_unknown_count(belief, vp, sensor) * cell_area
-        score = (
-            reward_model.coverage_weight * gain
-            - reward_model.distance_cost * path_length(path, belief.cell_size)
-        )
-        if score > best_score:
+        score = w * gains[k] - dc * path_length(path, belief.cell_size)
+        if score > best_score or (score == best_score and best is not None and k < best[0]):
             best_score = score
-            best = (path, vp)
+            best = (k, path)
     if best is None:
         return None
-    path, vp = best
+    k, path = best
+    vp = viewpoints[k]
     nodes = list(range(len(path)))
     edges = list(zip(nodes, nodes[1:]))
     total_risk = sum(edge_risk(risk_field, a, b) for a, b in zip(path, path[1:]))

@@ -12,10 +12,11 @@ from collections import deque
 import numpy as np
 
 from gridexplore import world as gw
-from gridexplore.planners import Policy, rollout_walk
-from gridexplore.risk import RiskField
+from gridexplore.motion import SQRT2, path_length
+from gridexplore.planners import Policy, RewardModel, rollout_walk
+from gridexplore.risk import RiskField, edge_risk
 from gridexplore.roadmap import LOCAL, RoadmapGraph
-from gridexplore.world import FREE, BeliefGrid
+from gridexplore.world import FREE, BeliefGrid, SensorSpec
 
 Cell = tuple[int, int]
 
@@ -222,3 +223,139 @@ def _nearest_reachable_to(state: _EpisodeState, goal: Cell) -> Cell:
                 best_d = d
                 best = nb
     return best
+
+
+# --- A* over (row, col) tuples and NBV with one A* per viewpoint -------------------
+# plan_nbv calls this module's astar and visible_unknown_count, which equal the
+# library's.
+
+def _neighbors8(belief: BeliefGrid, r: int, c: int):
+    """8-connected moves over believed-free cells; diagonals may not cut
+    corners past a believed obstacle."""
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        if belief.is_known_free(r + dr, c + dc):
+            yield (r + dr, c + dc), 1.0
+    for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        if (
+            belief.is_known_free(r + dr, c + dc)
+            and belief.is_known_free(r + dr, c)
+            and belief.is_known_free(r, c + dc)
+        ):
+            yield (r + dr, c + dc), SQRT2
+
+
+def astar(
+    belief: BeliefGrid,
+    risk_field: RiskField,
+    start: Cell,
+    goal: Cell,
+    risk_weight: float = 1.0,
+) -> list[Cell] | None:
+    """Minimal-cost 8-connected path through believed-free space.
+
+    Edge cost is metric length plus risk_weight times the entered cell's mean
+    terrain cost; the Euclidean heuristic ignores risk, so it stays
+    admissible. Nodes are re-expanded on strict g-improvement, which makes the
+    returned cost bit-identical to a Dijkstra run over the same grid.
+    Returns None when the goal is unreachable (not a fault).
+    """
+    start = (int(start[0]), int(start[1]))
+    goal = (int(goal[0]), int(goal[1]))
+    if not belief.is_known_free(*start):
+        raise gw.InvalidPoseError(f"A* start {start!r} is not believed free")
+    if not belief.is_known_free(*goal):
+        return None
+    cs = belief.cell_size
+
+    def heuristic(cell: Cell) -> float:
+        return math.hypot(cell[0] - goal[0], cell[1] - goal[1]) * cs
+
+    g_best: dict[Cell, float] = {start: 0.0}
+    parent: dict[Cell, Cell] = {}
+    open_heap: list[tuple[float, float, int, int]] = [
+        (heuristic(start), 0.0, start[0], start[1])
+    ]
+    while open_heap:
+        f, g, r, c = heapq.heappop(open_heap)
+        cur = (r, c)
+        if g > g_best.get(cur, math.inf):
+            continue
+        if cur == goal:
+            path = [cur]
+            while cur != start:
+                cur = parent[cur]
+                path.append(cur)
+            return path[::-1]
+        for nb, steps in _neighbors8(belief, r, c):
+            ng = g + steps * cs + risk_weight * float(risk_field.mu[nb])
+            if ng < g_best.get(nb, math.inf):
+                g_best[nb] = ng
+                parent[nb] = cur
+                heapq.heappush(open_heap, (ng + heuristic(nb), ng, nb[0], nb[1]))
+    return None
+
+
+def plan_nbv(
+    belief: BeliefGrid,
+    risk_field: RiskField,
+    robot_pose: Cell,
+    samples: int = 10,
+    rng: np.random.Generator | None = None,
+    radius: float = 8.0,
+    sensor: SensorSpec | None = None,
+    reward_model: RewardModel | None = None,
+    risk_weight: float = 1.0,
+    created_at: int = 0,
+) -> Policy | None:
+    """Next-best-view baseline: sample viewpoints near the robot, plan an A*
+    path to each, score by gain minus travel cost, keep the argmax. Returns
+    None when no reachable viewpoint scores positive."""
+    sensor = sensor or SensorSpec()
+    reward_model = reward_model or RewardModel()
+    rng = rng or np.random.default_rng(0)
+    robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
+    radius_cells = radius / belief.cell_size
+    free = np.argwhere(belief.state == 1)  # KNOWN_FREE
+    if len(free) == 0:
+        return None
+    d = np.hypot(free[:, 0] - robot_pose[0], free[:, 1] - robot_pose[1])
+    pool = free[(d <= radius_cells) & (d > 0)]
+    if len(pool) == 0:
+        return None
+    pool = pool[np.lexsort((pool[:, 1], pool[:, 0]))]
+    count = min(samples, len(pool))
+    picks = rng.choice(len(pool), size=count, replace=False)
+    cell_area = belief.cell_size * belief.cell_size
+
+    best_score = 0.0
+    best: tuple[list[Cell], Cell] | None = None
+    for idx in sorted(picks):
+        vp = (int(pool[idx][0]), int(pool[idx][1]))
+        path = astar(belief, risk_field, robot_pose, vp, risk_weight)
+        if path is None:
+            continue
+        gain = visible_unknown_count(belief, vp, sensor) * cell_area
+        score = (
+            reward_model.coverage_weight * gain
+            - reward_model.distance_cost * path_length(path, belief.cell_size)
+        )
+        if score > best_score:
+            best_score = score
+            best = (path, vp)
+    if best is None:
+        return None
+    path, vp = best
+    nodes = list(range(len(path)))
+    edges = list(zip(nodes, nodes[1:]))
+    total_risk = sum(edge_risk(risk_field, a, b) for a, b in zip(path, path[1:]))
+    return Policy(
+        scope=LOCAL,
+        node_sequence=nodes,
+        edge_sequence=edges,
+        utility=best_score,
+        risk=total_risk,
+        created_at=created_at,
+        step_rewards=[],
+        goal_pose=vp,
+        path_cells=path,
+    )

@@ -301,6 +301,50 @@ def test_cli_unknown_generator_param_exits_2(tmp_path):
         config_from_dict({"world": {"generator": "cave", "params": {"fill_probability": 0.5}}})
 
 
+@pytest.mark.parametrize("doc", [
+    {"world": 5},
+    {"reward": [0.1]},
+    {"world": {"generator": "maze", "params": {"width": "x"}}},
+    {"world": {"generator": "subway", "params": {"rooms": 2.5}}},
+    {"world": {"generator": "maze", "params": {"width": True}}},
+    {"world": {"generator": "subway", "params": {"room_size_range": [5.0]}}},
+    {"world": {"generator": "maze", "seed": "7"}},
+], ids=["world_not_object", "reward_not_object", "maze_width_str", "subway_rooms_float",
+        "maze_width_bool", "subway_range_short", "seed_str"])
+def test_cli_wrong_type_exits_2(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+
+
+def test_config_accepts_int_for_float_param_without_converting():
+    doc = {"world": {"generator": "cave", "params": {"risk_intensity": 1, "width": 21}}}
+    config = config_from_dict(doc)
+    assert type(config.world.params["risk_intensity"]) is int
+    assert config_hash(config) == config_hash(RunConfig(
+        world=WorldSpec(generator="cave", params={"risk_intensity": 1, "width": 21})))
+
+
+@pytest.mark.parametrize("doc", [
+    {"replan_interval": 0},
+    {"expansion_budget": 0},
+    {"nbv_samples": 0},
+    {"reward": {"distance_cost": -0.05}},
+    {"reward": {"distance_cost": float("inf")}},
+    {"reward": {"distance_cost": float("nan")}},
+    {"reward": {"coverage_weight": float("-inf")}},
+    {"astar_risk_weight": -10.0},
+], ids=["replan_interval_0", "expansion_budget_0", "nbv_samples_0",
+        "distance_cost_negative", "distance_cost_inf", "distance_cost_nan",
+        "coverage_weight_inf", "astar_risk_weight_negative"])
+def test_config_out_of_range_exits_2(tmp_path, doc):
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+
+
 def test_cli_batch(tmp_path):
     configs = [asdict(small_maze_config(p, budget=30))
                for p in ("MLDM", "NBV")]

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from gridexplore import harness, roadmap
+from gridexplore import harness, planners, roadmap
 from gridexplore import world as gw
-from gridexplore.planners import RewardModel, plan_local
+from gridexplore.motion import astar, path_length, path_length_lower_bound
+from gridexplore.planners import RewardModel, plan_local, plan_nbv
 from gridexplore.risk import RiskField, cvar, edge_risk, edge_risks
 from gridexplore.roadmap import build_local_irm, detect_frontiers
 from gridexplore.world import BeliefGrid, SensorSpec
@@ -100,6 +101,163 @@ def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma
         assert got is not None
         assert got.to_dict() == want.to_dict()
         assert got.path_cells == want.path_cells
+
+
+# --- A* and NBV -------------------------------------------------------------------
+
+def random_field(rng, shape, uniform, seed):
+    """Random terrain costs, or one cost everywhere, which makes many paths
+    tie."""
+    if uniform:
+        mu = np.full(shape, float(rng.choice([0.0, 0.1, 1.0])))
+    else:
+        mu = rng.uniform(0, 1, shape) * (rng.random(shape) < 0.5)
+    return RiskField(mu=mu, sigma=0.5 * mu, seed=seed)
+
+
+def open_belief(rng, shape):
+    """A known-free room, possibly with a few believed obstacles, in unknown
+    space: many viewpoints and paths tie."""
+    state = np.full(shape, gw.UNKNOWN, dtype=np.uint8)
+    r0, c0 = int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1]))
+    state[r0:r0 + int(rng.integers(1, 20)), c0:c0 + int(rng.integers(1, 20))] = gw.KNOWN_FREE
+    for r, c in random_cells(rng, shape, int(rng.integers(0, 6))):
+        state[r, c] = gw.KNOWN_OBSTACLE
+    return BeliefGrid(state=state, covered=np.zeros(shape, dtype=bool), cell_size=0.5)
+
+
+@given(seed=seeds, risk_weight=st.sampled_from([0.0, 1.0]), uniform=st.booleans(),
+       open_room=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_astar_paths_equal_reference(seed, risk_weight, uniform, open_room):
+    rng = np.random.default_rng(seed)
+    belief = (open_belief(rng, (int(rng.integers(1, 25)), int(rng.integers(1, 25))))
+              if open_room else random_grid_belief(rng))
+    shape = belief.state.shape
+    field = random_field(rng, shape, uniform, seed)
+    free = [tuple(int(x) for x in cell) for cell in np.argwhere(belief.state == gw.KNOWN_FREE)]
+    starts = random_cells(rng, shape, 2, margin=1)
+    if free:
+        starts += [free[int(rng.integers(0, len(free)))] for _ in range(3)]
+    for start in starts:
+        goals = random_cells(rng, shape, 3, margin=2) + [start]
+        if free:
+            goals += [free[int(rng.integers(0, len(free)))] for _ in range(3)]
+        for goal in goals:
+            try:
+                want = ref.astar(belief, field, start, goal, risk_weight)
+            except gw.InvalidPoseError:
+                with pytest.raises(gw.InvalidPoseError):
+                    astar(belief, field, start, goal, risk_weight)
+                continue
+            assert astar(belief, field, start, goal, risk_weight) == want
+
+
+def test_astar_equals_reference_where_the_heuristic_last_bit_decides():
+    # Two routes from the start meet at one merge cell m, whose cost of 2**53
+    # rounds both arrivals to the same g, so m's parent is whichever of its
+    # predecessors a (17 rows, 27 columns from the goal) and b (19, 27) pops
+    # first. The cost on a's route puts the f of a and b within one ulp of
+    # each other, so the heuristic's last bit decides: with glibc,
+    # np.hypot(17, 27), which calls the C library, is one ulp above
+    # math.hypot(17, 27).
+    r, c = 20, 30
+    state = np.full((24, 35), gw.KNOWN_FREE, dtype=np.uint8)
+    state[:, c:] = gw.KNOWN_OBSTACLE
+    state[r - 2:r + 3, c - 1] = gw.KNOWN_OBSTACLE
+    ring = [(r + dr, c + dc) for dr in (-1, 1) for dc in range(3)]
+    for cell in ring + [(r, c - 1), (r, c), (r, c + 2)]:
+        state[cell] = gw.KNOWN_FREE
+    belief = BeliefGrid(state=state, covered=np.zeros(state.shape, dtype=bool), cell_size=0.5)
+    mu = np.zeros(state.shape)
+    mu[r - 1, c + 1] = 0.5545178856753583
+    mu[r, c] = 2.0 ** 53
+    field = RiskField(mu=mu, sigma=np.zeros(state.shape))
+    start, goal = (r, c + 2), (r - 18, c - 27)
+    assert astar(belief, field, start, goal, 1.0) == ref.astar(belief, field, start, goal, 1.0)
+
+
+@given(seed=seeds, samples=st.sampled_from([0, 1, 20, 200]),
+       distance_cost=st.sampled_from([0.0, 0.05, 1.0]),
+       risk_weight=st.sampled_from([0.0, 1.0]), open_room=st.booleans(),
+       radius=st.sampled_from([1.0, 4.0, 8.0, 20.0]), range_m=st.sampled_from([1.0, 2.5]),
+       pose_free=st.sampled_from([True, True, True, False]))
+@settings(max_examples=300, deadline=None)
+def test_plan_nbv_equals_reference(seed, samples, distance_cost, risk_weight, open_room,
+                                   radius, range_m, pose_free):
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+    belief = open_belief(rng, shape) if open_room else random_belief(rng, shape)
+    field = random_field(rng, shape, bool(rng.integers(0, 2)), seed)
+    (robot,) = random_cells(rng, shape, 1)
+    belief.state[robot] = gw.KNOWN_FREE if pose_free else \
+        rng.choice([gw.UNKNOWN, gw.KNOWN_OBSTACLE])
+    reward = RewardModel(distance_cost=distance_cost)
+    args = dict(samples=samples, radius=radius, sensor=SensorSpec(range_m=range_m),
+                reward_model=reward, risk_weight=risk_weight, created_at=4)
+    try:
+        want = ref.plan_nbv(belief, field, robot, rng=np.random.default_rng(seed), **args)
+    except gw.InvalidPoseError:
+        with pytest.raises(gw.InvalidPoseError):
+            plan_nbv(belief, field, robot, rng=np.random.default_rng(seed), **args)
+        return
+    got = plan_nbv(belief, field, robot, rng=np.random.default_rng(seed), **args)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.to_dict() == want.to_dict()
+        assert got.path_cells == want.path_cells
+
+
+@given(seed=seeds, size=st.integers(3, 20))
+@settings(max_examples=100, deadline=None)
+def test_plan_nbv_with_free_travel_plans_one_path(seed, size):
+    # with distance_cost 0 a viewpoint's bound is its score, so in one room
+    # (every viewpoint reachable) only the winner is planned, ties included
+    rng = np.random.default_rng(seed)
+    state = np.full((size + 4, size + 4), gw.UNKNOWN, dtype=np.uint8)
+    state[2:-2, 2:-2] = gw.KNOWN_FREE
+    belief = BeliefGrid(state=state, covered=np.zeros(state.shape, dtype=bool), cell_size=0.5)
+    field = RiskField(mu=np.zeros(state.shape), sigma=np.zeros(state.shape))
+    robot = (int(rng.integers(2, size + 2)), int(rng.integers(2, size + 2)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return astar(*args)
+
+    planners.astar, original = counted, planners.astar
+    try:
+        policy = plan_nbv(belief, field, robot, samples=200, rng=np.random.default_rng(seed),
+                          radius=20.0, sensor=SensorSpec(range_m=1.0),
+                          reward_model=RewardModel(distance_cost=0.0))
+    finally:
+        planners.astar = original
+    want = ref.plan_nbv(belief, field, robot, samples=200, rng=np.random.default_rng(seed),
+                        radius=20.0, sensor=SensorSpec(range_m=1.0),
+                        reward_model=RewardModel(distance_cost=0.0))
+    assert (policy is None) == (want is None)
+    assert calls == ([] if want is None else [want.goal_pose])
+
+
+@given(seed=seeds, steps=st.integers(1, 2000),
+       cell_size=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0, 2.5]))
+@settings(max_examples=300, deadline=None)
+def test_path_length_lower_bound_never_exceeds_path_length(seed, steps, cell_size):
+    rng = np.random.default_rng(seed)
+    # one direction per path, or a random walk: straight runs and diagonal
+    # runs accumulate the most rounding
+    moves = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+    if rng.random() < 0.5:
+        picks = np.full(steps, rng.integers(0, 8))
+    else:
+        picks = rng.integers(0, 8, steps)
+    path = [(0, 0)]
+    for k in picks:
+        dr, dc = moves[k]
+        path.append((path[-1][0] + dr, path[-1][1] + dc))
+    assert path_length_lower_bound(path[0], path[-1], cell_size) <= path_length(path, cell_size)
 
 
 # --- grid BFS -------------------------------------------------------------------
