@@ -32,8 +32,8 @@ route = astar(truth_belief, risk, world.spawn, far)
 print(f"driving {len(route)} cells from {world.spawn} to {far}")
 
 trace = []
-for step, pose in enumerate(route):
-    sense(world, belief, pose, sensor, step=step)
+for pose in route:
+    sense(world, belief, pose, sensor)
     trace.append(covered_area(belief))
 
 print("\ncoverage every 5 sensing steps (m^2):")

@@ -18,8 +18,8 @@ risk = RiskField.for_world(world)
 pose = world.spawn
 global_graph = None
 visited = [pose]
-for step in range(14):
-    sense(world, belief, pose, step=step)
+for _ in range(14):
+    sense(world, belief, pose)
     global_graph = update_global_irm(global_graph, belief, risk, pose,
                                      breadcrumb_spacing=2.0, min_cluster=1)
     options = [n for n in ((pose[0], pose[1] + 1), (pose[0] + 1, pose[1]),

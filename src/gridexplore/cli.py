@@ -1,19 +1,21 @@
 """Command line interface: run episodes, batches, replays, scenario
 regressions, and standalone world generation.
 
-Exit codes: 0 success, 1 episode/replay/scenario failure, 2 invalid config.
+Exit codes: 0 success, 1 episode/replay/scenario failure or an internal fault
+(printed with its traceback), 2 invalid config (ConfigError only).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import world as gw
 from .harness import (
     GENERATORS, ConfigError, ReplayError, WorldSpec, build_world,
-    config_from_dict, load_config, replay, run_batch, run_episode,
+    config_from_dict, load_config, load_json, replay, run_batch, run_episode,
     write_summary_csv,
 )
 from .scenarios import scenario_regressions
@@ -31,8 +33,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    with open(args.configs, "r", encoding="utf-8") as fh:
-        docs = json.load(fh)
+    docs = load_json(args.configs)
     if not isinstance(docs, list):
         raise ConfigError("batch config file must contain a JSON list")
     configs = [config_from_dict(doc) for doc in docs]
@@ -140,14 +141,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except ReplayError as exc:
         print(f"replay error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - episode failures exit 1, not crash
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception:  # noqa: BLE001 - an internal fault exits 1 with its traceback
+        traceback.print_exc()
         return 1
 
 

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,15 @@ class SwitchSettings:
     epsilon_j: float = 1e-3
     epsilon_d: float = 1e-3
 
+    def __post_init__(self) -> None:
+        self.switch_config(1.0)  # SwitchConfig checks the ranges
+
+    def switch_config(self, calibrated_j_max: float | None) -> SwitchConfig:
+        """These settings as a SwitchConfig; calibrated_j_max stands in for
+        a None j_max."""
+        j_max = calibrated_j_max if self.j_max is None else self.j_max
+        return SwitchConfig(**{**asdict(self), "j_max": j_max})
+
 
 @dataclass
 class RunConfig:
@@ -100,14 +109,22 @@ class RunConfig:
             raise ConfigError(f"unknown planner {self.planner!r}; expected one of {PLANNERS}")
         if self.step_budget < 0:
             raise ConfigError("step_budget must be >= 0")
-        if self.metrics_interval < 1:
-            raise ConfigError("metrics_interval must be >= 1")
-        for name in ("replan_interval", "expansion_budget", "nbv_samples"):
+        for name in ("metrics_interval", "replan_interval", "expansion_budget", "nbv_samples",
+                     "steps_per_minute", "horizon_local", "horizon_global", "risk_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        # a negative weight makes negative-cost cycles, on which A* never ends
-        if not (math.isfinite(self.astar_risk_weight) and self.astar_risk_weight >= 0):
-            raise ConfigError("astar_risk_weight must be finite and >= 0")
+        for name in ("local_radius", "nbv_radius"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be finite and > 0")
+        # a negative astar_risk_weight makes negative-cost cycles, on which A*
+        # never ends
+        for name in ("astar_risk_weight", "hcp_commit_distance"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+        if not 0 < self.coverage_done_fraction <= 1:
+            raise ConfigError("coverage_done_fraction must be in (0, 1]")
+        if not 0 < self.risk_alpha < 1:
+            raise ConfigError("risk_alpha must be in (0, 1)")
 
 
 _NESTED_SECTIONS = {
@@ -120,7 +137,8 @@ _NESTED_SECTIONS = {
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    doc = dict(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:
@@ -148,15 +166,17 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str) -> RunConfig:
+def load_json(path: str):
+    """The JSON document in a config file; ConfigError if it is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return config_from_dict(doc)
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> RunConfig:
+    return config_from_dict(load_json(path))
 
 
 def config_hash(config: RunConfig) -> str:
@@ -230,8 +250,13 @@ def _generator_and_params(spec: WorldSpec):
 
 
 def build_world(spec: WorldSpec) -> WorldModel:
+    """The world spec describes; ConfigError for params its generator
+    rejects, such as a maze narrower than 5 cells."""
     builder, params = _generator_and_params(spec)
-    return builder(spec.seed, **params)
+    try:
+        return builder(spec.seed, **params)
+    except ValueError as exc:
+        raise ConfigError(f"generator {spec.generator!r}: {exc}") from exc
 
 
 def _apply_precover(world: WorldModel, belief: BeliefGrid, rects) -> None:
@@ -264,23 +289,9 @@ class RunRecord:
     events: list[dict] = field(default_factory=list)
     events_path: str | None = None
 
-    def to_dict(self, include_events: bool = False) -> dict:
-        doc = {
-            "config_hash": self.config_hash,
-            "planner": self.planner,
-            "intervals": self.intervals,
-            "final_coverage_m2": self.final_coverage_m2,
-            "total_steps": self.total_steps,
-            "distance_m": self.distance_m,
-            "collisions": self.collisions,
-            "cycles": self.cycles,
-            "termination": self.termination,
-            "wall_time_s": self.wall_time_s,
-            "events_path": self.events_path,
-        }
-        if include_events:
-            doc["events"] = self.events
-        return doc
+    def to_dict(self) -> dict:
+        """Every field but the event list, which goes to events.ndjson."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "events"}
 
 
 class _EpisodeState:
@@ -309,16 +320,13 @@ class _EpisodeState:
         self.events: list[dict] = []
         self.intervals: list[dict] = []
         self.reachable_free = gw.reachable_free_count(self.world)
-        j_max = config.switch.j_max
-        if j_max is None:
-            j_max = calibrate_j_max(
+        calibrated = None
+        if config.switch.j_max is None:
+            calibrated = calibrate_j_max(
                 self.world, self.risk_field,
                 horizon=config.horizon_local, seed=self.world.rng_seed,
             )
-        self.switch_config = SwitchConfig(
-            j_max=j_max, d_max=config.switch.d_max, window=config.switch.window,
-            epsilon_j=config.switch.epsilon_j, epsilon_d=config.switch.epsilon_d,
-        )
+        self.switch_config = config.switch.switch_config(calibrated)
 
     def coverage_m2(self) -> float:
         return gw.covered_area(self.belief)
@@ -556,7 +564,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
         "j_max": state.switch_config.j_max,
         "reachable_free_cells": state.reachable_free,
     })
-    gw.sense(state.world, state.belief, state.pose, config.sensor, step=0)
+    gw.sense(state.world, state.belief, state.pose, config.sensor)
     state.events.append({
         "type": "step", "step": 0, "pose": list(state.pose),
         "covered_m2": state.coverage_m2(), "distance_m": 0.0, "collision": False,
@@ -592,8 +600,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
             old_pose = state.pose
             state.steps += 1
             new_pose, collided = execute_step(
-                state.world, state.belief, state.pose, executed, index,
-                config.sensor, step=state.steps,
+                state.world, state.belief, state.pose, executed, index, config.sensor,
             )
             state.pose = new_pose
             state.distance_m += math.hypot(
@@ -621,8 +628,6 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
                 break
         else:
             stall_cycles = 0
-    else:
-        termination = "budget"
     if state.coverage_done() and termination == "budget":
         termination = "full_coverage"
 
@@ -725,7 +730,10 @@ def _summarize_config(idx: int, config: RunConfig, records: list[dict]) -> list[
             "coverage_mean_m2": 0.0, "coverage_min_m2": 0.0, "coverage_max_m2": 0.0,
             "rate_mean_m2_per_min": 0.0,
         }]
-    spm = max(config.steps_per_minute, 1)
+    spm = config.steps_per_minute
+    rate_mean = float(np.mean([
+        rec["final_coverage_m2"] / (max(rec["total_steps"], 1) / spm) for rec in records
+    ]))
     steps = sorted({iv["step"] for rec in records for iv in rec["intervals"]})
     rows = []
     for step in steps:
@@ -738,19 +746,14 @@ def _summarize_config(idx: int, config: RunConfig, records: list[dict]) -> list[
                 else:
                     break
             values.append(best)
-        minutes = step / spm
-        rates = []
-        for rec in records:
-            total_min = max(rec["total_steps"], 1) / spm
-            rates.append(rec["final_coverage_m2"] / total_min)
         rows.append({
             "config_index": idx, "planner": config.planner,
             "generator": config.world.generator, "world_seed": config.world.seed,
-            "reps": len(records), "step": step, "sim_minutes": minutes,
+            "reps": len(records), "step": step, "sim_minutes": step / spm,
             "coverage_mean_m2": float(np.mean(values)),
             "coverage_min_m2": float(np.min(values)),
             "coverage_max_m2": float(np.max(values)),
-            "rate_mean_m2_per_min": float(np.mean(rates)),
+            "rate_mean_m2_per_min": rate_mean,
         })
     return rows
 

@@ -159,10 +159,12 @@ def path_cost(
 
 
 def path_length(path: list[Cell], cell_size: float) -> float:
-    return sum(
-        math.hypot(a[0] - b[0], a[1] - b[1]) * cell_size
-        for a, b in zip(path, path[1:])
-    )
+    """Metric length, added left to right: builtin sum() rounds differently
+    from Python 3.12 on."""
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        total += math.hypot(a[0] - b[0], a[1] - b[1]) * cell_size
+    return total
 
 
 def path_length_lower_bound(a: Cell, b: Cell, cell_size: float) -> float:
@@ -270,7 +272,6 @@ def execute_step(
     executed: np.ndarray,
     index: int,
     sensor: SensorSpec | None = None,
-    step: int = 0,
 ) -> tuple[Cell, bool]:
     """Advance one waypoint along the executed path and sense at the result.
 
@@ -296,5 +297,5 @@ def execute_step(
         if not collided:
             new_pose = target
     heading = math.atan2(new_pose[0] - pose[0], new_pose[1] - pose[1]) if new_pose != pose else 0.0
-    sense(world, belief, new_pose, sensor, heading=heading, step=step)
+    sense(world, belief, new_pose, sensor, heading=heading)
     return new_pose, collided

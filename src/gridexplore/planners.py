@@ -88,8 +88,12 @@ def step_reward(
 
 
 def discounted_utility(step_rewards, gamma: float) -> float:
-    """Discounted sum of per-step rewards; the first step carries gamma^0."""
-    return float(sum(r * gamma ** t for t, r in enumerate(step_rewards)))
+    """Discounted sum of per-step rewards; the first step carries gamma^0.
+    Added left to right: builtin sum() rounds differently from Python 3.12 on."""
+    total = 0.0
+    for t, r in enumerate(step_rewards):
+        total += r * gamma ** t
+    return float(total)
 
 
 def rollout_walk(
@@ -370,7 +374,10 @@ def plan_nbv(
     vp = viewpoints[k]
     nodes = list(range(len(path)))
     edges = list(zip(nodes, nodes[1:]))
-    total_risk = sum(edge_risk(risk_field, a, b) for a, b in zip(path, path[1:]))
+    # left to right: builtin sum() rounds differently from Python 3.12 on
+    total_risk = 0.0
+    for a, b in zip(path, path[1:]):
+        total_risk += edge_risk(risk_field, a, b)
     return Policy(
         scope=LOCAL,
         node_sequence=nodes,

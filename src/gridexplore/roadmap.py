@@ -98,7 +98,11 @@ class RoadmapGraph:
         return None
 
     def total_info_gain(self) -> float:
-        return float(sum(n.info_gain for n in self.nodes.values()))
+        # left to right: builtin sum() rounds differently from Python 3.12 on
+        total = 0.0
+        for node in self.nodes.values():
+            total += node.info_gain
+        return float(total)
 
 
 def build_local_irm(

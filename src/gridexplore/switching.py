@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,15 +179,7 @@ def decide(
 
 def explain(decision: SwitchDecision) -> dict:
     """Full factor breakdown as a JSON-ready record."""
-    return {
-        "cycle": decision.cycle,
-        "chosen": decision.chosen,
-        "candidates": {
-            scope: dict(info) for scope, info in sorted(decision.candidates.items())
-        },
-        "override_fired": decision.override_fired,
-        "override_reason": decision.override_reason,
-    }
+    return asdict(decision)
 
 
 def calibrate_j_max(

@@ -66,7 +66,6 @@ class WorldModel:
     occupancy: np.ndarray
     risk_mu: np.ndarray
     risk_sigma: np.ndarray
-    covered: np.ndarray
     rng_seed: int
     spawn: Cell
     generator: str = "custom"
@@ -74,13 +73,13 @@ class WorldModel:
 
     def __post_init__(self) -> None:
         shape = (self.height, self.width)
-        for name in ("occupancy", "risk_mu", "risk_sigma", "covered"):
+        for name in ("occupancy", "risk_mu", "risk_sigma"):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
         if np.any(self.risk_mu < 0) or np.any(self.risk_sigma < 0):
             raise ValueError("terrain risk mu/sigma must be nonnegative")
-        for name in ("occupancy", "risk_mu", "risk_sigma", "covered"):
+        for name in ("occupancy", "risk_mu", "risk_sigma"):
             getattr(self, name).setflags(write=False)
 
     def in_bounds(self, r: int, c: int) -> bool:
@@ -121,7 +120,6 @@ def make_world(
         occupancy=occupancy,
         risk_mu=np.ascontiguousarray(risk_mu, dtype=np.float64),
         risk_sigma=np.ascontiguousarray(risk_sigma, dtype=np.float64),
-        covered=np.zeros((h, w), dtype=bool),
         rng_seed=rng_seed,
         spawn=(int(spawn[0]), int(spawn[1])),
         generator=generator,
@@ -136,7 +134,6 @@ class BeliefGrid:
     state: np.ndarray
     covered: np.ndarray
     cell_size: float
-    last_update: int = 0
 
     @classmethod
     def for_world(cls, world: WorldModel) -> "BeliefGrid":
@@ -166,7 +163,6 @@ class BeliefGrid:
             state=self.state.copy(),
             covered=self.covered.copy(),
             cell_size=self.cell_size,
-            last_update=self.last_update,
         )
 
 
@@ -280,7 +276,6 @@ def sense(
     pose: Cell,
     sensor: SensorSpec | None = None,
     heading: float = 0.0,
-    step: int = 0,
 ) -> BeliefGrid:
     """Update belief from one sensor sweep at pose.
 
@@ -304,7 +299,6 @@ def sense(
     belief.state[vr[~free_sel], vc[~free_sel]] = KNOWN_OBSTACLE
     belief.state[r0, c0] = KNOWN_FREE
     belief.covered[r0, c0] = True
-    belief.last_update = step
     return belief
 
 
@@ -632,25 +626,18 @@ def _generate_maze_once(
         visited.add((nr, nc))
         stack.append((nr, nc))
 
-    def lattice_open_neighbors(r: int, c: int) -> list[Cell]:
+    def lattice_neighbors(r: int, c: int, wall: int) -> list[Cell]:
+        """Lattice neighbours of (r, c) whose wall cell holds the value wall."""
         out = []
         for dr, dc in dirs:
             nr, nc = r + dr, c + dc
-            if in_lattice(nr, nc) and occ[(r + nr) // 2, (c + nc) // 2] == FREE:
-                out.append((nr, nc))
-        return out
-
-    def lattice_closed_neighbors(r: int, c: int) -> list[Cell]:
-        out = []
-        for dr, dc in dirs:
-            nr, nc = r + dr, c + dc
-            if in_lattice(nr, nc) and occ[(r + nr) // 2, (c + nc) // 2] == OBSTACLE:
+            if in_lattice(nr, nc) and occ[(r + nr) // 2, (c + nc) // 2] == wall:
                 out.append((nr, nc))
         return out
 
     deadends = [
         (r, c) for r in lat_rows for c in lat_cols
-        if len(lattice_open_neighbors(r, c)) == 1
+        if len(lattice_neighbors(r, c, FREE)) == 1
     ]
     n0 = len(deadends)
     target_keep = 0 if deadend_fraction == 0 else max(1, round(deadend_fraction * n0))
@@ -671,10 +658,10 @@ def _generate_maze_once(
         cell = deadends[idx]
         if cell == protected:
             continue
-        if len(lattice_open_neighbors(*cell)) != 1:
+        if len(lattice_neighbors(*cell, FREE)) != 1:
             remaining -= 1  # already braided away by a neighbor's wall opening
             continue
-        closed = lattice_closed_neighbors(*cell)
+        closed = lattice_neighbors(*cell, OBSTACLE)
         if not closed:
             continue
         nr, nc = closed[int(rng.integers(0, len(closed)))]

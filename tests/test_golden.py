@@ -8,9 +8,11 @@ shapes the first pins do not reach. TIE_SHA256 was recorded before NBV's
 argmax became a branch-and-bound and A* a flat-index search, and pins
 episodes whose NBV and A* choices are decided by ties."""
 import hashlib
+import math
 
 import pytest
 
+from gridexplore import motion, planners, roadmap
 from gridexplore import world as gw
 from gridexplore.harness import RunConfig, WorldSpec, events_to_ndjson, run_episode
 from gridexplore.planners import RewardModel
@@ -140,3 +142,56 @@ def test_cave_world_matches_golden_hash(seed, width, height):
     occupancy, risk_mu = CAVE_SHA256[(seed, width, height)]
     assert sha256(world.occupancy.tobytes()) == occupancy
     assert sha256(world.risk_mu.tobytes()) == risk_mu
+
+
+def _neumaier_sum(iterable, start=0):
+    """CPython 3.12's builtin sum: exact floats are added with Neumaier's
+    compensation, anything else (numpy scalars included) as before."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+            elif isinstance(item, int):
+                total += float(item)
+            else:
+                if comp and math.isfinite(comp):
+                    total += comp
+                result = total + item
+                break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_neumaier_sum_emulation_compensates():
+    assert _neumaier_sum([1e16, 1.0, -1e16]) == 1.0
+    assert _neumaier_sum([1, True, 2]) == 4
+
+
+@pytest.mark.parametrize("generator,planner,seed", sorted(EPISODE_SHA256))
+def test_episode_log_independent_of_python_sum(monkeypatch, generator, planner, seed):
+    """Logs do not depend on how the running Python's builtin sum() rounds."""
+    for module in (motion, planners, roadmap):
+        monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    test_episode_log_matches_golden_hash(generator, planner, seed)

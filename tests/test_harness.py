@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridexplore import cli
 from gridexplore import world as gw
 from gridexplore.cli import main as cli_main
 from gridexplore.harness import (
@@ -291,6 +292,7 @@ def test_cli_invalid_config_exits_2(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{nope")
     assert cli_main(["run", "--config", str(notjson)]) == 2
+    assert cli_main(["batch", "--configs", str(notjson)]) == 2
 
 
 def test_cli_unknown_generator_param_exits_2(tmp_path):
@@ -334,15 +336,57 @@ def test_config_accepts_int_for_float_param_without_converting():
     {"reward": {"distance_cost": float("nan")}},
     {"reward": {"coverage_weight": float("-inf")}},
     {"astar_risk_weight": -10.0},
+    {"steps_per_minute": 0},
+    {"horizon_local": 0},
+    {"horizon_global": 0},
+    {"local_radius": -1},
+    {"local_radius": float("inf")},
+    {"nbv_radius": -1},
+    {"nbv_radius": float("nan")},
+    {"hcp_commit_distance": -5},
+    {"coverage_done_fraction": 2},
+    {"coverage_done_fraction": 0},
+    {"risk_alpha": 1.5},
+    {"risk_alpha": 0},
+    {"risk_samples": 0},
+    {"switch": {"window": 0}},
+    {"switch": {"window": "x"}},
+    {"switch": {"j_max": 0}},
 ], ids=["replan_interval_0", "expansion_budget_0", "nbv_samples_0",
         "distance_cost_negative", "distance_cost_inf", "distance_cost_nan",
-        "coverage_weight_inf", "astar_risk_weight_negative"])
+        "coverage_weight_inf", "astar_risk_weight_negative", "steps_per_minute_0",
+        "horizon_local_0", "horizon_global_0", "local_radius_negative", "local_radius_inf",
+        "nbv_radius_negative", "nbv_radius_nan", "hcp_commit_distance_negative",
+        "coverage_done_fraction_2", "coverage_done_fraction_0", "risk_alpha_1.5",
+        "risk_alpha_0", "risk_samples_0", "switch_window_0", "switch_window_str",
+        "switch_j_max_0"])
 def test_config_out_of_range_exits_2(tmp_path, doc):
     with pytest.raises(ConfigError):
         config_from_dict(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_generator_value_error_exits_2(tmp_path):
+    bad = tmp_path / "narrow.json"
+    bad.write_text(json.dumps({"world": {"generator": "maze", "params": {"width": 3}}}))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    with pytest.raises(ConfigError):
+        build_world(WorldSpec(generator="maze", params={"width": 3}))
+
+
+def test_cli_internal_fault_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
+    def fault(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "run_episode", fault)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(asdict(small_maze_config(budget=5))))
+    assert cli_main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: internal fault" in err
+    assert "invalid config" not in err
 
 
 def test_cli_batch(tmp_path):
