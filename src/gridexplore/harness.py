@@ -12,7 +12,8 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from collections import deque
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .roadmap import (
     update_global_irm,
 )
 from .switching import (
-    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, decide, explain,
+    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, decide, execution_score, explain,
 )
 from .world import BeliefGrid, SensorSpec, WorldModel
 
@@ -110,10 +111,11 @@ class RunConfig:
         if self.step_budget < 0:
             raise ConfigError("step_budget must be >= 0")
         for name in ("metrics_interval", "replan_interval", "expansion_budget", "nbv_samples",
-                     "steps_per_minute", "horizon_local", "horizon_global", "risk_samples"):
+                     "steps_per_minute", "horizon_local", "horizon_global", "risk_samples",
+                     "min_frontier_cluster"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("local_radius", "nbv_radius"):
+        for name in ("local_radius", "nbv_radius", "breadcrumb_spacing"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be finite and > 0")
         # a negative astar_risk_weight makes negative-cost cycles, on which A*
@@ -127,43 +129,39 @@ class RunConfig:
             raise ConfigError("risk_alpha must be in (0, 1)")
 
 
-_NESTED_SECTIONS = {
-    "world": WorldSpec,
-    "reward": RewardModel,
-    "switch": SwitchSettings,
-    "sensor": SensorSpec,
-    "kino": KinodynamicSpec,
-}
+def _from_dict(cls, doc, path: str):
+    """cls built from doc: every key must be a field of cls, a field whose
+    default is a dataclass is built the same way, and every other value must
+    have its default's type (_matches_type). Nothing is converted."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path or 'document'} must be an object, "
+                          f"got {type(doc).__name__}")
+    defaults = cls()
+    prefix = f"{path}." if path else ""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(prefix + key for key in unknown)}")
+    kwargs = {}
+    for key, value in doc.items():
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            value = _from_dict(type(default), value, prefix + key)
+        elif not _matches_type(value, default):
+            raise ConfigError(f"config value {prefix + key} must be like {default!r}, "
+                              f"got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (OverflowError, ValueError) as exc:  # the range checks of cls itself
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    try:
-        for key, value in doc.items():
-            if key in _NESTED_SECTIONS:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be an object, "
-                                      f"got {type(value).__name__}")
-                section = _NESTED_SECTIONS[key]
-                extra = set(value) - set(section.__dataclass_fields__)
-                if extra:
-                    raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
-                kwargs[key] = section(**value)
-            else:
-                kwargs[key] = value
-        config = RunConfig(**kwargs)
-        _generator_and_params(config.world)
-        return config
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    """The run config doc describes, checked against the config dataclasses
+    and the generator registry; ConfigError if doc is not valid."""
+    config = _from_dict(RunConfig, doc, "")
+    _generator_and_params(config.world)
+    return config
 
 
 def load_json(path: str):
@@ -184,25 +182,16 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_to_json(obj):
+    """json.dumps hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def events_to_ndjson(events: list[dict]) -> str:
     return "".join(
-        json.dumps(_jsonable(ev), sort_keys=True, separators=(",", ":")) + "\n"
+        json.dumps(ev, sort_keys=True, separators=(",", ":"), default=_numpy_to_json) + "\n"
         for ev in events
     )
 
@@ -213,10 +202,12 @@ def events_to_ndjson(events: list[dict]) -> str:
 
 def _matches_type(value, default) -> bool:
     """Whether value has the type of default: a bool only for a bool, an int
-    also for a float, and for a tuple a list or tuple of the same length
-    whose items match. Nothing is converted."""
-    if isinstance(value, (bool, np.bool_)):
-        return isinstance(default, bool)
+    also for a float, null or a real number for None, and for a tuple a list
+    or tuple of the same length whose items match. Nothing is converted."""
+    if isinstance(value, (bool, np.bool_)) or isinstance(default, bool):
+        return isinstance(value, (bool, np.bool_)) and isinstance(default, bool)
+    if default is None:
+        return value is None or isinstance(value, numbers.Real)
     if isinstance(default, tuple):
         return (isinstance(value, (list, tuple)) and len(value) == len(default)
                 and all(_matches_type(v, d) for v, d in zip(value, default)))
@@ -229,14 +220,10 @@ def _matches_type(value, default) -> bool:
 
 def _generator_and_params(spec: WorldSpec):
     """The registered builder for spec and its params, defaults filled in.
-    ConfigError for an unknown generator, a seed that is not an int, or a
-    param that is unknown or does not have its default's type."""
+    ConfigError for an unknown generator or a param that is unknown or does
+    not have its default's type."""
     if spec.generator not in GENERATORS:
         raise ConfigError(f"unknown world generator {spec.generator!r}")
-    if not _matches_type(spec.seed, 0):
-        raise ConfigError(f"world seed must be an int, got {spec.seed!r}")
-    if not isinstance(spec.params, dict):
-        raise ConfigError(f"world params must be an object, got {spec.params!r}")
     builder, defaults = GENERATORS[spec.generator]
     unknown = set(spec.params) - set(defaults)
     if unknown:
@@ -659,7 +646,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
         events_path.write_text(events_to_ndjson(record.events), encoding="utf-8")
         record.events_path = str(events_path)
         (out / "runrecord.json").write_text(
-            json.dumps(_jsonable(record.to_dict()), sort_keys=True, indent=2),
+            json.dumps(record.to_dict(), sort_keys=True, indent=2, default=_numpy_to_json),
             encoding="utf-8",
         )
     return record
@@ -669,6 +656,10 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
 # Batch
 # ---------------------------------------------------------------------------
 
+def _failure(exc: BaseException, rep: int) -> dict:
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "rep": rep}
+
+
 def _episode_job(args: tuple[dict, int, str | None]) -> dict:
     doc, rep, out_dir = args
     try:
@@ -677,7 +668,54 @@ def _episode_job(args: tuple[dict, int, str | None]) -> dict:
         record = run_episode(config, out_dir=out_dir)
         return {"ok": True, "record": record.to_dict(), "rep": rep}
     except Exception as exc:  # noqa: BLE001 - batch keeps going per contract
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "rep": rep}
+        return _failure(exc, rep)
+
+
+def _run_pool(jobs: list[tuple], slots: list[int], workers: int, results: list) -> tuple:
+    """Run jobs[slot] for each of slots in one fresh process pool, submitting
+    one job at a time so that at most workers are in flight, and store each
+    outcome in results[slot]. A dead worker breaks the pool: every job then
+    in flight is recorded as failed and no further job is submitted. Returns
+    (the slots of the jobs the broken pool failed, the slots never submitted)."""
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    queue = deque(slots)
+    running: dict = {}
+    broken: list[int] = []
+    alive = True
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while running or (alive and queue):
+            while alive and queue and len(running) < workers:
+                try:
+                    running[pool.submit(_episode_job, jobs[queue[0]])] = queue[0]
+                except BrokenProcessPool:
+                    alive = False
+                else:
+                    queue.popleft()
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                slot = running.pop(future)
+                try:
+                    results[slot] = future.result()
+                except BrokenProcessPool as exc:
+                    alive = False
+                    results[slot] = _failure(exc, jobs[slot][1])
+                    broken.append(slot)
+    return broken, list(queue)
+
+
+def _run_parallel(jobs: list[tuple], workers: int) -> list[dict]:
+    """Every job's outcome, in job order, from process pools of workers. A
+    job that a broken pool failed runs once more, alone in a fresh pool, so
+    a job that kills its worker fails only itself and the batch still ends."""
+    results: list = [None] * len(jobs)
+    todo = list(range(len(jobs)))
+    while todo:
+        broken, todo = _run_pool(jobs, todo, workers, results)
+        for slot in broken:
+            _run_pool(jobs, [slot], 1, results)
+    return results
 
 
 def run_batch(
@@ -687,65 +725,42 @@ def run_batch(
     out_dir: str | None = None,
 ) -> tuple[list[dict], list[dict]]:
     """Run every (config x repetition) episode; repetition r offsets the world
-    seed by r. Individual failures are recorded and the batch continues.
-    Returns (results, summary_rows)."""
-    jobs = []
-    for idx, config in enumerate(configs):
-        for rep in range(repetitions):
-            job_dir = None
-            if out_dir is not None:
-                job_dir = str(Path(out_dir) / f"config{idx:03d}_rep{rep:02d}")
-            jobs.append((idx, (asdict(config), rep, job_dir)))
-
-    results: list[dict] = [None] * len(jobs)  # type: ignore[list-item]
+    seed by r. Individual failures, a crashed worker included, are recorded
+    and the batch continues. Returns (results, summary_rows)."""
+    jobs = [
+        (asdict(config), rep,
+         None if out_dir is None else str(Path(out_dir) / f"config{idx:03d}_rep{rep:02d}"))
+        for idx, config in enumerate(configs) for rep in range(repetitions)
+    ]
     if parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for slot, outcome in enumerate(pool.map(_episode_job, [j[1] for j in jobs])):
-                results[slot] = outcome
+        results = _run_parallel(jobs, parallelism)
     else:
-        for slot, (_, args) in enumerate(jobs):
-            results[slot] = _episode_job(args)
-
-    by_config: dict[int, list[dict]] = {}
-    for (idx, _), outcome in zip(jobs, results):
-        outcome["config_index"] = idx
-        by_config.setdefault(idx, []).append(outcome)
+        results = [_episode_job(job) for job in jobs]
 
     summary = []
     for idx, config in enumerate(configs):
-        outcomes = by_config.get(idx, [])
-        records = [o["record"] for o in outcomes if o["ok"]]
-        summary.extend(_summarize_config(idx, config, records))
+        outcomes = results[idx * repetitions:(idx + 1) * repetitions]
+        for outcome in outcomes:
+            outcome["config_index"] = idx
+        summary.extend(_summarize_config(idx, config, [o["record"] for o in outcomes if o["ok"]]))
     return results, summary
 
 
 def _summarize_config(idx: int, config: RunConfig, records: list[dict]) -> list[dict]:
-    if not records:
-        return [{
-            "config_index": idx, "planner": config.planner,
-            "generator": config.world.generator, "world_seed": config.world.seed,
-            "reps": 0, "step": 0, "sim_minutes": 0.0,
-            "coverage_mean_m2": 0.0, "coverage_min_m2": 0.0, "coverage_max_m2": 0.0,
-            "rate_mean_m2_per_min": 0.0,
-        }]
+    """One row per interval step of any record; without records, one row at
+    step 0 with zero coverage."""
     spm = config.steps_per_minute
     rate_mean = float(np.mean([
         rec["final_coverage_m2"] / (max(rec["total_steps"], 1) / spm) for rec in records
-    ]))
-    steps = sorted({iv["step"] for rec in records for iv in rec["intervals"]})
+    ])) if records else 0.0
+    steps = sorted({iv["step"] for rec in records for iv in rec["intervals"]}) or [0]
     rows = []
     for step in steps:
-        values = []
-        for rec in records:
-            best = 0.0
-            for iv in rec["intervals"]:
-                if iv["step"] <= step:
-                    best = iv["covered_m2"]
-                else:
-                    break
-            values.append(best)
+        # each record's coverage at its last interval up to step
+        values = [
+            next((iv["covered_m2"] for iv in reversed(rec["intervals"]) if iv["step"] <= step), 0.0)
+            for rec in records
+        ] or [0.0]
         rows.append({
             "config_index": idx, "planner": config.planner,
             "generator": config.world.generator, "world_seed": config.world.seed,
@@ -797,7 +812,8 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
     re-run from the embedded config and the regenerated event stream must
     match byte for byte.
     """
-    lines = Path(log_path).read_text(encoding="utf-8").splitlines()
+    original = Path(log_path).read_text(encoding="utf-8")
+    lines = original.splitlines()
     if not lines:
         raise ReplayError("empty event log")
     try:
@@ -810,10 +826,11 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
         raise ReplayError(
             f"unsupported event schema version {header.get('version')!r}"
         )
-    config_doc = header["config"]
-    switch = config_doc.get("switch", {})
-    eps_j = switch.get("epsilon_j", 1e-3)
-    eps_d = switch.get("epsilon_d", 1e-3)
+    try:
+        config = config_from_dict(header["config"])
+        switch = config.switch.switch_config(header["j_max"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplayError(f"header holds no valid config: {exc}") from exc
 
     warnings: list[str] = []
     cycles = 0
@@ -835,10 +852,14 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
             decision = event.get("decision")
             if decision:
                 for scope, info in decision.get("candidates", {}).items():
-                    p = info["found_count"] / (
-                        max(info["risk"], eps_j) * max(info["discrepancy"], eps_d)
-                    )
-                    if abs(p * info["utility"] - info["score"]) > tolerance:
+                    try:
+                        p = execution_score(
+                            info["found_count"], info["risk"], info["discrepancy"], switch,
+                        )
+                        matches = abs(p * info["utility"] - info["score"]) <= tolerance
+                    except ValueError:  # a negative factor
+                        matches = False
+                    if not matches:
                         mismatches += 1
                         warnings.append(
                             f"line {lineno}: {scope} score mismatch"
@@ -856,10 +877,7 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
         warnings.append("log is truncated: no end event")
 
     if verify:
-        config = config_from_dict(config_doc)
-        rerun = run_episode(config)
-        regenerated = events_to_ndjson(rerun.events)
-        original = Path(log_path).read_text(encoding="utf-8")
+        regenerated = events_to_ndjson(run_episode(config).events)
         if saw_end and regenerated != original:
             mismatches += 1
             warnings.append("verify: regenerated event stream differs")
@@ -871,7 +889,7 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
         steps=steps,
         score_mismatches=mismatches,
         warnings=warnings,
-        config=config_doc,
+        config=header["config"],
     )
 
 

@@ -32,11 +32,11 @@ class KinodynamicSpec:
     smoothing_iterations: int = 1       # tracking substeps per waypoint
 
     def __post_init__(self) -> None:
-        if self.max_turn_rate <= 0:
+        if not self.max_turn_rate > 0:
             raise ValueError("max_turn_rate must be > 0")
-        if self.step_length <= 0:
+        if not self.step_length > 0:
             raise ValueError("step_length must be > 0")
-        if self.smoothing_iterations < 1:
+        if not self.smoothing_iterations >= 1:
             raise ValueError("smoothing_iterations must be >= 1")
 
 

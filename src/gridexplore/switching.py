@@ -46,7 +46,7 @@ class SwitchConfig:
 
     def __post_init__(self) -> None:
         for name in ("j_max", "d_max", "window", "epsilon_j", "epsilon_d"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -66,9 +66,6 @@ class HistoryWindow:
 
     def found_count(self, scope: str) -> int:
         return sum(self._buffers[scope])
-
-    def as_dict(self) -> dict:
-        return {scope: [int(v) for v in buf] for scope, buf in self._buffers.items()}
 
 
 def execution_score(

@@ -46,7 +46,7 @@ class SensorSpec:
     occlusion: bool = True
 
     def __post_init__(self) -> None:
-        if self.range_m <= 0:
+        if not self.range_m > 0:
             raise ValueError("sensor range must be > 0")
         if not (0.0 < self.arc <= 2.0 * math.pi + 1e-12):
             raise ValueError("sensor arc must be in (0, 2*pi]")

@@ -1,12 +1,16 @@
+import concurrent.futures
+import functools
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridexplore import cli
+from gridexplore import cli, harness
 from gridexplore import world as gw
 from gridexplore.cli import main as cli_main
 from gridexplore.harness import (
@@ -57,6 +61,22 @@ def test_config_rejects_unknown_keys():
     doc2["reward"]["gamma"] = 0.5
     with pytest.raises(ConfigError):
         config_from_dict(doc2)
+
+
+@pytest.mark.parametrize("j_max", [None, 3])
+def test_config_accepts_null_or_number_j_max_without_converting(j_max):
+    config = config_from_dict({"switch": {"j_max": j_max}})
+    assert config.switch.j_max == j_max
+    assert type(config.switch.j_max) is type(j_max)
+    assert config_hash(config) == config_hash(RunConfig(switch=SwitchSettings(j_max=j_max)))
+
+
+def test_events_to_ndjson_bytes_of_numpy_values():
+    event = {"type": "x", "i": np.int64(7), "f": np.float32(0.1), "b": np.bool_(True),
+             "a": np.array([[0.1, 1.0], [2.5, -3.0]])}
+    assert events_to_ndjson([event]) == (
+        '{"a":[[0.1,1.0],[2.5,-3.0]],"b":true,"f":0.10000000149011612,"i":7,"type":"x"}\n'
+    )
 
 
 def test_config_rejects_bad_planner():
@@ -189,6 +209,46 @@ def test_batch_records_failures_and_continues():
     assert any(row["config_index"] == 1 for row in summary)
 
 
+_EPISODE_JOB = harness._episode_job
+
+
+def _episode_job_or_exit(args):
+    """A batch job whose worker dies when the config's own seed is 99."""
+    if args[0]["seed"] == 99:
+        os._exit(3)
+    return _EPISODE_JOB(args)
+
+
+def _episode_job_or_fail(args):
+    if args[0]["seed"] == 99:
+        return {"ok": False, "error": "failed", "rep": args[1]}
+    return _EPISODE_JOB(args)
+
+
+def test_batch_survives_a_crashed_worker(monkeypatch):
+    # fork, so that the patched job reaches the workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    good = small_maze_config(budget=20)
+    crash = small_maze_config(budget=20)
+    crash.seed = 99
+    configs = [good, crash, good, good]
+    monkeypatch.setattr(harness, "_episode_job", _episode_job_or_exit)
+    results, summary = run_batch(configs, parallelism=2)
+    assert multiprocessing.active_children() == []
+    assert [r["ok"] for r in results] == [True, False, True, True]
+    assert "BrokenProcessPool" in results[1]["error"]
+    assert [(r["config_index"], r["rep"]) for r in results] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+    monkeypatch.setattr(harness, "_episode_job", _episode_job_or_fail)
+    serial, serial_summary = run_batch(configs, parallelism=1)
+    assert summary == serial_summary
+    for a, b in zip(results, serial):
+        if a["ok"]:
+            a["record"].pop("wall_time_s"), b["record"].pop("wall_time_s")
+            assert a == b
+
+
 # --- replay ------------------------------------------------------------------------
 
 def test_replay_round_trip(tmp_path):
@@ -254,6 +314,49 @@ def test_replay_detects_tampered_scores(tmp_path):
     assert result.score_mismatches >= 1
 
 
+def rewrite_header(tmp_path, edit):
+    """The path of a copy of a short episode's log whose header edit changed."""
+    run_episode(small_maze_config(budget=20), out_dir=str(tmp_path))
+    lines = (tmp_path / "events.ndjson").read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return str(bad)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["config"].update(step_budget=2.5),
+    lambda h: h["config"]["switch"].update(d_max=-1.0),
+    lambda h: h.update(config=5),
+    lambda h: h.pop("j_max"),
+], ids=["step_budget_float", "d_max_negative", "config_not_object", "no_j_max"])
+def test_replay_rejects_invalid_header_config(tmp_path, edit):
+    with pytest.raises(ReplayError):
+        replay(rewrite_header(tmp_path, edit))
+
+
+def test_replay_counts_negative_risk_as_score_mismatch(tmp_path):
+    run_episode(small_maze_config(budget=80), out_dir=str(tmp_path))
+    lines = (tmp_path / "events.ndjson").read_text().splitlines()
+    tampered = []
+    poisoned = 0
+    for line in lines:
+        ev = json.loads(line)
+        if not poisoned and ev.get("type") == "cycle" and ev.get("decision"):
+            for cand in ev["decision"]["candidates"].values():
+                cand["risk"] = -1.0
+                poisoned += 1
+        tampered.append(json.dumps(ev, sort_keys=True, separators=(",", ":")))
+    assert poisoned, "expected at least one decision in the log"
+    bad = tmp_path / "negative_risk.ndjson"
+    bad.write_text("\n".join(tampered) + "\n")
+    result = replay(str(bad))
+    assert not result.ok
+    assert result.score_mismatches == poisoned
+    assert sum("score mismatch" in w for w in result.warnings) == poisoned
+
+
 # --- scenarios -----------------------------------------------------------------------
 
 def test_scenario_regressions_pass():
@@ -311,9 +414,19 @@ def test_cli_unknown_generator_param_exits_2(tmp_path):
     {"world": {"generator": "maze", "params": {"width": True}}},
     {"world": {"generator": "subway", "params": {"room_size_range": [5.0]}}},
     {"world": {"generator": "maze", "seed": "7"}},
+    {"switch": {"window": 2.5}},
+    {"step_budget": 2.5},
+    {"replan_interval": 1.5},
+    {"metrics_interval": 2.5},
+    {"sensor": {"occlusion": 1}},
+    {"planner": 5},
 ], ids=["world_not_object", "reward_not_object", "maze_width_str", "subway_rooms_float",
-        "maze_width_bool", "subway_range_short", "seed_str"])
+        "maze_width_bool", "subway_range_short", "seed_str", "switch_window_float",
+        "step_budget_float", "replan_interval_float", "metrics_interval_float",
+        "sensor_occlusion_int", "planner_int"])
 def test_cli_wrong_type_exits_2(tmp_path, doc):
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(bad)]) == 2
@@ -352,6 +465,12 @@ def test_config_accepts_int_for_float_param_without_converting():
     {"switch": {"window": 0}},
     {"switch": {"window": "x"}},
     {"switch": {"j_max": 0}},
+    {"switch": {"d_max": float("nan")}},
+    {"sensor": {"range_m": float("nan")}},
+    {"kino": {"step_length": float("nan")}},
+    {"breadcrumb_spacing": 0},
+    {"min_frontier_cluster": 0},
+    {"local_radius": 10**400},
 ], ids=["replan_interval_0", "expansion_budget_0", "nbv_samples_0",
         "distance_cost_negative", "distance_cost_inf", "distance_cost_nan",
         "coverage_weight_inf", "astar_risk_weight_negative", "steps_per_minute_0",
@@ -359,7 +478,8 @@ def test_config_accepts_int_for_float_param_without_converting():
         "nbv_radius_negative", "nbv_radius_nan", "hcp_commit_distance_negative",
         "coverage_done_fraction_2", "coverage_done_fraction_0", "risk_alpha_1.5",
         "risk_alpha_0", "risk_samples_0", "switch_window_0", "switch_window_str",
-        "switch_j_max_0"])
+        "switch_j_max_0", "switch_d_max_nan", "sensor_range_m_nan", "kino_step_length_nan",
+        "breadcrumb_spacing_0", "min_frontier_cluster_0", "local_radius_huge_int"])
 def test_config_out_of_range_exits_2(tmp_path, doc):
     with pytest.raises(ConfigError):
         config_from_dict(doc)
