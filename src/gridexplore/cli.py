@@ -77,13 +77,18 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_gen_world(args) -> int:
+    """A lone room bound takes the other bound from the generator's default."""
+    _, defaults = GENERATORS[args.generator]
     flags = {
-        "rooms": args.rooms, "room_size_range": (args.room_min, args.room_max),
-        "width": args.width, "height": args.height,
+        "rooms": args.rooms, "width": args.width, "height": args.height,
         "deadend_fraction": args.deadend_fraction, "risk_intensity": args.risk_intensity,
     }
-    _, accepted = GENERATORS[args.generator]
-    params = {name: value for name, value in flags.items() if name in accepted}
+    if "room_size_range" in defaults and (args.room_min, args.room_max) != (None, None):
+        low, high = defaults["room_size_range"]
+        flags["room_size_range"] = (low if args.room_min is None else args.room_min,
+                                    high if args.room_max is None else args.room_max)
+    params = {name: value for name, value in flags.items()
+              if name in defaults and value is not None}
     world = build_world(WorldSpec(generator=args.generator, seed=args.seed, params=params))
     gw.save_world(world, args.out)
     print(f"{args.generator} world ({world.width}x{world.height}, "
@@ -121,17 +126,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.set_defaults(func=_cmd_scenarios)
 
     p_gen = sub.add_parser("gen-world", help="generate and save a world")
-    p_gen.add_argument("--generator", required=True,
-                       choices=("subway", "maze", "cave"))
+    p_gen.add_argument("--generator", required=True, choices=tuple(GENERATORS))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--rooms", type=int, default=5)
-    p_gen.add_argument("--room-min", type=float, default=6.0)
-    p_gen.add_argument("--room-max", type=float, default=10.0)
-    p_gen.add_argument("--width", type=int, default=51)
-    p_gen.add_argument("--height", type=int, default=51)
-    p_gen.add_argument("--deadend-fraction", type=float, default=1.0)
-    p_gen.add_argument("--risk-intensity", type=float, default=0.5)
+    # a param flag not given is not passed: the generator's signature holds
+    # its default
+    p_gen.add_argument("--rooms", type=int)
+    p_gen.add_argument("--room-min", type=float)
+    p_gen.add_argument("--room-max", type=float)
+    p_gen.add_argument("--width", type=int)
+    p_gen.add_argument("--height", type=int)
+    p_gen.add_argument("--deadend-fraction", type=float)
+    p_gen.add_argument("--risk-intensity", type=float)
     p_gen.set_defaults(func=_cmd_gen_world)
     return parser
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import numbers
@@ -19,10 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import world as gw
-from .motion import (
-    KinodynamicSpec, PathPair, astar, cells_to_waypoints, execute_step,
-    make_path_pair,
-)
+from .motion import KinodynamicSpec, astar, cells_to_waypoints, execute_step, make_path_pair
 from .planners import (
     Policy, RewardModel, plan_global, plan_hfe, plan_local, plan_nbv,
 )
@@ -37,6 +35,9 @@ from .switching import (
 from .world import BeliefGrid, SensorSpec, WorldModel
 
 EVENT_SCHEMA_VERSION = 1
+
+# largest gap replay accepts between a logged score and its recomputation
+SCORE_TOLERANCE = 1e-9
 
 Cell = tuple[int, int]
 
@@ -61,12 +62,8 @@ class WorldSpec:
 
 
 @dataclass
-class SwitchSettings:
+class SwitchSettings(SwitchConfig):
     j_max: float | None = None  # None: calibrate from the world's risk field
-    d_max: float = 2.0
-    window: int = 10
-    epsilon_j: float = 1e-3
-    epsilon_d: float = 1e-3
 
     def __post_init__(self) -> None:
         self.switch_config(1.0)  # SwitchConfig checks the ranges
@@ -160,7 +157,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     """The run config doc describes, checked against the config dataclasses
     and the generator registry; ConfigError if doc is not valid."""
     config = _from_dict(RunConfig, doc, "")
-    _generator_and_params(config.world)
+    _builder(config.world)
     return config
 
 
@@ -218,10 +215,9 @@ def _matches_type(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _generator_and_params(spec: WorldSpec):
-    """The registered builder for spec and its params, defaults filled in.
-    ConfigError for an unknown generator or a param that is unknown or does
-    not have its default's type."""
+def _builder(spec: WorldSpec):
+    """The registered builder for spec. ConfigError for an unknown generator
+    or a param that is unknown or does not have its default's type."""
     if spec.generator not in GENERATORS:
         raise ConfigError(f"unknown world generator {spec.generator!r}")
     builder, defaults = GENERATORS[spec.generator]
@@ -233,15 +229,15 @@ def _generator_and_params(spec: WorldSpec):
         if not _matches_type(value, defaults[name]):
             raise ConfigError(f"param {name!r} of generator {spec.generator!r} must be "
                               f"like {defaults[name]!r}, got {value!r}")
-    return builder, {**defaults, **spec.params}
+    return builder
 
 
 def build_world(spec: WorldSpec) -> WorldModel:
     """The world spec describes; ConfigError for params its generator
     rejects, such as a maze narrower than 5 cells."""
-    builder, params = _generator_and_params(spec)
+    builder = _builder(spec)
     try:
-        return builder(spec.seed, **params)
+        return builder(spec.seed, **spec.params)
     except ValueError as exc:
         raise ConfigError(f"generator {spec.generator!r}: {exc}") from exc
 
@@ -380,14 +376,6 @@ def _candidate_for(
     reference = cells_to_waypoints(cells, state.world.cell_size)
     pair = make_path_pair(reference, config.kino, state.belief)
     return Candidate(policy=policy, path_pair=pair)
-
-
-def _pair_event(pair: PathPair) -> dict:
-    return {
-        "reference": pair.reference,
-        "executed": pair.executed,
-        "discrepancy": pair.discrepancy,
-    }
 
 
 # A planner builds only the roadmap layers it reads and returns the candidate
@@ -534,7 +522,7 @@ def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
         event["chosen"] = policy.scope
         event["goal"] = list(policy.goal_pose) if policy.goal_pose else None
         event["policies"] = {cand.scope: cand.policy.to_dict() for cand in logged}
-        event["paths"] = {cand.scope: _pair_event(cand.path_pair) for cand in logged}
+        event["paths"] = {cand.scope: asdict(cand.path_pair) for cand in logged}
     return chosen, event
 
 
@@ -578,16 +566,15 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
 
         executed = chosen.path_pair.executed
         moved = 0
-        index = 1
         while (
             moved < config.replan_interval
             and state.steps < config.step_budget
-            and index < len(executed)
+            and moved + 1 < len(executed)
         ):
             old_pose = state.pose
             state.steps += 1
             new_pose, collided = execute_step(
-                state.world, state.belief, state.pose, executed, index, config.sensor,
+                state.world, state.belief, state.pose, executed, moved + 1, config.sensor,
             )
             state.pose = new_pose
             state.distance_m += math.hypot(
@@ -603,7 +590,6 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
             if state.steps % config.metrics_interval == 0:
                 state.snapshot_interval()
             moved += 1
-            index += 1
             if collided:
                 break
             if state.coverage_done():
@@ -726,7 +712,10 @@ def run_batch(
 ) -> tuple[list[dict], list[dict]]:
     """Run every (config x repetition) episode; repetition r offsets the world
     seed by r. Individual failures, a crashed worker included, are recorded
-    and the batch continues. Returns (results, summary_rows)."""
+    and the batch continues. Returns (results, summary_rows). ConfigError
+    if repetitions is below 1."""
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     jobs = [
         (asdict(config), rep,
          None if out_dir is None else str(Path(out_dir) / f"config{idx:03d}_rep{rep:02d}"))
@@ -803,7 +792,7 @@ class ReplayResult:
     config: dict
 
 
-def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> ReplayResult:
+def replay(log_path: str, verify: bool = False) -> ReplayResult:
     """Reconstruct an episode from its event log.
 
     Checks the schema version, recomputes every logged decision score from its
@@ -856,7 +845,7 @@ def replay(log_path: str, verify: bool = False, tolerance: float = 1e-9) -> Repl
                         p = execution_score(
                             info["found_count"], info["risk"], info["discrepancy"], switch,
                         )
-                        matches = abs(p * info["utility"] - info["score"]) <= tolerance
+                        matches = abs(p * info["utility"] - info["score"]) <= SCORE_TOLERANCE
                     except ValueError:  # a negative factor
                         matches = False
                     if not matches:
@@ -938,17 +927,14 @@ def _scenario_riskpocket_world(seed: int) -> WorldModel:
 
 
 # generator name -> (builder, the params it accepts with their defaults); a
-# builder is called as builder(seed, **params)
+# builder is called as builder(seed, **params), and its signature is the one
+# home of those params: every param after the seed, each with a default
 GENERATORS = {
-    "subway": (gw.generate_subway, {
-        "rooms": 5, "room_size_range": (6.0, 10.0), "cell_size": gw.DEFAULT_CELL_SIZE,
-    }),
-    "maze": (gw.generate_maze, {
-        "width": 51, "height": 51, "deadend_fraction": 1.0, "cell_size": gw.DEFAULT_CELL_SIZE,
-    }),
-    "cave": (gw.generate_cave, {
-        "width": 51, "height": 51, "risk_intensity": 0.5, "cell_size": gw.DEFAULT_CELL_SIZE,
-    }),
-    "scenario_switchback": (_scenario_switchback_world, {}),
-    "scenario_riskpocket": (_scenario_riskpocket_world, {}),
+    name: (builder, {param.name: param.default
+                     for param in list(inspect.signature(builder).parameters.values())[1:]})
+    for name, builder in (
+        ("subway", gw.generate_subway), ("maze", gw.generate_maze), ("cave", gw.generate_cave),
+        ("scenario_switchback", _scenario_switchback_world),
+        ("scenario_riskpocket", _scenario_riskpocket_world),
+    )
 }

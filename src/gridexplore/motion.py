@@ -239,12 +239,9 @@ def smooth_kinodynamic(
     return out
 
 
-def discrepancy(pair: PathPair | tuple[np.ndarray, np.ndarray]) -> float:
+def discrepancy(pair: tuple[np.ndarray, np.ndarray]) -> float:
     """Summed per-waypoint Euclidean distance between paired paths."""
-    if isinstance(pair, PathPair):
-        ref, ex = pair.reference, pair.executed
-    else:
-        ref, ex = pair
+    ref, ex = pair
     ref = np.asarray(ref, dtype=np.float64)
     ex = np.asarray(ex, dtype=np.float64)
     if ref.shape != ex.shape:

@@ -31,6 +31,9 @@ OVERRIDE_NONE = "none"
 OVERRIDE_RISK = "J_exceeded"
 OVERRIDE_DISCREPANCY = "D_exceeded"
 
+CALIBRATION_SAMPLES = 200
+CALIBRATION_PERCENTILE = 95.0
+
 
 class NoPolicyError(RuntimeError):
     """Neither a local nor a global candidate exists this cycle."""
@@ -48,6 +51,11 @@ class SwitchConfig:
         for name in ("j_max", "d_max", "window", "epsilon_j", "epsilon_d"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        # an infinite j_max or d_max never overrides; an infinite epsilon
+        # would make every score 0
+        for name in ("epsilon_j", "epsilon_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 class HistoryWindow:
@@ -183,18 +191,17 @@ def calibrate_j_max(
     world: WorldModel,
     risk_field: RiskField,
     horizon: int = 10,
-    n_samples: int = 200,
-    percentile: float = 95.0,
     seed: int = 0,
 ) -> float:
-    """Risk threshold from the world itself: the given percentile of edge-risk
-    sums over random straight horizon-length paths, floored away from zero.
+    """Risk threshold from the world itself: the CALIBRATION_PERCENTILE of
+    edge-risk sums over CALIBRATION_SAMPLES random straight horizon-length
+    paths, floored away from zero.
     Run once per episode so the threshold matches the field's risk scale."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x4A]))
     h, w = world.height, world.width
     paths = []
     dirs = ((0, 1), (1, 0), (0, -1), (-1, 0))
-    for _ in range(n_samples):
+    for _ in range(CALIBRATION_SAMPLES):
         r = int(rng.integers(0, h))
         c = int(rng.integers(0, w))
         dr, dc = dirs[int(rng.integers(0, 4))]
@@ -213,5 +220,4 @@ def calibrate_j_max(
         for cur, nxt in zip(path, path[1:]):
             total += edge_risk(risk_field, cur, nxt)
         sums.append(total)
-    value = float(np.percentile(np.asarray(sums), percentile)) if sums else 0.0
-    return max(value, 1e-3)
+    return max(float(np.percentile(np.asarray(sums), CALIBRATION_PERCENTILE)), 1e-3)

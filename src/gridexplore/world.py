@@ -20,6 +20,11 @@ KNOWN_OBSTACLE = 2
 
 DEFAULT_CELL_SIZE = 0.5
 
+# generator constants recorded in each world's params
+SUBWAY_CORRIDOR_WIDTH = 2      # cells
+CAVE_FILL_PROBABILITY = 0.45   # initial obstacle share before the automaton
+CAVE_AUTOMATON_STEPS = 5
+
 # mu above this counts as high-risk terrain (used by the cave generator tests
 # and the risk-intensity contract).
 HIGH_RISK_MU = 0.3
@@ -157,13 +162,6 @@ class BeliefGrid:
 
     def is_known_free(self, r: int, c: int) -> bool:
         return self.in_bounds(r, c) and self.state[r, c] == KNOWN_FREE
-
-    def copy(self) -> "BeliefGrid":
-        return BeliefGrid(
-            state=self.state.copy(),
-            covered=self.covered.copy(),
-            cell_size=self.cell_size,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +483,9 @@ def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
 
 def generate_subway(
     seed: int,
-    rooms: int,
+    rooms: int = 5,
     room_size_range: tuple[float, float] = (6.0, 10.0),
     cell_size: float = DEFAULT_CELL_SIZE,
-    corridor_width: int = 2,
 ) -> WorldModel:
     """Interconnected rectangular rooms joined by corridors, zero terrain risk."""
     if rooms < 1:
@@ -522,14 +519,14 @@ def generate_subway(
             centers.append((r0 + rh // 2, c0 + rw // 2))
 
         def carve_corridor(a: Cell, b: Cell) -> None:
-            half = corridor_width // 2
+            half = SUBWAY_CORRIDOR_WIDTH // 2
             r_lo, r_hi = sorted((a[0], b[0]))
             c_lo, c_hi = sorted((a[1], b[1]))
             # horizontal leg at a's row, then vertical leg at b's col
-            occ[max(1, a[0] - half):min(side - 1, a[0] + corridor_width - half),
-                max(1, c_lo - half):min(side - 1, c_hi + corridor_width - half)] = FREE
-            occ[max(1, r_lo - half):min(side - 1, r_hi + corridor_width - half),
-                max(1, b[1] - half):min(side - 1, b[1] + corridor_width - half)] = FREE
+            occ[max(1, a[0] - half):min(side - 1, a[0] + SUBWAY_CORRIDOR_WIDTH - half),
+                max(1, c_lo - half):min(side - 1, c_hi + SUBWAY_CORRIDOR_WIDTH - half)] = FREE
+            occ[max(1, r_lo - half):min(side - 1, r_hi + SUBWAY_CORRIDOR_WIDTH - half),
+                max(1, b[1] - half):min(side - 1, b[1] + SUBWAY_CORRIDOR_WIDTH - half)] = FREE
 
         for i in range(1, rooms):
             carve_corridor(centers[i - 1], centers[i])
@@ -545,7 +542,7 @@ def generate_subway(
                 occ, spawn, cell_size=cell_size, rng_seed=seed,
                 generator="subway",
                 params={"rooms": rooms, "room_size_range": [lo_m, hi_m],
-                        "corridor_width": corridor_width},
+                        "corridor_width": SUBWAY_CORRIDOR_WIDTH},
             )
     raise GenerationError(f"subway generation failed for seed={seed}, rooms={rooms}")
 
@@ -672,8 +669,8 @@ def _generate_maze_once(
 
 def generate_maze(
     seed: int,
-    width: int,
-    height: int,
+    width: int = 51,
+    height: int = 51,
     deadend_fraction: float = 1.0,
     cell_size: float = DEFAULT_CELL_SIZE,
 ) -> WorldModel:
@@ -706,12 +703,10 @@ def generate_maze(
 
 def generate_cave(
     seed: int,
-    width: int,
-    height: int,
+    width: int = 51,
+    height: int = 51,
     risk_intensity: float = 0.5,
     cell_size: float = DEFAULT_CELL_SIZE,
-    fill_probability: float = 0.45,
-    automaton_steps: int = 5,
 ) -> WorldModel:
     """Cellular-automaton cavern with a spatially correlated terrain-risk field.
 
@@ -724,10 +719,10 @@ def generate_cave(
         raise ValueError("risk_intensity must be in [0, 1]")
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, attempt]))
-        occ = (rng.random((height, width)) < fill_probability).astype(np.uint8)
+        occ = (rng.random((height, width)) < CAVE_FILL_PROBABILITY).astype(np.uint8)
         occ[0, :] = occ[-1, :] = OBSTACLE
         occ[:, 0] = occ[:, -1] = OBSTACLE
-        for _ in range(automaton_steps):
+        for _ in range(CAVE_AUTOMATON_STEPS):
             occ = np.where(_obstacle_neighbours(occ) >= 5, OBSTACLE, FREE).astype(np.uint8)
             occ[0, :] = occ[-1, :] = OBSTACLE
             occ[:, 0] = occ[:, -1] = OBSTACLE
@@ -756,7 +751,8 @@ def generate_cave(
             occ, spawn, cell_size=cell_size, risk_mu=mu, risk_sigma=sigma,
             rng_seed=seed, generator="cave",
             params={"width": width, "height": height, "risk_intensity": risk_intensity,
-                    "fill_probability": fill_probability, "automaton_steps": automaton_steps},
+                    "fill_probability": CAVE_FILL_PROBABILITY,
+                    "automaton_steps": CAVE_AUTOMATON_STEPS},
         )
     raise GenerationError(f"cave generation failed for seed={seed}")
 

@@ -63,7 +63,7 @@ def test_config_rejects_unknown_keys():
         config_from_dict(doc2)
 
 
-@pytest.mark.parametrize("j_max", [None, 3])
+@pytest.mark.parametrize("j_max", [None, 3, float("inf")])
 def test_config_accepts_null_or_number_j_max_without_converting(j_max):
     config = config_from_dict({"switch": {"j_max": j_max}})
     assert config.switch.j_max == j_max
@@ -377,6 +377,7 @@ def test_cli_gen_world_and_run(tmp_path):
                      "--out", str(world_path)]) == 0
     loaded = gw.load_world(str(world_path))
     assert loaded.generator == "maze"
+    assert (loaded.width, loaded.height) == (21, 21)
 
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(asdict(small_maze_config(budget=30))))
@@ -386,6 +387,35 @@ def test_cli_gen_world_and_run(tmp_path):
     assert (out_dir / "events.ndjson").exists()
 
     assert cli_main(["replay", "--log", str(out_dir / "events.ndjson")]) == 0
+
+
+@pytest.mark.parametrize("generator", ["subway", "maze", "cave"])
+def test_cli_gen_world_defaults_are_the_generators(tmp_path, generator):
+    cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert cli_main(["gen-world", "--generator", generator, "--seed", "2",
+                     "--out", str(cli_path)]) == 0
+    gw.save_world(build_world(WorldSpec(generator, 2)), str(lib_path))
+    assert cli_path.read_bytes() == lib_path.read_bytes()
+
+
+def test_cli_gen_world_lone_room_bound_keeps_the_other_default(tmp_path):
+    path = tmp_path / "subway.json"
+    assert cli_main(["gen-world", "--generator", "subway", "--room-min", "7",
+                     "--out", str(path)]) == 0
+    assert gw.load_world(str(path)).params["room_size_range"] == [7.0, 10.0]
+
+
+def test_generator_registry_params_are_pinned():
+    # every builder param after the seed is a config key: a new one must be
+    # added here on purpose. repr pins each default's type as well.
+    registry = {name: defaults for name, (_, defaults) in harness.GENERATORS.items()}
+    assert repr(registry) == repr({
+        "subway": {"rooms": 5, "room_size_range": (6.0, 10.0), "cell_size": 0.5},
+        "maze": {"width": 51, "height": 51, "deadend_fraction": 1.0, "cell_size": 0.5},
+        "cave": {"width": 51, "height": 51, "risk_intensity": 0.5, "cell_size": 0.5},
+        "scenario_switchback": {},
+        "scenario_riskpocket": {},
+    })
 
 
 def test_cli_invalid_config_exits_2(tmp_path):
@@ -466,6 +496,8 @@ def test_config_accepts_int_for_float_param_without_converting():
     {"switch": {"window": "x"}},
     {"switch": {"j_max": 0}},
     {"switch": {"d_max": float("nan")}},
+    {"switch": {"epsilon_j": float("inf")}},
+    {"switch": {"epsilon_d": float("inf")}},
     {"sensor": {"range_m": float("nan")}},
     {"kino": {"step_length": float("nan")}},
     {"breadcrumb_spacing": 0},
@@ -478,7 +510,8 @@ def test_config_accepts_int_for_float_param_without_converting():
         "nbv_radius_negative", "nbv_radius_nan", "hcp_commit_distance_negative",
         "coverage_done_fraction_2", "coverage_done_fraction_0", "risk_alpha_1.5",
         "risk_alpha_0", "risk_samples_0", "switch_window_0", "switch_window_str",
-        "switch_j_max_0", "switch_d_max_nan", "sensor_range_m_nan", "kino_step_length_nan",
+        "switch_j_max_0", "switch_d_max_nan", "switch_epsilon_j_inf",
+        "switch_epsilon_d_inf", "sensor_range_m_nan", "kino_step_length_nan",
         "breadcrumb_spacing_0", "min_frontier_cluster_0", "local_radius_huge_int"])
 def test_config_out_of_range_exits_2(tmp_path, doc):
     with pytest.raises(ConfigError):
@@ -518,3 +551,13 @@ def test_cli_batch(tmp_path):
     assert cli_main(["batch", "--configs", str(path), "--reps", "1",
                      "--parallelism", "1", "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_cli_batch_reps_below_1_exits_2(tmp_path, reps, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([asdict(small_maze_config(budget=5))]))
+    assert cli_main(["batch", "--configs", str(path), "--reps", reps]) == 2
+    assert "repetitions must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        run_batch([small_maze_config(budget=5)], repetitions=int(reps))

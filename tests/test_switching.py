@@ -264,3 +264,4 @@ def test_switch_config_validates():
         SwitchConfig(j_max=0.0)
     with pytest.raises(ValueError):
         SwitchConfig(d_max=-1.0)
+    SwitchConfig(j_max=float("inf"), d_max=float("inf"))  # never overrides
