@@ -77,18 +77,24 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_gen_world(args) -> int:
-    """A lone room bound takes the other bound from the generator's default."""
+    """A param flag the generator does not take is a ConfigError. A lone
+    room bound takes the other bound from the generator's default."""
     _, defaults = GENERATORS[args.generator]
+    rooms = (args.room_min, args.room_max)
     flags = {
         "rooms": args.rooms, "width": args.width, "height": args.height,
         "deadend_fraction": args.deadend_fraction, "risk_intensity": args.risk_intensity,
+        "room_size_range": None if rooms == (None, None) else rooms,
     }
-    if "room_size_range" in defaults and (args.room_min, args.room_max) != (None, None):
+    params = {name: value for name, value in flags.items() if value is not None}
+    refused = sorted(set(params) - set(defaults))
+    if refused:
+        raise ConfigError(f"generator {args.generator!r} does not take {refused}; "
+                          f"it takes {sorted(defaults)}")
+    if "room_size_range" in params:
         low, high = defaults["room_size_range"]
-        flags["room_size_range"] = (low if args.room_min is None else args.room_min,
-                                    high if args.room_max is None else args.room_max)
-    params = {name: value for name, value in flags.items()
-              if name in defaults and value is not None}
+        params["room_size_range"] = (low if args.room_min is None else args.room_min,
+                                     high if args.room_max is None else args.room_max)
     world = build_world(WorldSpec(generator=args.generator, seed=args.seed, params=params))
     gw.save_world(world, args.out)
     print(f"{args.generator} world ({world.width}x{world.height}, "
@@ -130,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     # a param flag not given is not passed: the generator's signature holds
-    # its default
+    # its default; one the generator does not take exits 2. --room-min and
+    # --room-max set room_size_range
     p_gen.add_argument("--rooms", type=int)
     p_gen.add_argument("--room-min", type=float)
     p_gen.add_argument("--room-max", type=float)

@@ -113,6 +113,41 @@ def rollout_walk(
     return discounted_utility(rewards, reward_model.gamma_for(scope)), rewards
 
 
+def _local_moves(graph: RoadmapGraph, w: float, dc: float):
+    """The moves of a walk over graph, in two forms. Nodes are numbered by
+    position in `ids`, the sorted node ids, which keeps their order.
+
+    - moves[v]: (target, first-visit reward, revisit reward, target gain)
+      per neighbour of v, in adjacency order;
+    - target[v], best[v]: the same targets, and the larger of each move's
+      two rewards, padded with -inf to the largest degree;
+    - scale: the largest reward magnitude."""
+    ids = np.array(sorted(graph.nodes), dtype=np.intp)
+    gains = np.array([graph.nodes[i].info_gain for i in ids.tolist()], dtype=float)
+    edges = list(graph.edges.values())
+    ends = np.array([(e.src, e.dst) for e in edges], dtype=np.intp).reshape(-1, 2)
+    a, b = np.searchsorted(ids, ends[:, 0]), np.searchsorted(ids, ends[:, 1])
+    lengths = np.array([e.length for e in edges], dtype=float)
+    back = a != b  # a self-loop is one move
+    src, dst = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
+    length = np.concatenate([lengths, lengths[back]])
+    order = np.lexsort((dst, src))
+    src, dst, length = src[order], dst[order], length[order]
+    # elementwise float64: each reward is the one w * gain - dc * length gives
+    first, revisit = w * gains[dst] - dc * length, w * 0.0 - dc * length
+
+    starts = np.searchsorted(src, np.arange(len(ids) + 1))
+    flat = list(zip(dst.tolist(), first.tolist(), revisit.tolist(), gains[dst].tolist()))
+    moves = [flat[s:e] for s, e in zip(starts.tolist(), starts[1:].tolist())]
+    col = np.arange(len(src)) - starts[src]
+    width = int(col.max(initial=0)) + 1
+    target = np.zeros((len(ids), width), dtype=np.intp)
+    best = np.full((len(ids), width), -math.inf)
+    target[src, col], best[src, col] = dst, np.maximum(first, revisit)
+    scale = float(np.abs(np.concatenate([first, revisit])).max(initial=0.0))
+    return ids, moves, target, best, scale
+
+
 def plan_local(
     local_graph: RoadmapGraph,
     reward_model: RewardModel,
@@ -122,53 +157,79 @@ def plan_local(
 ) -> Policy | None:
     """Best-utility walk of at most `horizon` nodes from the robot node.
 
-    Bounded best-first search over walks with revisit gain zeroing. The
-    search is exhaustive whenever the walk space fits within the expansion
-    budget; an optimistic remaining-gain bound prunes hopeless branches
-    without affecting exactness. Returns None when no walk with at least one
-    move has positive utility (nothing locally worth covering)."""
+    Bounded best-first search over walks with revisit gain zeroing: walks
+    are popped by utility, ties broken by the walk tuple, for at most
+    `budget` pops. The search is exhaustive whenever the walk space fits
+    within the budget; an optimistic remaining-gain bound prunes hopeless
+    branches without affecting exactness.
+
+    The search also stops, exactly, as soon as no open walk can beat the
+    best one. `future[k][v]` bounds the discounted reward any walk of at
+    most k more moves from v can still collect: each move is scored at the
+    larger of its first-visit and revisit reward, a walk may stop anywhere
+    (floor 0), and a slack covers float rounding. A heap entry of n nodes
+    ending at v carries `u + gamma^(n-1) * future[H-n][v]`, which bounds its
+    own utility and that of every walk extending it. The best walk changes
+    only when a popped walk's utility exceeds `best_utility`, so once no
+    open bound exceeds it, no pop left in the budget can change the result,
+    and stopping returns the policy the full budget would. The bound prunes
+    nothing: pop order and budget truncation are those of the plain search.
+
+    Returns None when no walk with at least one move has positive utility
+    (nothing locally worth covering)."""
     robot = local_graph.robot_node()
     if robot is None:
         raise ValueError("local graph has no robot node")
     gamma = reward_model.gamma_for(LOCAL)
     w = reward_model.coverage_weight
-    dc = reward_model.distance_cost
     total_gain = local_graph.total_info_gain()
 
-    # per node: (neighbour, first-visit reward, revisit reward, gain), in
-    # adjacency order; a walk has at most `horizon` nodes, so `nb in walk`
+    # walks hold positions in the sorted ids, so walk tuples compare as the
+    # id tuples would; a walk has at most `horizon` nodes, so `nb in walk`
     # is the visited test
-    moves = {}
-    for u in local_graph.nodes:
-        out = []
-        for nb in local_graph.neighbors(u):
-            length = local_graph.get_edge(u, nb).length
-            gain = local_graph.nodes[nb].info_gain
-            out.append((nb, w * gain - dc * length, w * 0.0 - dc * length, gain))
-        moves[u] = out
-    discount = [gamma ** depth for depth in range(max(horizon, 1))]
+    ids, moves, target, best_reward, scale = _local_moves(
+        local_graph, w, reward_model.distance_cost)
+    depth = max(horizon, 1)
+    discount = [gamma ** d for d in range(depth)]
+    future = [np.zeros(len(ids))]
+    for _ in range(depth - 1):
+        future.append(np.maximum((best_reward + gamma * future[-1][target]).max(axis=1), 0.0))
+    # a utility sums at most `horizon` terms of magnitude <= scale, so its
+    # rounding is about horizon^2 * scale * 1e-16, far below the slack
+    slack = 1e-9 * depth * scale
+    # tail[n][v]: the most a walk of n nodes ending at v can still add, plus
+    # the slack
+    tail = [None] + [(discount[n - 1] * future[depth - n] + slack).tolist()
+                     for n in range(1, depth + 1)]
 
     best_utility = 0.0
     best_walk: tuple[int, ...] | None = None
-    # heap entries: (-utility, walk, utility, remaining_gain); walks are
-    # unique, so ties in utility are broken by the walk tuple
-    heap: list[tuple[float, tuple[int, ...], float, float]] = [
-        (0.0, (robot.id,), 0.0, total_gain - robot.info_gain)
+    # heap entries: (-utility, walk, utility, remaining_gain, bound); walks
+    # are unique, so ties in utility are broken by the walk tuple and the
+    # bound never takes part in the ordering
+    root = int(np.searchsorted(ids, robot.id))
+    heap: list[tuple[float, tuple[int, ...], float, float, float]] = [
+        (0.0, (root,), 0.0, total_gain - robot.info_gain, tail[1][root])
     ]
+    live = int(heap[0][4] > best_utility)  # open entries bounded above best_utility
     pop, push = heapq.heappop, heapq.heappush
     expansions = 0
-    while heap and expansions < budget:
-        _, walk, utility, rem_gain = pop(heap)
+    while live and expansions < budget:
+        _, walk, utility, rem_gain, bound = pop(heap)
         expansions += 1
+        if bound > best_utility:
+            live -= 1
         n = len(walk)
         if n > 1 and utility > best_utility:
             best_utility = utility
             best_walk = walk
+            live = sum(entry[4] > best_utility for entry in heap)
         if n >= horizon:
             continue
         if utility + w * rem_gain <= best_utility:
             continue
         g = discount[n - 1]  # gamma ** moves taken so far
+        bounds = tail[n + 1]
         for nb, first_reward, revisit_reward, gain in moves[walk[-1]]:
             if nb in walk:
                 new_u = utility + g * revisit_reward
@@ -178,11 +239,13 @@ def plan_local(
                 new_rem = rem_gain - gain
             if new_u + w * new_rem <= best_utility:
                 continue
-            push(heap, (-new_u, walk + (nb,), new_u, new_rem))
+            bound = new_u + bounds[nb]
+            live += bound > best_utility
+            push(heap, (-new_u, walk + (nb,), new_u, new_rem, bound))
 
     if best_walk is None or best_utility <= 0.0:
         return None
-    best_walk = list(best_walk)
+    best_walk = ids[list(best_walk)].tolist()
     utility, rewards = rollout_walk(local_graph, best_walk, reward_model, LOCAL)
     return _policy_over(
         local_graph, LOCAL, best_walk, utility, created_at, step_rewards=rewards,

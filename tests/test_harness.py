@@ -405,6 +405,25 @@ def test_cli_gen_world_lone_room_bound_keeps_the_other_default(tmp_path):
     assert gw.load_world(str(path)).params["room_size_range"] == [7.0, 10.0]
 
 
+@pytest.mark.parametrize("generator, flags", [
+    ("maze", ["--rooms", "3"]),
+    ("maze", ["--rooms", "3", "--room-min", "4"]),
+    ("maze", ["--room-min", "4"]),
+    ("cave", ["--room-max", "9"]),
+    ("cave", ["--deadend-fraction", "0.5"]),
+    ("subway", ["--risk-intensity", "0.2"]),
+    ("subway", ["--width", "31"]),
+    ("scenario_switchback", ["--height", "31"]),
+])
+def test_cli_gen_world_refuses_a_param_the_generator_does_not_take(tmp_path, capsys,
+                                                                  generator, flags):
+    path = tmp_path / "world.json"
+    assert cli_main(["gen-world", "--generator", generator, *flags,
+                     "--out", str(path)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_generator_registry_params_are_pinned():
     # every builder param after the seed is a config key: a new one must be
     # added here on purpose. repr pins each default's type as well.

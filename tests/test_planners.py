@@ -151,6 +151,17 @@ def test_plan_local_dominant_single_neighbor():
     assert policy.goal_pose == (0, 1)
 
 
+def test_plan_local_walk_may_stop_before_the_horizon():
+    # moving on from the dead end loses more than [0, 1] gains: a walk bound
+    # that had to use all 9 moves would rate every walk negative
+    nodes = {0: ((0, 0), ROBOT, 0.0), 1: ((0, 1), LATTICE, 1.5)}
+    g = make_graph(LOCAL, nodes, [(0, 1, 1.0, 0.0)])
+    rm = RewardModel(gamma_local=1.0, distance_cost=1.0)
+    policy = plan_local(g, rm, horizon=10)
+    assert policy.node_sequence == [0, 1]
+    assert policy.utility == 0.5
+
+
 def test_plan_local_respects_expansion_budget():
     rng = np.random.default_rng(23)
     g = random_local_graph(rng, n_nodes=6)

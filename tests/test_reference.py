@@ -1,6 +1,7 @@
 """The fast paths against the implementations they replaced (reference_impl.py)
 and, where scipy is installed, against the scipy.ndimage calls the world and
 roadmap code no longer makes. Every comparison is exact."""
+import heapq
 import math
 from types import SimpleNamespace
 
@@ -84,8 +85,8 @@ def test_lattice_gains_equal_per_node_loop(seed, radius, range_m, occlusion):
 @given(seed=seeds, radius=st.sampled_from([1.0, 2.0, 4.0, 10.0]),
        horizon=st.integers(1, 10), budget=st.sampled_from([1, 2, 7, 60, 500, 20000]),
        gamma=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
-       weight=st.sampled_from([0.5, 1.0, 2.0]),
-       distance_cost=st.sampled_from([0.0, 0.05, 0.3]), open_room=st.booleans())
+       weight=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+       distance_cost=st.sampled_from([0.0, 0.05, 0.3, 5.0]), open_room=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma, weight,
                                             distance_cost, open_room):
@@ -93,6 +94,10 @@ def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma
     graph = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
     reward = RewardModel(gamma_local=gamma, coverage_weight=weight,
                          distance_cost=distance_cost)
+    assert_same_local_policy(graph, reward, horizon, budget)
+
+
+def assert_same_local_policy(graph, reward, horizon, budget):
     got = plan_local(graph, reward, horizon=horizon, budget=budget, created_at=3)
     want = ref.plan_local(graph, reward, horizon=horizon, budget=budget, created_at=3)
     if want is None:
@@ -101,6 +106,58 @@ def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma
         assert got is not None
         assert got.to_dict() == want.to_dict()
         assert got.path_cells == want.path_cells
+
+
+def open_room_lattice(seed):
+    """The 10 m lattice in a known-free room of random size in unknown
+    space, the robot somewhere inside: a walk space far beyond a 20 000-pop
+    budget, with mirror-symmetric gains."""
+    rng = np.random.default_rng(seed)
+    shape = (48, 48)
+    state = np.full(shape, gw.UNKNOWN, dtype=np.uint8)
+    h, w = int(rng.integers(12, 30)), int(rng.integers(12, 30))
+    r0, c0 = int(rng.integers(0, shape[0] - h)), int(rng.integers(0, shape[1] - w))
+    state[r0:r0 + h, c0:c0 + w] = gw.KNOWN_FREE
+    robot = (r0 + int(rng.integers(0, h)), c0 + int(rng.integers(0, w)))
+    belief = BeliefGrid(state=state, covered=np.zeros(shape, dtype=bool), cell_size=0.5)
+    mu = rng.uniform(0, 1, shape) * (rng.random(shape) < 0.5)
+    field = RiskField(mu=mu, sigma=0.5 * mu, seed=seed)
+    return build_local_irm(belief, field, robot, radius=10.0, sensor=SensorSpec(range_m=2.5),
+                           horizon=10)
+
+
+def pops_of(monkeypatch, call):
+    """The number of heapq.heappop calls that call() makes."""
+    pops = 0
+    pop = heapq.heappop
+
+    def counting(heap):
+        nonlocal pops
+        pops += 1
+        return pop(heap)
+    with monkeypatch.context() as patch:
+        patch.setattr(heapq, "heappop", counting)
+        call()
+    return pops
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9])
+def test_plan_local_equals_reference_search_in_truncated_open_rooms(seed, monkeypatch):
+    # the reference pops its whole budget in all three rooms; plan_local's
+    # early stop fires in rooms 7 and 9 (after 45 and 1726 pops) and not in 1
+    graph = open_room_lattice(seed)
+    reward = RewardModel()
+    assert pops_of(monkeypatch, lambda: ref.plan_local(graph, reward, budget=20000)) == 20000
+    assert_same_local_policy(graph, reward, 10, 20000)
+
+
+def test_plan_local_early_stop_saves_pops(monkeypatch):
+    graph = open_room_lattice(9)
+    reward = RewardModel()
+    assert pops_of(monkeypatch, lambda: ref.plan_local(graph, reward, budget=20000)) == 20000
+    stopped = pops_of(monkeypatch, lambda: plan_local(graph, reward, budget=20000))
+    assert stopped <= 2000  # 1726 when pinned
+    assert_same_local_policy(graph, reward, 10, 20000)
 
 
 # --- A* and NBV -------------------------------------------------------------------
