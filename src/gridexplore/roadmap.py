@@ -9,6 +9,7 @@ square meters.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,6 +106,16 @@ class RoadmapGraph:
         return float(total)
 
 
+@functools.lru_cache(maxsize=32)
+def _disk(k: int, limit: float) -> np.ndarray:
+    """(2k + 1) x (2k + 1) mask of the offsets (dr, dc), |dr|, |dc| <= k,
+    with math.hypot(dr, dc) <= limit, read-only and cached per (k, limit)."""
+    disk = np.array([[math.hypot(dr, dc) <= limit for dc in range(-k, k + 1)]
+                     for dr in range(-k, k + 1)], dtype=bool)
+    disk.setflags(write=False)
+    return disk
+
+
 def build_local_irm(
     belief: BeliefGrid,
     risk_field: RiskField,
@@ -115,7 +126,12 @@ def build_local_irm(
 ) -> RoadmapGraph:
     """Dense 4-connected lattice over believed-free cells within radius of the
     robot, restricted to the robot's connected component. Nodes carry info
-    gain, edges carry CVaR traversal risk."""
+    gain, edges carry CVaR traversal risk.
+
+    Node ids number the cells in row-major order. The radius disk is a cached
+    offset mask (_disk); the graph is filled in bulk from a padded grid of
+    node ids, in the order add_node and add_edge would give: nodes by id,
+    each node's right then down edge, and sorted adjacency lists."""
     sensor = sensor or SensorSpec()
     r0, c0 = int(robot_pose[0]), int(robot_pose[1])
     if not belief.is_known_free(r0, c0):
@@ -126,32 +142,34 @@ def build_local_irm(
     h, w = belief.state.shape
     limit = radius_cells + 1e-9
     k = max(int(min(limit, h + w)), 0)
-    rows = range(max(r0 - k, 0), min(r0 + k + 1, h))
-    cols = range(max(c0 - k, 0), min(c0 + k + 1, w))
+    top, bottom = max(r0 - k, 0), min(r0 + k + 1, h)
+    left, right = max(c0 - k, 0), min(c0 + k + 1, w)
     disk = np.zeros((h, w), dtype=bool)
-    disk[rows.start:rows.stop, cols.start:cols.stop] = [
-        [math.hypot(r - r0, c - c0) <= limit for c in cols] for r in rows
-    ]
+    disk[top:bottom, left:right] = _disk(k, limit)[
+        top - r0 + k:bottom - r0 + k, left - c0 + k:right - c0 + k]
     passable, wp = gw.padded_mask((belief.state == gw.KNOWN_FREE) & disk)
-    members = sorted(i for i, _ in gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1))
-    cells = [(i // wp - 1, i % wp - 1) for i in members]
+    members = np.array(sorted(i for i, _ in gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1)))
+    cells = list(zip((members // wp - 1).tolist(), (members % wp - 1).tolist()))
+    node_id = np.full(len(passable), -1)
+    node_id[members] = np.arange(len(members))
+    # per node: up, left, right, down neighbour ids (-1 for none), in id order
+    around = node_id[members[:, None] + np.array([-wp, -1, 1, wp])]
 
-    graph = RoadmapGraph(scope=LOCAL, horizon=horizon)
-    ids = {cell: i for i, cell in enumerate(cells)}
     cell_area = belief.cell_size * belief.cell_size
     counts = visible_unknown_counts(belief, cells, sensor).tolist()
-
-    for cell, count in zip(cells, counts):
-        kind = ROBOT if cell == (r0, c0) else LATTICE
-        graph.add_node(RoadmapNode(id=ids[cell], pose=cell, kind=kind, info_gain=count * cell_area))
-
-    edges = [
-        (cell, nb) for cell in cells
-        for nb in ((cell[0], cell[1] + 1), (cell[0] + 1, cell[1])) if nb in ids
-    ]
-    for (cell, nb), risk in zip(edges, edge_risks(risk_field, edges)):
-        graph.add_edge(ids[cell], ids[nb], length=belief.cell_size, risk=risk)
-    return graph
+    nodes = {
+        i: RoadmapNode(id=i, pose=cell, kind=ROBOT if cell == (r0, c0) else LATTICE,
+                       info_gain=count * cell_area)
+        for i, (cell, count) in enumerate(zip(cells, counts))
+    }
+    later = around[:, 2:].ravel()  # each node's right, then down neighbour
+    src = np.repeat(np.arange(len(members)), 2)[later >= 0].tolist()
+    dst = later[later >= 0].tolist()
+    risks = edge_risks(risk_field, [(cells[i], cells[j]) for i, j in zip(src, dst)])
+    edges = {(i, j): RoadmapEdge(i, j, belief.cell_size, risk)
+             for i, j, risk in zip(src, dst, risks)}
+    adjacency = {i: [j for j in row if j >= 0] for i, row in enumerate(around.tolist())}
+    return RoadmapGraph(LOCAL, horizon, nodes, edges, adjacency)
 
 
 def detect_frontiers(

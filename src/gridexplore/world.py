@@ -196,7 +196,12 @@ _RAY_TABLES: dict[float, dict] = {}
 
 def _ray_table(range_cells: float) -> dict:
     """Precomputed ray offsets: every target cell within range plus the
-    interior Bresenham chain (endpoints excluded) used for occlusion checks."""
+    interior Bresenham chain (endpoints excluded) used for occlusion checks.
+
+    For visible_unknown_counts it also holds the chain table: the distinct
+    chain offsets ("chain_cells"), each chain entry's row among them
+    ("chain_row"), and the rays with a non-empty chain ("chained") with the
+    starts of their chains ("chained_starts")."""
     key = round(range_cells, 9)
     tab = _RAY_TABLES.get(key)
     if tab is not None:
@@ -217,11 +222,18 @@ def _ray_table(range_cells: float) -> dict:
         starts.append(len(chain_cells))
         lens.append(len(interior))
         chain_cells.extend(interior)
+    chain = np.asarray(chain_cells, dtype=np.int64).reshape(-1, 2)
+    distinct, row = np.unique(chain, axis=0, return_inverse=True)
+    chained = np.flatnonzero(np.asarray(lens) > 0)
     tab = {
         "targets": np.asarray(targets, dtype=np.int64).reshape(-1, 2),
-        "chain": np.asarray(chain_cells, dtype=np.int64).reshape(-1, 2),
+        "chain": chain,
         "starts": np.asarray(starts, dtype=np.int64),
         "lens": np.asarray(lens, dtype=np.int64),
+        "chain_cells": distinct,
+        "chain_row": row.reshape(-1),
+        "chained": chained,
+        "chained_starts": np.asarray(starts, dtype=np.int64)[chained],
     }
     _RAY_TABLES[key] = tab
     return tab
@@ -320,37 +332,37 @@ def visible_unknown_counts(
 ) -> np.ndarray:
     """visible_unknown_count for every (row, col) in poses, as one int array.
 
-    One gather reads the target cell of every (pose, ray) pair; occlusion is
-    tested only on rays whose target is unknown, with one reduceat over
-    their interior chains. Poses must be in bounds.
+    The target and chain-offset cells of all poses are gathered at once,
+    bit-packed over the pose axis (8 poses a byte). A border as wide as the
+    range reads as known free, so off-grid targets never count. A ray is
+    blocked when the or of its chain's obstacle bits is set: one reduceat
+    over the chain table cached on _ray_table. A pose off the grid raises
+    InvalidPoseError.
     """
     sensor = sensor or SensorSpec()
     poses = np.asarray(poses, dtype=np.int64).reshape(-1, 2)
-    tab = _ray_table(sensor.range_m / belief.cell_size)
     h, w = belief.state.shape
-    # a border as wide as the range keeps every target index inside the
-    # array; border cells are not unknown, so their rays never count
+    off_grid = poses[((poses < 0) | (poses >= (h, w))).any(axis=1)]
+    if len(off_grid):
+        raise InvalidPoseError(f"pose {tuple(off_grid[0].tolist())} is outside the {h} x {w} grid")
+    tab = _ray_table(sensor.range_m / belief.cell_size)
     pad = int(np.abs(tab["targets"]).max(initial=0))
     wp = w + 2 * pad
     grid = np.full((h + 2 * pad, wp), KNOWN_FREE, dtype=np.uint8)
     grid[pad:pad + h, pad:pad + w] = belief.state
     grid = grid.ravel()
     origin = (poses[:, 0] + pad) * wp + (poses[:, 1] + pad)
-    target_off = tab["targets"][:, 0] * wp + tab["targets"][:, 1]
-    pose_i, ray = np.nonzero(grid[origin[:, None] + target_off[None, :]] == UNKNOWN)
-    visible = np.ones(pose_i.shape, dtype=bool)
-    lens = tab["lens"][ray]
-    chained = lens > 0  # rays to adjacent cells have no interior to block
-    if sensor.occlusion and chained.any():
-        # an in-bounds target has an in-bounds chain, so no index leaves the grid
-        chain_off = tab["chain"][:, 0] * wp + tab["chain"][:, 1]
-        lens = lens[chained]
-        seg_start = np.cumsum(lens) - lens
-        pos = np.arange(int(lens.sum())) + np.repeat(tab["starts"][ray[chained]] - seg_start, lens)
-        cells = np.repeat(origin[pose_i[chained]], lens) + chain_off[pos]
-        blocked = (grid[cells] == KNOWN_OBSTACLE).astype(np.int32)
-        visible[chained] = np.add.reduceat(blocked, seg_start) == 0
-    return np.bincount(pose_i[visible], minlength=len(poses))
+
+    def bits(offsets: np.ndarray, value: int) -> np.ndarray:
+        cells = (offsets[:, 0] * wp + offsets[:, 1])[:, None] + origin[None, :]
+        return np.packbits(grid[cells] == value, axis=1)
+
+    unknown = bits(tab["targets"], UNKNOWN)
+    if sensor.occlusion and tab["chained"].size:
+        obstacle = bits(tab["chain_cells"], KNOWN_OBSTACLE)
+        unknown[tab["chained"]] &= ~np.bitwise_or.reduceat(
+            obstacle[tab["chain_row"]], tab["chained_starts"], axis=0)
+    return np.unpackbits(unknown, axis=1, count=len(poses)).sum(axis=0, dtype=np.int64)
 
 
 def covered_area(belief: BeliefGrid) -> float:

@@ -15,7 +15,7 @@ from gridexplore import world as gw
 from gridexplore.motion import SQRT2, path_length
 from gridexplore.planners import Policy, RewardModel, rollout_walk
 from gridexplore.risk import RiskField, edge_risk
-from gridexplore.roadmap import LOCAL, RoadmapGraph
+from gridexplore.roadmap import LATTICE, LOCAL, ROBOT, RoadmapGraph, RoadmapNode
 from gridexplore.world import FREE, BeliefGrid, SensorSpec
 
 Cell = tuple[int, int]
@@ -163,6 +163,25 @@ def local_component(belief: BeliefGrid, robot_pose: Cell, radius: float) -> list
             queue.append((nr, nc))
     return sorted(members)
 
+
+
+def local_lattice(belief: BeliefGrid, risk_field: RiskField, robot_pose: Cell,
+                  radius: float, sensor: SensorSpec, horizon: int = 10) -> RoadmapGraph:
+    """The local lattice assembled one add_node and one add_edge at a time:
+    nodes in cell order, then each cell's right and down edge."""
+    cells = local_component(belief, robot_pose, radius)
+    graph = RoadmapGraph(scope=LOCAL, horizon=horizon)
+    ids = {cell: i for i, cell in enumerate(cells)}
+    robot = (int(robot_pose[0]), int(robot_pose[1]))
+    for cell, gain in zip(cells, lattice_gains(belief, cells, sensor)):
+        kind = ROBOT if cell == robot else LATTICE
+        graph.add_node(RoadmapNode(id=ids[cell], pose=cell, kind=kind, info_gain=gain))
+    for cell in cells:
+        for nb in ((cell[0], cell[1] + 1), (cell[0] + 1, cell[1])):
+            if nb in ids:
+                graph.add_edge(ids[cell], ids[nb], length=belief.cell_size,
+                               risk=edge_risk(risk_field, cell, nb))
+    return graph
 
 def _bfs_to_targets(
     belief: BeliefGrid,

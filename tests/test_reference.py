@@ -16,7 +16,7 @@ from gridexplore import world as gw
 from gridexplore.motion import astar, path_length, path_length_lower_bound
 from gridexplore.planners import RewardModel, plan_local, plan_nbv
 from gridexplore.risk import RiskField, cvar, edge_risk, edge_risks
-from gridexplore.roadmap import build_local_irm, detect_frontiers
+from gridexplore.roadmap import build_local_irm, detect_frontiers, graph_to_dict
 from gridexplore.world import BeliefGrid, SensorSpec
 
 seeds = st.integers(0, 2**32 - 1)
@@ -56,16 +56,36 @@ def random_lattice(seed, radius, range_m, occlusion, open_room=False):
 
 # --- lattice info gain ----------------------------------------------------------
 
-@given(seed=seeds, range_m=st.sampled_from([0.4, 1.0, 2.5, 5.0]), occlusion=st.booleans(),
-       cell_size=st.sampled_from([0.5, 1.0]))
+@given(seed=seeds, range_m=st.sampled_from([0.4, 1.0, 2.5, 5.0, 8.0]), occlusion=st.booleans(),
+       cell_size=st.sampled_from([0.5, 1.0]), batch=st.sampled_from([None, 1, 7, 9, 65]))
 @settings(max_examples=150, deadline=None)
-def test_batched_counts_equal_per_pose_counts(seed, range_m, occlusion, cell_size):
+def test_batched_counts_equal_per_pose_counts(seed, range_m, occlusion, cell_size, batch):
+    """Every cell of the grid as one batch, or `batch` random cells: the
+    counts pack 8 poses into a byte, so 1, 7, 9 and 65 poses end a byte
+    part-way. At 0.5 m cells a range of 8 m is a 16-cell ray table and
+    0.4 m an empty one."""
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
     belief = random_belief(rng, shape, cell_size)
     sensor = SensorSpec(range_m=range_m, occlusion=occlusion)
-    cells = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
+    if batch is None:
+        cells = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
+    else:
+        cells = random_cells(rng, shape, batch)
     counts = gw.visible_unknown_counts(belief, cells, sensor)
+    assert counts.tolist() == [ref.visible_unknown_count(belief, cell, sensor) for cell in cells]
+
+
+@pytest.mark.parametrize("range_m", [0.4, 8.0])
+@pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 65])
+@pytest.mark.parametrize("occlusion", [True, False])
+def test_batched_counts_at_packing_boundaries(range_m, batch, occlusion):
+    rng = np.random.default_rng(batch)
+    belief = random_belief(rng, (30, 34))
+    sensor = SensorSpec(range_m=range_m, occlusion=occlusion)
+    cells = random_cells(rng, (30, 34), batch)
+    counts = gw.visible_unknown_counts(belief, cells, sensor)
+    assert counts.shape == (batch,)
     assert counts.tolist() == [ref.visible_unknown_count(belief, cell, sensor) for cell in cells]
 
 
@@ -78,6 +98,52 @@ def test_lattice_gains_equal_per_node_loop(seed, radius, range_m, occlusion):
     nodes = sorted(graph.nodes.values(), key=lambda n: n.id)
     assert [n.info_gain for n in nodes] == ref.lattice_gains(
         belief, [n.pose for n in nodes], sensor)
+
+
+def assert_same_lattice(belief, field, robot, radius, sensor):
+    got = build_local_irm(belief, field, robot, radius=radius, sensor=sensor, horizon=7)
+    want = ref.local_lattice(belief, field, robot, radius, sensor, horizon=7)
+    assert graph_to_dict(got) == graph_to_dict(want)
+    # insertion order too: the planners walk these dicts
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert list(got.edges.items()) == list(want.edges.items())
+    assert list(got.adjacency.items()) == list(want.adjacency.items())
+    return got
+
+
+@given(seed=seeds, radius=st.floats(1.0, 10.0), row=st.sampled_from([None, 0, -1]),
+       col=st.sampled_from([None, 0, -1]), range_m=st.sampled_from([1.0, 2.5, 5.0]),
+       occlusion=st.booleans(), open_room=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_lattice_equals_reference_assembly(seed, radius, row, col, range_m, occlusion,
+                                           open_room):
+    """row and col move the robot to the first or last row or column (None
+    keeps it where random_lattice put it), so corners and edges clip the disk."""
+    belief, field, robot, sensor = random_lattice(seed, radius, range_m, occlusion, open_room)
+    h, w = belief.state.shape
+    robot = (robot[0] if row is None else row % h, robot[1] if col is None else col % w)
+    belief.state[robot] = gw.KNOWN_FREE
+    assert_same_lattice(belief, field, robot, radius, sensor)
+
+
+@pytest.mark.parametrize("robot", [(0, 0), (6, 8), (3, 0), (0, 4), (3, 4)])
+def test_lattice_wider_than_grid_equals_reference_assembly(robot):
+    belief = BeliefGrid(state=np.full((7, 9), gw.KNOWN_FREE, dtype=np.uint8),
+                        covered=np.zeros((7, 9), dtype=bool), cell_size=0.5)
+    belief.state[2, 2:7] = gw.KNOWN_OBSTACLE
+    field = RiskField(mu=np.full((7, 9), 0.4), sigma=np.full((7, 9), 0.2), seed=3)
+    graph = assert_same_lattice(belief, field, robot, 50.0, SensorSpec(range_m=2.5))
+    assert len(graph.nodes) == 7 * 9 - 5
+
+
+def test_single_node_lattice_equals_reference_assembly():
+    belief = BeliefGrid(state=np.full((5, 5), gw.UNKNOWN, dtype=np.uint8),
+                        covered=np.zeros((5, 5), dtype=bool), cell_size=0.5)
+    belief.state[1:4, 1:4] = gw.KNOWN_OBSTACLE
+    belief.state[2, 2] = gw.KNOWN_FREE
+    field = RiskField(mu=np.full((5, 5), 0.4), sigma=np.full((5, 5), 0.2), seed=3)
+    graph = assert_same_lattice(belief, field, (2, 2), 10.0, SensorSpec(range_m=2.5))
+    assert list(graph.nodes) == [0] and graph.edges == {} and graph.adjacency == {0: []}
 
 
 # --- local search -----------------------------------------------------------------

@@ -356,3 +356,15 @@ def test_world_load_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         gw.load_world(str(path))
+
+
+@pytest.mark.parametrize("pose", [(0, -3), (2, 40), (-1, 0), (6, 0), (0, 6), (-7, 9)])
+def test_visible_unknown_counts_reject_off_grid_poses(pose):
+    b = gw.BeliefGrid(state=np.full((6, 6), gw.UNKNOWN, dtype=np.uint8),
+                      covered=np.zeros((6, 6), dtype=bool), cell_size=0.5)
+    with pytest.raises(gw.InvalidPoseError):
+        gw.visible_unknown_counts(b, [(2, 2), pose])
+    with pytest.raises(gw.InvalidPoseError):
+        gw.visible_unknown_count(b, pose)
+    # the corners are in the grid: each sees the other 35 cells
+    assert gw.visible_unknown_counts(b, [(0, 0), (5, 5)]).tolist() == [35, 35]
