@@ -21,7 +21,10 @@ import numpy as np
 
 from .motion import PathPair
 from .planners import Policy
-from .risk import RiskField, edge_risk, edge_risks
+from .risk import RiskField, edge_risks
+# not called here; kept as a module attribute because
+# benchmark/layer_trace.py wraps switching.edge_risk
+from .risk import edge_risk  # noqa: F401
 from .roadmap import GLOBAL, LOCAL
 from .world import WorldModel
 
@@ -212,12 +215,11 @@ def calibrate_j_max(
                 break
             path.append(nxt)
         paths.append(path)
-    # one batch fills the edge cache; the sums below are cache hits
-    edge_risks(risk_field, [edge for path in paths for edge in zip(path, path[1:])])
+    risks = iter(edge_risks(risk_field, [edge for path in paths for edge in zip(path, path[1:])]))
     sums = []
     for path in paths:
         total = 0.0
-        for cur, nxt in zip(path, path[1:]):
-            total += edge_risk(risk_field, cur, nxt)
+        for _edge in path[1:]:
+            total += next(risks)
         sums.append(total)
     return max(float(np.percentile(np.asarray(sums), CALIBRATION_PERCENTILE)), 1e-3)

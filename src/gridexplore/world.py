@@ -82,8 +82,13 @@ class WorldModel:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
-        if np.any(self.risk_mu < 0) or np.any(self.risk_sigma < 0):
-            raise ValueError("terrain risk mu/sigma must be nonnegative")
+        for name in ("risk_mu", "risk_sigma"):
+            arr = getattr(self, name)
+            # NaN < 0 is False, so finiteness is checked on its own
+            if not np.isfinite(arr).all():
+                raise ValueError(f"terrain risk {name} must be finite")
+            if np.any(arr < 0):
+                raise ValueError("terrain risk mu/sigma must be nonnegative")
         for name in ("occupancy", "risk_mu", "risk_sigma"):
             getattr(self, name).setflags(write=False)
 

@@ -121,6 +121,37 @@ def edge_risk_miss(field: RiskField, a, b) -> float:
     return float(tail.mean()) * euclid / (len(cells) - 1)
 
 
+def calibrate_j_max(world, risk_field: RiskField, horizon: int = 10,
+                    seed: int = 0) -> tuple[float, dict]:
+    """The threshold calibration with one uncached edge-risk computation per
+    path edge, summed path by path. Also returns every edge risk it summed,
+    keyed as the field's edge cache is."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x4A]))
+    h, w = world.height, world.width
+    paths = []
+    dirs = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    for _ in range(200):
+        r = int(rng.integers(0, h))
+        c = int(rng.integers(0, w))
+        dr, dc = dirs[int(rng.integers(0, 4))]
+        path = [(r, c)]
+        for _step in range(max(horizon - 1, 1)):
+            nxt = (path[-1][0] + dr, path[-1][1] + dc)
+            if not (0 <= nxt[0] < h and 0 <= nxt[1] < w):
+                break
+            path.append(nxt)
+        paths.append(path)
+    risks = {}
+    sums = []
+    for path in paths:
+        total = 0.0
+        for cur, nxt in zip(path, path[1:]):
+            risk = edge_risk_miss(risk_field, cur, nxt)
+            risks[(cur, nxt) if cur <= nxt else (nxt, cur)] = risk
+            total += risk
+        sums.append(total)
+    return max(float(np.percentile(np.asarray(sums), 95.0)), 1e-3), risks
+
 # --- the four 4-connected BFS copies that grid_bfs replaced ------------------------
 
 def flood_fill_free(occupancy: np.ndarray, start: Cell) -> np.ndarray:

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from gridexplore import harness, planners, roadmap
+from gridexplore import harness, planners, risk, roadmap
 from gridexplore import world as gw
 from gridexplore.motion import astar, path_length, path_length_lower_bound
 from gridexplore.planners import RewardModel, plan_local, plan_nbv
 from gridexplore.risk import RiskField, cvar, edge_risk, edge_risks
 from gridexplore.roadmap import build_local_irm, detect_frontiers, graph_to_dict
+from gridexplore.switching import calibrate_j_max
 from gridexplore.world import BeliefGrid, SensorSpec
 
 seeds = st.integers(0, 2**32 - 1)
@@ -487,15 +488,20 @@ def test_edge_risk_equals_reference_miss_path(seed, field_seed, alpha, sample_co
 
 
 @given(seed=st.one_of(seeds, st.integers(2**32, 2**70)), field_seed=seeds,
-       count=st.integers(0, 60))
+       count=st.one_of(st.integers(0, 60), st.integers(60, 300)),
+       alpha=st.sampled_from([0.05, 0.5, 0.9, 0.99]),
+       sample_count=st.sampled_from([1, 7, 64, 100]))
 @settings(max_examples=100, deadline=None)
-def test_edge_risks_batch_equals_reference_miss_path(seed, field_seed, count):
+def test_edge_risks_batch_equals_reference_miss_path(seed, field_seed, count, alpha,
+                                                    sample_count):
     """Unit edges, longer segments, repeats and same-cell pairs in one batch,
-    some of them already cached."""
+    some of them already cached; batches on both sides of the size from
+    which streams are seeded by risk.pcg64_seeds."""
     rng = np.random.default_rng(field_seed)
     shape = (int(rng.integers(2, 15)), int(rng.integers(2, 15)))
     mu = rng.uniform(0, 2, shape) * (rng.random(shape) < 0.6)
-    field = RiskField(mu=mu, sigma=rng.uniform(0, 1.5, shape), seed=seed)
+    field = RiskField(mu=mu, sigma=rng.uniform(0, 1.5, shape), alpha=alpha,
+                      sample_count=sample_count, seed=seed)
     pairs = []
     for _ in range(count):
         a = (int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])))
@@ -509,6 +515,52 @@ def test_edge_risks_batch_equals_reference_miss_path(seed, field_seed, count):
     for a, b in pairs[: count // 3]:
         edge_risk(field, a, b)
     assert edge_risks(field, pairs) == [ref.edge_risk_miss(field, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("size", [1, risk.BATCH_SEEDING_MIN - 1, risk.BATCH_SEEDING_MIN, 1000])
+@pytest.mark.parametrize("seed_words", [[0], [2**32 - 1], [7, 1], [2**32 - 1, 2**32 - 1]])
+def test_pcg64_seeds_and_streams_equal_numpy(size, seed_words):
+    """States and draws of the batch seeding against numpy's SeedSequence and
+    PCG64, for one- and two-word seeds and coordinate words that are 0, small
+    or anywhere in 32 bits."""
+    rng = np.random.default_rng(size)
+    coords = rng.integers(0, 2**32, size=(size, 4), dtype=np.uint64)
+    coords[::2] = rng.integers(0, 60, size=coords[::2].shape)
+    coords[::3, rng.integers(0, 4)] = 0
+    coords[::5] = 0
+    words = np.hstack([np.tile(np.array(seed_words, dtype=np.uint64), (size, 1)),
+                       coords]).astype(np.uint32)
+    states = risk.pcg64_seeds(words)
+    streams = risk._streams(words)
+    for row, (state, inc) in zip(words, states):
+        expected = np.random.default_rng(np.random.SeedSequence(row))
+        assert expected.bit_generator.state["state"] == {"state": state, "inc": inc}
+        draws = next(streams).standard_normal((2, 3))
+        assert draws.tolist() == expected.standard_normal((2, 3)).tolist()
+
+
+@given(seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 + 9, 2**70 + 3]),
+       field_seed=seeds, height=st.integers(1, 40), width=st.integers(1, 40),
+       horizon=st.sampled_from([1, 2, 10]), risky=st.booleans(),
+       alpha=st.sampled_from([0.05, 0.5, 0.9, 0.99]), sample_count=st.integers(1, 100))
+@settings(max_examples=60, deadline=None)
+def test_calibrate_j_max_equals_reference(seed, field_seed, height, width, horizon, risky,
+                                          alpha, sample_count):
+    """The threshold and every cached edge risk, on grids from one cell to
+    40 x 40, so that many paths stop at the border."""
+    rng = np.random.default_rng(field_seed)
+    shape = (height, width)
+    mu = rng.uniform(0, 2, shape) * (rng.random(shape) < 0.6) if risky else np.zeros(shape)
+    world = gw.make_world(np.zeros(shape, dtype=np.uint8), spawn=(0, 0), risk_mu=mu,
+                          risk_sigma=rng.uniform(0, 1.5, shape))
+
+    def field():
+        return RiskField.for_world(world, alpha=alpha, sample_count=sample_count, seed=seed)
+
+    expected, risks = ref.calibrate_j_max(world, field(), horizon=horizon, seed=seed)
+    fast = field()
+    assert calibrate_j_max(world, fast, horizon=horizon, seed=seed) == expected
+    assert fast._edge_cache == risks
 
 
 @given(samples=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),

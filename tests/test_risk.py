@@ -88,6 +88,16 @@ def test_cvar_matches_oracle(samples, alpha):
     assert cvar(samples, alpha) == pytest.approx(cvar_oracle(samples, alpha), abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_risk_field_rejects_non_finite_mu_or_sigma(value):
+    bad = np.zeros((4, 4))
+    bad[1, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        RiskField(mu=bad, sigma=np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        RiskField(mu=np.ones((4, 4)), sigma=bad)
+
+
 # --- edge_risk -------------------------------------------------------------------
 
 def test_edge_risk_zero_for_riskless_cells():

@@ -358,6 +358,27 @@ def test_world_load_rejects_unknown_version(tmp_path):
         gw.load_world(str(path))
 
 
+@pytest.mark.parametrize("name", ["risk_mu", "risk_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_world_rejects_non_finite_terrain_risk(name, value):
+    """NaN < 0 is False, so a sign check alone lets NaN through; a NaN or
+    infinite mu or sigma makes edge risks NaN or infinite."""
+    w = gw.generate_cave(1, 11, 11)
+    doc = gw.world_to_dict(w)
+    doc[name][1][1] = value
+    with pytest.raises(ValueError, match="finite"):
+        gw.world_from_dict(json.loads(json.dumps(doc)))
+    arr = getattr(w, name).copy()
+    arr[1, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        gw.make_world(w.occupancy, spawn=w.spawn, **{name: arr})
+    fields = {f: getattr(w, f) for f in
+              ("width", "height", "cell_size", "occupancy", "risk_mu", "risk_sigma",
+               "rng_seed", "spawn")}
+    with pytest.raises(ValueError, match="finite"):
+        gw.WorldModel(**{**fields, name: arr})
+
+
 @pytest.mark.parametrize("pose", [(0, -3), (2, 40), (-1, 0), (6, 0), (0, 6), (-7, 9)])
 def test_visible_unknown_counts_reject_off_grid_poses(pose):
     b = gw.BeliefGrid(state=np.full((6, 6), gw.UNKNOWN, dtype=np.uint8),
