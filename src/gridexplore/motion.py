@@ -14,7 +14,7 @@ import numpy as np
 
 from . import world as gw
 from .risk import RiskField
-from .world import BeliefGrid, SensorSpec, WorldModel, bresenham_line, sense
+from .world import BeliefGrid, SensorSpec, WorldModel, bresenham_line, sense, sum_left
 
 Cell = tuple[int, int]
 
@@ -159,12 +159,9 @@ def path_cost(
 
 
 def path_length(path: list[Cell], cell_size: float) -> float:
-    """Metric length, added left to right: builtin sum() rounds differently
-    from Python 3.12 on."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        total += math.hypot(a[0] - b[0], a[1] - b[1]) * cell_size
-    return total
+    """Metric length of a cell path."""
+    return sum_left(math.hypot(a[0] - b[0], a[1] - b[1]) * cell_size
+                    for a, b in zip(path, path[1:]))
 
 
 def path_length_lower_bound(a: Cell, b: Cell, cell_size: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .motion import astar, path_length, path_length_lower_bound
 from .risk import RiskField, edge_risk, policy_risk
 from .roadmap import FRONTIER, GLOBAL, LOCAL, ROBOT, RoadmapGraph, RoadmapNode
-from .world import BeliefGrid, InvalidPoseError, SensorSpec, visible_unknown_counts
+from .world import BeliefGrid, InvalidPoseError, SensorSpec, sum_left, visible_unknown_counts
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps planners.visible_unknown_count
 from .world import visible_unknown_count  # noqa: F401
@@ -88,12 +88,8 @@ def step_reward(
 
 
 def discounted_utility(step_rewards, gamma: float) -> float:
-    """Discounted sum of per-step rewards; the first step carries gamma^0.
-    Added left to right: builtin sum() rounds differently from Python 3.12 on."""
-    total = 0.0
-    for t, r in enumerate(step_rewards):
-        total += r * gamma ** t
-    return float(total)
+    """Discounted sum of per-step rewards; the first step carries gamma^0."""
+    return float(sum_left(r * gamma ** t for t, r in enumerate(step_rewards)))
 
 
 def rollout_walk(
@@ -437,16 +433,12 @@ def plan_nbv(
     vp = viewpoints[k]
     nodes = list(range(len(path)))
     edges = list(zip(nodes, nodes[1:]))
-    # left to right: builtin sum() rounds differently from Python 3.12 on
-    total_risk = 0.0
-    for a, b in zip(path, path[1:]):
-        total_risk += edge_risk(risk_field, a, b)
     return Policy(
         scope=LOCAL,
         node_sequence=nodes,
         edge_sequence=edges,
         utility=best_score,
-        risk=total_risk,
+        risk=sum_left(edge_risk(risk_field, a, b) for a, b in zip(path, path[1:])),
         created_at=created_at,
         step_rewards=[],
         goal_pose=vp,

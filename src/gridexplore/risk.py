@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .world import WorldModel, bresenham_line
+from .world import WorldModel, bresenham_line, sum_left
 
 Cell = tuple[int, int]
 
@@ -285,10 +285,8 @@ def edge_risks(field: RiskField, pairs: list[tuple[Cell, Cell]]) -> list[float]:
 
 def policy_risk(policy, graph) -> float:
     """Accumulated risk of a policy: sum of its edge risks in order."""
-    total = 0.0
-    for u, v in policy.edge_sequence:
-        edge = graph.get_edge(u, v)
-        if edge is None:
-            raise ValueError(f"policy references missing edge ({u}, {v})")
-        total += edge.risk
-    return total
+    edges = [graph.get_edge(u, v) for u, v in policy.edge_sequence]
+    if None in edges:
+        u, v = policy.edge_sequence[edges.index(None)]
+        raise ValueError(f"policy references missing edge ({u}, {v})")
+    return sum_left(edge.risk for edge in edges)

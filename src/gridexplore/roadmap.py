@@ -17,7 +17,7 @@ import numpy as np
 
 from . import world as gw
 from .risk import RiskField, edge_risk, edge_risks
-from .world import BeliefGrid, SensorSpec, visible_unknown_counts
+from .world import BeliefGrid, SensorSpec, sum_left, visible_unknown_counts
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps roadmap.visible_unknown_count
 from .world import visible_unknown_count  # noqa: F401
@@ -99,11 +99,7 @@ class RoadmapGraph:
         return None
 
     def total_info_gain(self) -> float:
-        # left to right: builtin sum() rounds differently from Python 3.12 on
-        total = 0.0
-        for node in self.nodes.values():
-            total += node.info_gain
-        return float(total)
+        return float(sum_left(node.info_gain for node in self.nodes.values()))
 
 
 @functools.lru_cache(maxsize=32)

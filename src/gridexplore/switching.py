@@ -13,6 +13,7 @@ in favor of the opposite scope.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -26,7 +27,7 @@ from .risk import RiskField, edge_risks
 # benchmark/layer_trace.py wraps switching.edge_risk
 from .risk import edge_risk  # noqa: F401
 from .roadmap import GLOBAL, LOCAL
-from .world import WorldModel
+from .world import WorldModel, sum_left
 
 SCOPES = (LOCAL, GLOBAL)
 
@@ -216,10 +217,5 @@ def calibrate_j_max(
             path.append(nxt)
         paths.append(path)
     risks = iter(edge_risks(risk_field, [edge for path in paths for edge in zip(path, path[1:])]))
-    sums = []
-    for path in paths:
-        total = 0.0
-        for _edge in path[1:]:
-            total += next(risks)
-        sums.append(total)
+    sums = [sum_left(itertools.islice(risks, len(path) - 1)) for path in paths]
     return max(float(np.percentile(np.asarray(sums), CALIBRATION_PERCENTILE)), 1e-3)

@@ -5,8 +5,10 @@ Cells are addressed as (row, col). Metric coordinates put the center of cell
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,13 @@ WORLD_SCHEMA_VERSION = 1
 Cell = tuple[int, int]
 
 
+def sum_left(values) -> float:
+    """values added left to right from 0.0. Builtin sum() compensates float
+    error from Python 3.12 on, so it would make logs depend on the Python
+    version."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 class GenerationError(RuntimeError):
     """World generation could not satisfy its constraints."""
 
@@ -51,8 +60,8 @@ class SensorSpec:
     occlusion: bool = True
 
     def __post_init__(self) -> None:
-        if not self.range_m > 0:
-            raise ValueError("sensor range must be > 0")
+        if not 0 < self.range_m < math.inf:
+            raise ValueError("sensor range must be finite and > 0")
         if not (0.0 < self.arc <= 2.0 * math.pi + 1e-12):
             raise ValueError("sensor arc must be in (0, 2*pi]")
 
@@ -199,14 +208,16 @@ def bresenham_line(r0: int, c0: int, r1: int, c1: int) -> list[Cell]:
 _RAY_TABLES: dict[float, dict] = {}
 
 
-def _ray_table(range_cells: float) -> dict:
-    """Precomputed ray offsets: every target cell within range plus the
-    interior Bresenham chain (endpoints excluded) used for occlusion checks.
-
-    For visible_unknown_counts it also holds the chain table: the distinct
-    chain offsets ("chain_cells"), each chain entry's row among them
-    ("chain_row"), and the rays with a non-empty chain ("chained") with the
-    starts of their chains ("chained_starts")."""
+def _ray_table(range_cells: float, height: int, width: int) -> dict:
+    """Precomputed rays from a pose of a height x width grid: every target
+    offset within range ("targets") and the chain table of their occlusion
+    checks. A ray's chain is the interior of its Bresenham line (endpoints
+    excluded); the table holds the distinct chain offsets ("chain_cells"),
+    each chain entry's row among them ("chain_row"), and the rays with a
+    non-empty chain ("chained") with the starts of their chains
+    ("chained_starts"). No two cells of the grid lie farther apart than its
+    diagonal, so the range is cut there: every on-grid ray stays."""
+    range_cells = min(range_cells, math.hypot(height, width))
     key = round(range_cells, 9)
     tab = _RAY_TABLES.get(key)
     if tab is not None:
@@ -220,69 +231,32 @@ def _ray_table(range_cells: float) -> dict:
             if math.hypot(dr, dc) <= range_cells + 1e-9:
                 targets.append((dr, dc))
     chain_cells: list[Cell] = []
+    chained: list[int] = []
     starts: list[int] = []
-    lens: list[int] = []
-    for dr, dc in targets:
+    for i, (dr, dc) in enumerate(targets):
         interior = bresenham_line(0, 0, dr, dc)[1:-1]
-        starts.append(len(chain_cells))
-        lens.append(len(interior))
-        chain_cells.extend(interior)
-    chain = np.asarray(chain_cells, dtype=np.int64).reshape(-1, 2)
-    distinct, row = np.unique(chain, axis=0, return_inverse=True)
-    chained = np.flatnonzero(np.asarray(lens) > 0)
+        if interior:
+            chained.append(i)
+            starts.append(len(chain_cells))
+            chain_cells.extend(interior)
+    distinct, row = np.unique(np.asarray(chain_cells, dtype=np.int64).reshape(-1, 2),
+                              axis=0, return_inverse=True)
     tab = {
         "targets": np.asarray(targets, dtype=np.int64).reshape(-1, 2),
-        "chain": chain,
-        "starts": np.asarray(starts, dtype=np.int64),
-        "lens": np.asarray(lens, dtype=np.int64),
         "chain_cells": distinct,
         "chain_row": row.reshape(-1),
-        "chained": chained,
-        "chained_starts": np.asarray(starts, dtype=np.int64)[chained],
+        "chained": np.asarray(chained, dtype=np.int64),
+        "chained_starts": np.asarray(starts, dtype=np.int64),
     }
     _RAY_TABLES[key] = tab
     return tab
 
 
-def _segment_any(flags: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Per-ray 'any flag set on the interior chain' via one reduceat pass."""
-    if starts.size == 0:
-        return np.zeros(0, dtype=bool)
-    if flags.size == 0:
-        return np.zeros(starts.shape, dtype=bool)
-    padded = np.append(flags.astype(np.int64), 0)
-    out = np.add.reduceat(padded, starts) > 0
-    out[lens == 0] = False
-    return out
-
-
-def _visible_targets(
-    grid: np.ndarray,
-    blocking_value: int,
-    pose: Cell,
-    range_cells: float,
-    occlusion: bool,
-    arc: float = 2.0 * math.pi,
-    heading: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute (row, col) arrays of in-range target cells visible from pose."""
-    h, w = grid.shape
-    r0, c0 = pose
-    tab = _ray_table(range_cells)
-    tgt = tab["targets"]
-    tr = tgt[:, 0] + r0
-    tc = tgt[:, 1] + c0
-    ok = (tr >= 0) & (tr < h) & (tc >= 0) & (tc < w)
-    if arc < 2.0 * math.pi - 1e-12:
-        ang = np.arctan2(tgt[:, 0].astype(float), tgt[:, 1].astype(float))
-        diff = np.mod(ang - heading + math.pi, 2.0 * math.pi) - math.pi
-        ok &= np.abs(diff) <= arc / 2.0 + 1e-12
-    if occlusion and tab["chain"].size:
-        crr = np.clip(tab["chain"][:, 0] + r0, 0, h - 1)
-        ccc = np.clip(tab["chain"][:, 1] + c0, 0, w - 1)
-        blocked = grid[crr, ccc] == blocking_value
-        ok &= ~_segment_any(blocked, tab["starts"], tab["lens"])
-    return tr[ok], tc[ok]
+def _blocked(blocking: np.ndarray, tab: dict) -> np.ndarray:
+    """Whether each chained ray of tab is blocked: the or of the flags of its
+    chain cells, in one reduceat. blocking holds one row per distinct chain
+    cell: a bool for a single pose, or a bit-packed byte row for many."""
+    return np.bitwise_or.reduceat(blocking[tab["chain_row"]], tab["chained_starts"], axis=0)
 
 
 def sense(
@@ -302,11 +276,24 @@ def sense(
     r0, c0 = int(pose[0]), int(pose[1])
     if not world.in_bounds(r0, c0) or world.occupancy[r0, c0] != FREE:
         raise InvalidPoseError(f"pose {pose!r} is not a free in-bounds cell")
-    range_cells = sensor.range_m / world.cell_size
-    vr, vc = _visible_targets(
-        world.occupancy, OBSTACLE, (r0, c0), range_cells,
-        sensor.occlusion, sensor.arc, heading,
-    )
+    h, w = world.occupancy.shape
+    tab = _ray_table(sensor.range_m / world.cell_size, h, w)
+    tgt = tab["targets"]
+    tr = tgt[:, 0] + r0
+    tc = tgt[:, 1] + c0
+    ok = (tr >= 0) & (tr < h) & (tc >= 0) & (tc < w)
+    if sensor.arc < 2.0 * math.pi - 1e-12:
+        ang = np.arctan2(tgt[:, 0].astype(float), tgt[:, 1].astype(float))
+        diff = np.mod(ang - heading + math.pi, 2.0 * math.pi) - math.pi
+        ok &= np.abs(diff) <= sensor.arc / 2.0 + 1e-12
+    if sensor.occlusion and tab["chained"].size:
+        # the chain of an on-grid target lies on the grid, so clipping only
+        # moves chain cells of off-grid targets, which ok drops anyway
+        cells = tab["chain_cells"]
+        obstacle = world.occupancy[np.clip(cells[:, 0] + r0, 0, h - 1),
+                                   np.clip(cells[:, 1] + c0, 0, w - 1)] == OBSTACLE
+        ok[tab["chained"]] &= ~_blocked(obstacle, tab)
+    vr, vc = tr[ok], tc[ok]
     vals = world.occupancy[vr, vc]
     free_sel = vals == FREE
     belief.state[vr[free_sel], vc[free_sel]] = KNOWN_FREE
@@ -339,10 +326,9 @@ def visible_unknown_counts(
 
     The target and chain-offset cells of all poses are gathered at once,
     bit-packed over the pose axis (8 poses a byte). A border as wide as the
-    range reads as known free, so off-grid targets never count. A ray is
-    blocked when the or of its chain's obstacle bits is set: one reduceat
-    over the chain table cached on _ray_table. A pose off the grid raises
-    InvalidPoseError.
+    range reads as known free, so off-grid targets never count. Rays are
+    blocked by the chain table and reduce that sense uses. A pose off the
+    grid raises InvalidPoseError.
     """
     sensor = sensor or SensorSpec()
     poses = np.asarray(poses, dtype=np.int64).reshape(-1, 2)
@@ -350,7 +336,7 @@ def visible_unknown_counts(
     off_grid = poses[((poses < 0) | (poses >= (h, w))).any(axis=1)]
     if len(off_grid):
         raise InvalidPoseError(f"pose {tuple(off_grid[0].tolist())} is outside the {h} x {w} grid")
-    tab = _ray_table(sensor.range_m / belief.cell_size)
+    tab = _ray_table(sensor.range_m / belief.cell_size, h, w)
     pad = int(np.abs(tab["targets"]).max(initial=0))
     wp = w + 2 * pad
     grid = np.full((h + 2 * pad, wp), KNOWN_FREE, dtype=np.uint8)
@@ -364,9 +350,7 @@ def visible_unknown_counts(
 
     unknown = bits(tab["targets"], UNKNOWN)
     if sensor.occlusion and tab["chained"].size:
-        obstacle = bits(tab["chain_cells"], KNOWN_OBSTACLE)
-        unknown[tab["chained"]] &= ~np.bitwise_or.reduceat(
-            obstacle[tab["chain_row"]], tab["chained_starts"], axis=0)
+        unknown[tab["chained"]] &= ~_blocked(bits(tab["chain_cells"], KNOWN_OBSTACLE), tab)
     return np.unpackbits(unknown, axis=1, count=len(poses)).sum(axis=0, dtype=np.int64)
 
 
@@ -508,8 +492,8 @@ def generate_subway(
     if rooms < 1:
         raise ValueError("rooms must be >= 1")
     lo_m, hi_m = room_size_range
-    if lo_m <= 0 or hi_m < lo_m:
-        raise ValueError("bad room_size_range")
+    if not 0 < lo_m <= hi_m < math.inf:
+        raise ValueError("room_size_range must be finite with 0 < min <= max")
     lo = max(3, int(round(lo_m / cell_size)))
     hi = max(lo, int(round(hi_m / cell_size)))
 

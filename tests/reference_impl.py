@@ -77,14 +77,56 @@ def plan_local(local_graph: RoadmapGraph, reward_model, horizon=10, budget=20000
     )
 
 
+def _sight_lines(grid, blocking_value, pose, range_cells, occlusion,
+                 arc=2.0 * math.pi, heading=0.0) -> list[Cell]:
+    """Every on-grid cell other than pose within range_cells of it and within
+    the arc about heading, whose Bresenham line from pose has no
+    blocking_value cell between its endpoints (with occlusion on)."""
+    h, w = grid.shape
+    r0, c0 = int(pose[0]), int(pose[1])
+    reach = int(range_cells) + 1
+    seen = []
+    for r in range(max(0, r0 - reach), min(h, r0 + reach + 1)):
+        for c in range(max(0, c0 - reach), min(w, c0 + reach + 1)):
+            dr, dc = r - r0, c - c0
+            if (dr, dc) == (0, 0) or math.hypot(dr, dc) > range_cells + 1e-9:
+                continue
+            if arc < 2.0 * math.pi - 1e-12:
+                diff = (math.atan2(dr, dc) - heading + math.pi) % (2.0 * math.pi) - math.pi
+                if abs(diff) > arc / 2.0 + 1e-12:
+                    continue
+            interior = gw.bresenham_line(r0, c0, r, c)[1:-1]
+            if occlusion and any(grid[cell] == blocking_value for cell in interior):
+                continue
+            seen.append((r, c))
+    return seen
+
+
 def visible_unknown_count(belief, pose, sensor) -> int:
-    """One pose: gather every target and every chain cell, then count."""
-    range_cells = sensor.range_m / belief.cell_size
-    vr, vc = gw._visible_targets(
-        belief.state, gw.KNOWN_OBSTACLE, (int(pose[0]), int(pose[1])),
-        range_cells, sensor.occlusion,
-    )
-    return int(np.sum(belief.state[vr, vc] == gw.UNKNOWN))
+    """One pose, one Bresenham line per target cell. Believed obstacles
+    block; unknown space is see-through, and the arc is not used."""
+    seen = _sight_lines(belief.state, gw.KNOWN_OBSTACLE, pose,
+                        sensor.range_m / belief.cell_size, sensor.occlusion)
+    return sum(1 for cell in seen if belief.state[cell] == gw.UNKNOWN)
+
+
+def sense(world, belief, pose, sensor, heading=0.0):
+    """One sensor sweep, one Bresenham line per target cell: a ground-truth
+    obstacle blocks the cells behind it. Seen free cells become known and
+    covered, seen obstacles known; the pose itself becomes known and covered."""
+    r0, c0 = int(pose[0]), int(pose[1])
+    if not world.is_free(r0, c0):
+        raise gw.InvalidPoseError(f"pose {pose!r} is not a free in-bounds cell")
+    seen = _sight_lines(world.occupancy, gw.OBSTACLE, (r0, c0),
+                        sensor.range_m / world.cell_size, sensor.occlusion,
+                        sensor.arc, heading)
+    for cell in seen + [(r0, c0)]:
+        if world.occupancy[cell] == gw.FREE:
+            belief.state[cell] = gw.KNOWN_FREE
+            belief.covered[cell] = True
+        else:
+            belief.state[cell] = gw.KNOWN_OBSTACLE
+    return belief
 
 
 def lattice_gains(belief, cells, sensor) -> list[float]:

@@ -548,6 +548,27 @@ def test_cli_generator_value_error_exits_2(tmp_path):
         build_world(WorldSpec(generator="maze", params={"width": 3}))
 
 
+@pytest.mark.parametrize("doc", [
+    {"sensor": {"range_m": float("inf")}},
+    {"world": {"generator": "subway", "params": {"room_size_range": [6.0, float("inf")]}}},
+    {"world": {"generator": "subway", "params": {"room_size_range": [float("inf")] * 2}}},
+], ids=["sensor_range_inf", "subway_room_max_inf", "subway_room_sizes_inf"])
+def test_cli_non_finite_size_exits_2(tmp_path, doc, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**asdict(small_maze_config(budget=5)), **doc}))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_range_beyond_the_grid_runs(tmp_path):
+    """The ray table stops at the grid diagonal, so a huge range is cheap."""
+    config = asdict(small_maze_config(budget=5))
+    config["sensor"]["range_m"] = 20000.0
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_internal_fault_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
     def fault(*args, **kwargs):
         raise ValueError("internal fault")

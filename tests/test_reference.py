@@ -147,6 +147,54 @@ def test_single_node_lattice_equals_reference_assembly():
     assert list(graph.nodes) == [0] and graph.edges == {} and graph.adjacency == {0: []}
 
 
+# --- sensing ----------------------------------------------------------------------
+
+def random_world(rng, kind, seed, cell_size):
+    """A small world of the given kind: random obstacles at a random density,
+    or one of the generators at a small size."""
+    if kind == "maze":
+        return gw.generate_maze(seed, int(rng.integers(5, 22)), int(rng.integers(5, 22)),
+                                cell_size=cell_size)
+    if kind == "cave":
+        return gw.generate_cave(seed, width=int(rng.integers(9, 26)),
+                                height=int(rng.integers(9, 26)), cell_size=cell_size)
+    if kind == "subway":
+        return gw.generate_subway(seed, rooms=int(rng.integers(1, 4)),
+                                  room_size_range=(2.0, 5.0), cell_size=cell_size)
+    shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+    occ = (rng.random(shape) < rng.uniform(0.0, 0.6)).astype(np.uint8)
+    spawn = tuple(int(rng.integers(0, n)) for n in shape)
+    occ[spawn] = gw.FREE
+    return gw.make_world(occ, spawn, cell_size=cell_size)
+
+
+@given(seed=seeds, kind=st.sampled_from(["random", "maze", "cave", "subway"]),
+       range_m=st.one_of(st.sampled_from([0.4, 1.0, 1.5, 3.0, 5.0, 12.0]), st.floats(0.3, 15.0)),
+       arc=st.one_of(st.sampled_from([2.0 * math.pi, math.pi, math.pi / 2, 0.1]),
+                     st.floats(0.05, 2.0 * math.pi)),
+       heading=st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi, -math.pi / 2]),
+                         st.floats(-10.0, 10.0)),
+       occlusion=st.booleans(), cell_size=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_sense_equals_reference(seed, kind, range_m, arc, heading, occlusion, cell_size):
+    """Three sweeps from random free poses onto a random prior belief: every
+    cell's state and coverage equal the one-line-per-target reference."""
+    rng = np.random.default_rng(seed)
+    world = random_world(rng, kind, seed, cell_size)
+    sensor = SensorSpec(range_m=range_m, arc=arc, occlusion=occlusion)
+    got = random_belief(rng, world.occupancy.shape, world.cell_size)
+    got.covered[:] = rng.random(got.covered.shape) < 0.3
+    want = BeliefGrid(state=got.state.copy(), covered=got.covered.copy(),
+                      cell_size=got.cell_size)
+    free = np.argwhere(world.occupancy == gw.FREE)
+    for _ in range(3):
+        pose = tuple(int(x) for x in free[int(rng.integers(0, len(free)))])
+        gw.sense(world, got, pose, sensor, heading)
+        ref.sense(world, want, pose, sensor, heading)
+        assert np.array_equal(got.state, want.state)
+        assert np.array_equal(got.covered, want.covered)
+
+
 # --- local search -----------------------------------------------------------------
 
 @given(seed=seeds, radius=st.sampled_from([1.0, 2.0, 4.0, 10.0]),

@@ -88,6 +88,9 @@ def test_subway_zero_terrain_risk():
 def test_subway_rejects_bad_params():
     with pytest.raises(ValueError):
         gw.generate_subway(1, rooms=0)
+    for sizes in ((6.0, math.inf), (math.inf, math.inf), (math.nan, 8.0), (0.0, 4.0), (8.0, 6.0)):
+        with pytest.raises(ValueError, match="room_size_range"):
+            gw.generate_subway(1, room_size_range=sizes)
 
 
 # --- maze --------------------------------------------------------------------
@@ -243,6 +246,9 @@ def test_sense_limited_arc_only_sees_forward():
 def test_sensor_spec_validation():
     with pytest.raises(ValueError):
         gw.SensorSpec(range_m=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            gw.SensorSpec(range_m=bad)
     with pytest.raises(ValueError):
         gw.SensorSpec(arc=0.0)
     with pytest.raises(ValueError):
@@ -389,3 +395,23 @@ def test_visible_unknown_counts_reject_off_grid_poses(pose):
         gw.visible_unknown_count(b, pose)
     # the corners are in the grid: each sees the other 35 cells
     assert gw.visible_unknown_counts(b, [(0, 0), (5, 5)]).tolist() == [35, 35]
+
+
+@pytest.mark.parametrize("occlusion", [True, False])
+def test_range_beyond_the_grid_diagonal_sees_what_the_diagonal_sees(occlusion):
+    """No two cells lie farther apart than the grid diagonal, so a longer
+    range sees and counts the same cells."""
+    w = gw.generate_cave(4, width=21, height=15)
+    diagonal = math.hypot(w.height, w.width) * w.cell_size
+    poses = [tuple(int(x) for x in cell) for cell in np.argwhere(w.occupancy == gw.FREE)[::7]]
+    views = {}
+    for range_m in (diagonal, 1.5 * diagonal, 20000.0):
+        sensor = gw.SensorSpec(range_m=range_m, occlusion=occlusion)
+        belief = gw.BeliefGrid.for_world(w)
+        gw.sense(w, belief, poses[0], sensor)
+        counts = gw.visible_unknown_counts(belief, poses, sensor)
+        for pose in poses[1:]:
+            gw.sense(w, belief, pose, sensor)
+        views[range_m] = (counts.tolist(), belief.state.tolist(), belief.covered.tolist())
+    assert views[1.5 * diagonal] == views[diagonal]
+    assert views[20000.0] == views[diagonal]
