@@ -18,8 +18,7 @@ from .roadmap import (
 )
 from .risk import RiskField, cvar, edge_risk, policy_risk
 from .planners import (
-    Policy, RewardModel, discounted_utility, plan_global, plan_hfe,
-    plan_local, plan_nbv, step_reward,
+    Policy, RewardModel, plan_global, plan_hfe, plan_local, plan_nbv,
 )
 from .motion import (
     KinodynamicSpec, PathPair, astar, discrepancy, execute_step,
@@ -45,12 +44,12 @@ __all__ = [
     "SensorSpec", "SwitchConfig", "SwitchDecision", "SwitchSettings",
     "WorldModel", "WorldSpec", "astar", "build_local_irm", "calibrate_j_max",
     "config_from_dict", "covered_area", "cvar", "decide",
-    "detect_frontiers", "discounted_utility", "discrepancy", "edge_risk",
+    "detect_frontiers", "discrepancy", "edge_risk",
     "execute_step", "execution_score", "explain", "generate_cave",
     "generate_maze", "generate_subway", "graph_to_dict", "load_config",
     "load_world", "make_path_pair", "plan_global", "plan_hfe", "plan_local",
     "plan_nbv", "policy_risk", "replay", "run_batch",
     "run_episode", "save_world", "scenario_regressions", "sense",
-    "smooth_kinodynamic", "step_reward", "update_global_irm",
+    "smooth_kinodynamic", "update_global_irm",
     "visible_unknown_count",
 ]

@@ -47,7 +47,8 @@ class ConfigError(ValueError):
 
 
 class ReplayError(RuntimeError):
-    """Event log cannot be replayed (bad schema or corrupt header)."""
+    """Event log cannot be replayed (unreadable file, bad schema or corrupt
+    header)."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +163,15 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_json(path: str):
-    """The JSON document in a config file; ConfigError if it is not JSON."""
+    """The JSON document in a config file; ConfigError if the file cannot be
+    read as UTF-8 text or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -713,9 +717,11 @@ def run_batch(
     """Run every (config x repetition) episode; repetition r offsets the world
     seed by r. Individual failures, a crashed worker included, are recorded
     and the batch continues. Returns (results, summary_rows). ConfigError
-    if repetitions is below 1."""
+    if repetitions or parallelism is below 1."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     jobs = [
         (asdict(config), rep,
          None if out_dir is None else str(Path(out_dir) / f"config{idx:03d}_rep{rep:02d}"))
@@ -797,11 +803,16 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
 
     Checks the schema version, recomputes every logged decision score from its
     factor values, and verifies coverage monotonicity. A truncated log (no end
-    event) replays partially with a warning. With verify=True the episode is
-    re-run from the embedded config and the regenerated event stream must
-    match byte for byte.
+    event) replays partially with a warning, and an event of the wrong shape
+    is a mismatch with a warning that names its line. A log that cannot be
+    read, or whose header is bad, raises ReplayError. With verify=True the
+    episode is re-run from the embedded config and the regenerated event
+    stream must match byte for byte.
     """
-    original = Path(log_path).read_text(encoding="utf-8")
+    try:
+        original = Path(log_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ReplayError(f"cannot read {log_path}: {exc}") from exc
     lines = original.splitlines()
     if not lines:
         raise ReplayError("empty event log")
@@ -809,7 +820,7 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ReplayError(f"corrupt header line: {exc}") from exc
-    if header.get("type") != "header":
+    if not isinstance(header, dict) or header.get("type") != "header":
         raise ReplayError("first event is not a header")
     if header.get("version") != EVENT_SCHEMA_VERSION:
         raise ReplayError(
@@ -835,33 +846,35 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
         except json.JSONDecodeError:
             warnings.append(f"line {lineno}: truncated or corrupt event, stopping")
             break
-        etype = event.get("type")
-        if etype == "cycle":
-            cycles += 1
-            decision = event.get("decision")
-            if decision:
-                for scope, info in decision.get("candidates", {}).items():
-                    try:
-                        p = execution_score(
-                            info["found_count"], info["risk"], info["discrepancy"], switch,
-                        )
-                        matches = abs(p * info["utility"] - info["score"]) <= SCORE_TOLERANCE
-                    except ValueError:  # a negative factor
-                        matches = False
-                    if not matches:
-                        mismatches += 1
-                        warnings.append(
-                            f"line {lineno}: {scope} score mismatch"
-                        )
-        elif etype == "step":
-            steps += 1
-            cov = event.get("covered_m2", 0.0)
-            if cov + 1e-12 < last_coverage:
-                mismatches += 1
-                warnings.append(f"line {lineno}: coverage decreased")
-            last_coverage = max(last_coverage, cov)
-        elif etype == "end":
-            saw_end = True
+        try:
+            etype = event.get("type")
+            if etype == "cycle":
+                cycles += 1
+                decision = event.get("decision")
+                if decision:
+                    for scope, info in decision.get("candidates", {}).items():
+                        try:
+                            p = execution_score(
+                                info["found_count"], info["risk"], info["discrepancy"], switch,
+                            )
+                            matches = abs(p * info["utility"] - info["score"]) <= SCORE_TOLERANCE
+                        except ValueError:  # a negative factor
+                            matches = False
+                        if not matches:
+                            mismatches += 1
+                            warnings.append(f"line {lineno}: {scope} score mismatch")
+            elif etype == "step":
+                steps += 1
+                cov = event.get("covered_m2", 0.0)
+                if cov + 1e-12 < last_coverage:
+                    mismatches += 1
+                    warnings.append(f"line {lineno}: coverage decreased")
+                last_coverage = max(last_coverage, cov)
+            elif etype == "end":
+                saw_end = True
+        except (AttributeError, KeyError, TypeError) as exc:
+            mismatches += 1
+            warnings.append(f"line {lineno}: malformed event ({type(exc).__name__}: {exc})")
     if not saw_end:
         warnings.append("log is truncated: no end event")
 

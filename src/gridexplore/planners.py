@@ -16,7 +16,7 @@ import numpy as np
 
 from .motion import astar, path_length, path_length_lower_bound
 from .risk import RiskField, edge_risk, policy_risk
-from .roadmap import FRONTIER, GLOBAL, LOCAL, ROBOT, RoadmapGraph, RoadmapNode
+from .roadmap import FRONTIER, GLOBAL, LOCAL, RoadmapGraph
 from .world import BeliefGrid, InvalidPoseError, SensorSpec, sum_left, visible_unknown_counts
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps planners.visible_unknown_count
@@ -70,43 +70,6 @@ class Policy:
             "step_rewards": list(self.step_rewards),
             "goal_pose": list(self.goal_pose) if self.goal_pose else None,
         }
-
-
-def step_reward(
-    node: RoadmapNode,
-    accumulated_visited: set[int],
-    reward_model: RewardModel,
-    edge_in,
-) -> float:
-    """Reward for stepping onto node: its gain (zeroed if already visited in
-    this rollout) minus the travel cost of the incoming edge. Marks the node
-    visited in the accumulator."""
-    gain = 0.0 if node.id in accumulated_visited else node.info_gain
-    accumulated_visited.add(node.id)
-    length = edge_in.length if edge_in is not None else 0.0
-    return reward_model.coverage_weight * gain - reward_model.distance_cost * length
-
-
-def discounted_utility(step_rewards, gamma: float) -> float:
-    """Discounted sum of per-step rewards; the first step carries gamma^0."""
-    return float(sum_left(r * gamma ** t for t, r in enumerate(step_rewards)))
-
-
-def rollout_walk(
-    graph: RoadmapGraph,
-    node_ids: list[int],
-    reward_model: RewardModel,
-    scope: str,
-) -> tuple[float, list[float]]:
-    """Utility and per-move rewards of a concrete walk (first node is free)."""
-    visited = {node_ids[0]}
-    rewards = []
-    for u, v in zip(node_ids, node_ids[1:]):
-        edge = graph.get_edge(u, v)
-        if edge is None:
-            raise ValueError(f"walk uses missing edge ({u}, {v})")
-        rewards.append(step_reward(graph.nodes[v], visited, reward_model, edge))
-    return discounted_utility(rewards, reward_model.gamma_for(scope)), rewards
 
 
 def _local_moves(graph: RoadmapGraph, w: float, dc: float):
@@ -241,10 +204,15 @@ def plan_local(
 
     if best_walk is None or best_utility <= 0.0:
         return None
+    # the rewards the search added up along the best walk
+    rewards = []
+    for n in range(1, len(best_walk)):
+        _, first_reward, revisit_reward, _ = next(
+            move for move in moves[best_walk[n - 1]] if move[0] == best_walk[n])
+        rewards.append(revisit_reward if best_walk[n] in best_walk[:n] else first_reward)
     best_walk = ids[list(best_walk)].tolist()
-    utility, rewards = rollout_walk(local_graph, best_walk, reward_model, LOCAL)
     return _policy_over(
-        local_graph, LOCAL, best_walk, utility, created_at, step_rewards=rewards,
+        local_graph, LOCAL, best_walk, best_utility, created_at, step_rewards=rewards,
         path_cells=[local_graph.nodes[i].pose for i in best_walk],
     )
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from gridexplore import world as gw
 from gridexplore.motion import SQRT2, path_length
-from gridexplore.planners import Policy, RewardModel, rollout_walk
+from gridexplore.planners import Policy, RewardModel
 from gridexplore.risk import RiskField, edge_risk
 from gridexplore.roadmap import LATTICE, LOCAL, ROBOT, RoadmapGraph, RoadmapNode
 from gridexplore.world import FREE, BeliefGrid, SensorSpec
@@ -65,10 +65,20 @@ def plan_local(local_graph: RoadmapGraph, reward_model, horizon=10, budget=20000
     if best_walk is None or best_utility <= 0.0:
         return None
     edges = list(zip(best_walk, best_walk[1:]))
-    utility, rewards = rollout_walk(local_graph, best_walk, reward_model, LOCAL)
+    # score the walk again, move by move: the gain of a node entered for the
+    # first time, minus the travel, discounted from the first move
+    visited = {best_walk[0]}
+    utility = 0.0
+    rewards = []
     risk = 0.0
-    for u, v in edges:
-        risk += local_graph.get_edge(u, v).risk
+    for t, (u, v) in enumerate(edges):
+        edge = local_graph.get_edge(u, v)
+        gain = 0.0 if v in visited else local_graph.nodes[v].info_gain
+        visited.add(v)
+        reward = w * gain - reward_model.distance_cost * edge.length
+        rewards.append(reward)
+        utility += reward * gamma ** t
+        risk += edge.risk
     return Policy(
         scope=LOCAL, node_sequence=best_walk, edge_sequence=edges, utility=utility,
         risk=risk, created_at=created_at, step_rewards=rewards,

@@ -357,6 +357,61 @@ def test_replay_counts_negative_risk_as_score_mismatch(tmp_path):
     assert sum("score mismatch" in w for w in result.warnings) == poisoned
 
 
+def drop_found_count(lines):
+    """lines with found_count removed from the first decision candidate."""
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        if event.get("type") == "cycle" and event.get("decision"):
+            next(iter(event["decision"]["candidates"].values())).pop("found_count")
+            return lines[:i] + [json.dumps(event)] + lines[i + 1:], i + 1
+    raise AssertionError("expected at least one decision in the log")
+
+
+def insert_list_event(lines):
+    """lines with a JSON list as the second event."""
+    return lines[:2] + ["[1, 2]"] + lines[2:], 3
+
+
+def text_coverage(lines):
+    """lines with the covered area of the first step a string."""
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        if event.get("type") == "step":
+            event["covered_m2"] = "x"
+            return lines[:i] + [json.dumps(event)] + lines[i + 1:], i + 1
+    raise AssertionError("expected at least one step in the log")
+
+
+@pytest.mark.parametrize("malform", [drop_found_count, insert_list_event, text_coverage])
+def test_replay_counts_a_malformed_event_as_mismatch(tmp_path, malform, capsys):
+    run_episode(small_maze_config(budget=40), out_dir=str(tmp_path))
+    good = tmp_path / "events.ndjson"
+    assert replay(str(good)).ok
+    lines, lineno = malform(good.read_text().splitlines())
+    bad = tmp_path / "malformed.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    result = replay(str(bad))
+    assert not result.ok
+    assert result.score_mismatches == 1
+    malformed = [w for w in result.warnings if "malformed event" in w]
+    assert len(malformed) == 1 and malformed[0].startswith(f"line {lineno}: ")
+    capsys.readouterr()
+    assert cli_main(["replay", "--log", str(bad)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2]\n"], ids=["missing", "list_header"])
+def test_replay_of_an_unreadable_log_is_a_replay_error(tmp_path, text, capsys):
+    log = tmp_path / "events.ndjson"
+    if text is not None:
+        log.write_text(text)
+    with pytest.raises(ReplayError):
+        replay(str(log))
+    assert cli_main(["replay", "--log", str(log)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay error:") and "Traceback" not in err
+
+
 # --- scenarios -----------------------------------------------------------------------
 
 def test_scenario_regressions_pass():
@@ -601,3 +656,34 @@ def test_cli_batch_reps_below_1_exits_2(tmp_path, reps, capsys):
     assert "repetitions must be >= 1" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         run_batch([small_maze_config(budget=5)], repetitions=int(reps))
+
+
+@pytest.mark.parametrize("parallelism", ["0", "-4"])
+def test_cli_batch_parallelism_below_1_exits_2(tmp_path, parallelism, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([asdict(small_maze_config(budget=5))]))
+    assert cli_main(["batch", "--configs", str(path), "--parallelism", parallelism]) == 2
+    assert "parallelism must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        run_batch([small_maze_config(budget=5)], parallelism=int(parallelism))
+
+
+def unreadable_config(tmp_path, kind):
+    """The path of a config file that cannot be read as UTF-8 text."""
+    if kind == "missing":
+        return tmp_path / "absent.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_cli_unreadable_config_exits_2(tmp_path, command, kind, capsys):
+    flag = "--config" if command == "run" else "--configs"
+    path = unreadable_config(tmp_path, kind)
+    assert cli_main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and "Traceback" not in err

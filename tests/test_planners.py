@@ -6,8 +6,7 @@ import pytest
 
 from gridexplore import world as gw
 from gridexplore.planners import (
-    Policy, RewardModel, discounted_utility, plan_global, plan_hfe,
-    plan_local, plan_nbv, rollout_walk, step_reward,
+    Policy, RewardModel, plan_global, plan_hfe, plan_local, plan_nbv,
 )
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import (
@@ -82,46 +81,24 @@ def random_local_graph(rng, n_nodes=6):
     return make_graph(LOCAL, nodes, edges)
 
 
-# --- step_reward / utility ----------------------------------------------------------
-
-def test_step_reward_zeroes_revisits():
-    rm = RewardModel(distance_cost=0.1)
-    node = RoadmapNode(id=3, pose=(0, 0), kind=LATTICE, info_gain=2.0)
-    edge = type("E", (), {"length": 1.0})()
-    visited = {3}
-    assert step_reward(node, visited, rm, edge) == pytest.approx(-0.1)
-
-
-def test_step_reward_arithmetic():
-    rm = RewardModel(coverage_weight=1.0, distance_cost=0.1)
-    node = RoadmapNode(id=1, pose=(0, 0), kind=LATTICE, info_gain=2.0)
-    edge = type("E", (), {"length": 1.0})()
-    visited = set()
-    assert step_reward(node, visited, rm, edge) == pytest.approx(1.9)
-    assert 1 in visited
-
-
-def test_rollout_rewards_match_recomputation():
-    rng = np.random.default_rng(5)
-    g = random_local_graph(rng, 6)
-    walk = [0, 1, 2, 1, 3]
-    # splice the walk onto existing edges only
-    walk = [0, 1, 0, 1, 2]
-    utility, rewards = rollout_walk(g, walk, RewardModel(), LOCAL)
-    assert utility == pytest.approx(oracle_walk_utility(g, walk, RewardModel()), abs=1e-12)
-    assert discounted_utility(rewards, RewardModel().gamma_local) == pytest.approx(utility)
-
-
-def test_discounted_utility_single_step():
-    for gamma in (0.1, 0.5, 1.0):
-        assert discounted_utility([3.7], gamma) == pytest.approx(3.7)
-
-
-def test_discounted_utility_two_steps():
-    assert discounted_utility([1.0, 1.0], 0.5) == pytest.approx(1.5)
-
-
 # --- plan_local ----------------------------------------------------------------------
+
+def test_plan_local_rewards_zero_a_revisit():
+    # a star: the best walk collects node 1, crosses the robot again, then
+    # collects node 2
+    g1, g2, length = 3.0, 2.0, 1.0
+    rm = RewardModel(coverage_weight=1.5, distance_cost=0.1)
+    nodes = {0: ((1, 1), ROBOT, 0.0), 1: ((0, 1), LATTICE, g1), 2: ((2, 1), LATTICE, g2)}
+    g = make_graph(LOCAL, nodes, [(0, 1, length, 0.0), (0, 2, length, 0.0)])
+    policy = plan_local(g, rm)
+    w, dc = rm.coverage_weight, rm.distance_cost
+    assert policy.node_sequence == [0, 1, 0, 2]
+    assert policy.step_rewards == [w * g1 - dc * length, w * 0.0 - dc * length,
+                                   w * g2 - dc * length]
+    gamma = rm.gamma_local
+    assert policy.utility == (policy.step_rewards[0] + policy.step_rewards[1] * gamma
+                              + policy.step_rewards[2] * gamma ** 2)
+
 
 def test_plan_local_none_when_no_gain():
     nodes = {0: ((0, 0), ROBOT, 0.0), 1: ((0, 1), LATTICE, 0.0)}

@@ -221,6 +221,11 @@ def assert_same_local_policy(graph, reward, horizon, budget):
         assert got is not None
         assert got.to_dict() == want.to_dict()
         assert got.path_cells == want.path_cells
+        # the utility is the discounted sum of the rewards it reports
+        utility = 0.0
+        for t, r in enumerate(got.step_rewards):
+            utility += r * reward.gamma_local ** t
+        assert got.utility == utility
 
 
 def open_room_lattice(seed):
