@@ -1,9 +1,9 @@
 """Traversability risk: CVaR over per-cell terrain cost distributions.
 
 Each cell's traversal cost is modeled as a capped lognormal-style draw with
-mean mu: cost = min(mu * exp(sigma * z - sigma^2 / 2), cap_factor * mu) for
-z ~ N(0, 1). The heavy tail makes the CVaR meaningfully exceed the mean; a
-degenerate cell (sigma = 0) costs exactly mu.
+mean mu: cost = min(mu * exp(sigma * z - sigma^2 / 2), COST_CAP_FACTOR * mu)
+for z ~ N(0, 1). The heavy tail makes the CVaR meaningfully exceed the mean;
+a degenerate cell (sigma = 0) costs exactly mu.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ class RiskField:
     alpha: float = 0.9
     sample_count: int = 64
     seed: int = 0
-    cost_cap_factor: float = COST_CAP_FACTOR
     _edge_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _riskless: bool = field(init=False, repr=False, compare=False)
 
@@ -85,15 +84,15 @@ def _cvar_rows(rows: np.ndarray, alpha: float) -> np.ndarray:
     return np.add.reduce(rows[:, ::-1][:, :k], axis=1) / k
 
 
-def _capped_costs(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray, cap_factor: float) -> np.ndarray:
+def _capped_costs(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Cell costs for standard normal draws z; mu and sigma broadcast over
     the draws. The result is min(mu * exp(sigma * z - sigma^2 / 2),
-    cap_factor * mu), computed in place in one array."""
+    COST_CAP_FACTOR * mu), computed in place in one array."""
     costs = sigma * z
     costs -= 0.5 * sigma * sigma
     np.exp(costs, out=costs)
     costs *= mu
-    return np.minimum(costs, cap_factor * mu, out=costs)
+    return np.minimum(costs, COST_CAP_FACTOR * mu, out=costs)
 
 
 def sample_cell_costs(field: RiskField, cells: list[Cell], rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +100,7 @@ def sample_cell_costs(field: RiskField, cells: list[Cell], rng: np.random.Genera
     mu = np.array([[field.mu.item(r, c)] for r, c in cells])
     sigma = np.array([[field.sigma.item(r, c)] for r, c in cells])
     z = rng.standard_normal((len(cells), field.sample_count))
-    return _capped_costs(mu, sigma, z, field.cost_cap_factor)
+    return _capped_costs(mu, sigma, z)
 
 
 # batches of at least this many streams are seeded by pcg64_seeds; below
@@ -271,8 +270,7 @@ def edge_risks(field: RiskField, pairs: list[tuple[Cell, Cell]]) -> list[float]:
                          dtype=np.uint32)
         for j, rng in enumerate(_streams(words)):
             rng.standard_normal(out=draws[j])
-        costs = _capped_costs(mu[:, :, None], field.sigma.take(cells)[:, :, None], draws,
-                              field.cost_cap_factor)
+        costs = _capped_costs(mu[:, :, None], field.sigma.take(cells)[:, :, None], draws)
         tails = _cvar_rows(np.add.reduce(costs, axis=1), field.alpha).tolist()
         for key, tail in zip(keys, tails):
             (r0, c0), (r1, c1) = key

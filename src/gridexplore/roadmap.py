@@ -174,43 +174,41 @@ def detect_frontiers(
 ) -> list[RoadmapNode]:
     """Frontier nodes: 8-connected clusters of believed-free cells adjacent to
     unknown space, one node per cluster at the member cell nearest the cluster
-    centroid. Gain counts the cluster's distinct adjacent unknown cells."""
+    centroid (ties by row, then column). Gain counts the cluster's distinct
+    4-adjacent unknown cells. One labelling pass gives every cluster; integer
+    coordinate sums make each centroid its members' exact mean."""
     state = belief.state
-    free = state == gw.KNOWN_FREE
-    unknown = state == gw.UNKNOWN
-    adj_unknown = np.zeros_like(free)
-    adj_unknown[1:, :] |= unknown[:-1, :]
-    adj_unknown[:-1, :] |= unknown[1:, :]
-    adj_unknown[:, 1:] |= unknown[:, :-1]
-    adj_unknown[:, :-1] |= unknown[:, 1:]
-    frontier_mask = free & adj_unknown
+    h, w = state.shape
+    wp = w + 2
+    unknown = np.zeros((h + 2, wp), dtype=bool)
+    unknown[1:-1, 1:-1] = state == gw.UNKNOWN
+    frontier_mask = (state == gw.KNOWN_FREE) & (
+        unknown[:-2, 1:-1] | unknown[2:, 1:-1] | unknown[1:-1, :-2] | unknown[1:-1, 2:])
     if not frontier_mask.any():
         return []
 
     labels, n_clusters = gw.label_components(frontier_mask, diagonal=True)
+    rows, cols = np.nonzero(labels)
+    label = labels[rows, cols].astype(np.intp) - 1  # clusters numbered from 0
+    size = np.bincount(label)
+    centroid_r = np.bincount(label, weights=rows) / size
+    centroid_c = np.bincount(label, weights=cols) / size
+    d2 = (rows - centroid_r[label]) ** 2 + (cols - centroid_c[label]) ** 2
+    # members sorted by (label, d2, row, col): each label's first is its node
+    order = np.lexsort((cols, rows, d2, label))
+    best = order[np.cumsum(size) - size]
+    # distinct (label, unknown 4-neighbour) pairs, as label * cells + flat index
+    near = ((rows + 1) * wp + cols + 1)[:, None] + np.array([-wp, wp, -1, 1])
+    pairs = np.unique((label[:, None] * unknown.size + near)[unknown.ravel()[near]])
+    rim = np.bincount(pairs // unknown.size, minlength=n_clusters)
+
     cell_area = belief.cell_size * belief.cell_size
-    nodes: list[RoadmapNode] = []
-    next_id = 0
-    for label in range(1, n_clusters + 1):
-        member_mask = labels == label
-        members = np.argwhere(member_mask)
-        if len(members) < min_cluster:
-            continue
-        centroid = members.mean(axis=0)
-        d2 = np.sum((members - centroid) ** 2, axis=1)
-        best = members[np.lexsort((members[:, 1], members[:, 0], d2))[0]]
-        # distinct unknown cells 4-adjacent to any member
-        near = np.zeros_like(member_mask)
-        near[1:, :] |= member_mask[:-1, :]
-        near[:-1, :] |= member_mask[1:, :]
-        near[:, 1:] |= member_mask[:, :-1]
-        near[:, :-1] |= member_mask[:, 1:]
-        gain = int(np.sum(near & unknown)) * cell_area
-        nodes.append(RoadmapNode(
-            id=next_id, pose=(int(best[0]), int(best[1])), kind=FRONTIER, info_gain=gain,
-        ))
-        next_id += 1
-    return nodes
+    kept = np.flatnonzero(size >= min_cluster).tolist()
+    return [
+        RoadmapNode(id=node_id, pose=(int(rows[best[i]]), int(cols[best[i]])),
+                    kind=FRONTIER, info_gain=int(rim[i]) * cell_area)
+        for node_id, i in enumerate(kept)
+    ]
 
 
 def _nearest_crumb(
@@ -249,8 +247,13 @@ def update_global_irm(
     robot moved at least breadcrumb_spacing from the last), current frontier
     nodes attached to their nearest reachable breadcrumb, and a robot node.
     Frontiers that cannot reach any breadcrumb through believed-free space are
-    dropped so the graph stays connected."""
+    dropped so the graph stays connected. Consecutive breadcrumbs are linked
+    unless they share a cell, other pairs when within twice the spacing and in
+    line of sight. Raises InvalidStateError for a robot pose that is not
+    believed free."""
     robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
+    if not belief.is_known_free(*robot_pose):
+        raise InvalidStateError(f"robot pose {robot_pose!r} is not believed free")
     cs = belief.cell_size
     crumbs: list[Cell] = []
     if graph is not None:
@@ -266,24 +269,17 @@ def update_global_irm(
     out = RoadmapGraph(scope=GLOBAL, horizon=horizon)
     for i, pose in enumerate(crumbs):
         out.add_node(RoadmapNode(id=i, pose=pose, kind=BREADCRUMB))
-    for i in range(1, len(crumbs)):
-        a, b = crumbs[i - 1], crumbs[i]
-        length = math.hypot(a[0] - b[0], a[1] - b[1]) * cs
-        if length > 0:
-            out.add_edge(i - 1, i, length=length, risk=edge_risk(risk_field, a, b))
-
-    # mesh nearby breadcrumbs with line-of-sight shortcuts so hop distances
-    # reflect the metric layout rather than the order the trail was walked
+    # the trail, meshed with line-of-sight shortcuts between nearby crumbs so
+    # that hop distances reflect the metric layout rather than the walk order
     shortcut_radius = 2.0 * breadcrumb_spacing / cs
-    for i in range(len(crumbs)):
-        for j in range(i + 2, len(crumbs)):
-            a, b = crumbs[i], crumbs[j]
+    for i, a in enumerate(crumbs):
+        for j, b in enumerate(crumbs[i + 1:], start=i + 1):
             d = math.hypot(a[0] - b[0], a[1] - b[1])
-            if d == 0 or d > shortcut_radius:
+            if d == 0 or (j > i + 1 and (d > shortcut_radius or not all(
+                    belief.state[cell] == gw.KNOWN_FREE
+                    for cell in gw.bresenham_line(a[0], a[1], b[0], b[1])))):
                 continue
-            segment = gw.bresenham_line(a[0], a[1], b[0], b[1])
-            if all(belief.state[cell] == gw.KNOWN_FREE for cell in segment):
-                out.add_edge(i, j, length=d * cs, risk=edge_risk(risk_field, a, b))
+            out.add_edge(i, j, length=d * cs, risk=edge_risk(risk_field, a, b))
 
     passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
     crumb_at = {(r + 1) * wp + c + 1: i for i, (r, c) in enumerate(crumbs)}
@@ -307,12 +303,9 @@ def update_global_irm(
     out.add_node(RoadmapNode(id=ROBOT_NODE_ID, pose=robot_pose, kind=ROBOT))
     if hit is not None:
         crumb_id, hops = hit
-        if hops > 0:
-            out.add_edge(ROBOT_NODE_ID, crumb_id, length=hops * cs,
-                         risk=edge_risk(risk_field, robot_pose, crumbs[crumb_id]))
-        else:
-            # zero-length edges are not allowed; alias via a minimal-length link
-            out.add_edge(ROBOT_NODE_ID, crumb_id, length=1e-6, risk=0.0)
+        # zero-length edges are not allowed; a robot on a crumb links at 1e-6 m
+        out.add_edge(ROBOT_NODE_ID, crumb_id, length=hops * cs if hops else 1e-6,
+                     risk=edge_risk(risk_field, robot_pose, crumbs[crumb_id]))
     return out
 
 

@@ -14,8 +14,11 @@ import numpy as np
 from gridexplore import world as gw
 from gridexplore.motion import SQRT2, path_length
 from gridexplore.planners import Policy, RewardModel
-from gridexplore.risk import RiskField, edge_risk
-from gridexplore.roadmap import LATTICE, LOCAL, ROBOT, RoadmapGraph, RoadmapNode
+from gridexplore.risk import COST_CAP_FACTOR, RiskField, edge_risk
+from gridexplore.roadmap import (
+    BREADCRUMB, DEFAULT_BREADCRUMB_SPACING, DEFAULT_MIN_CLUSTER, FRONTIER, GLOBAL, LATTICE, LOCAL,
+    ROBOT, ROBOT_NODE_ID, RoadmapGraph, RoadmapNode,
+)
 from gridexplore.world import FREE, BeliefGrid, SensorSpec
 
 Cell = tuple[int, int]
@@ -165,7 +168,7 @@ def edge_risk_miss(field: RiskField, a, b) -> float:
     sigma = np.array([field.sigma[r, c] for r, c in cells], dtype=np.float64)[:, None]
     z = rng.standard_normal((len(cells), field.sample_count))
     costs = np.minimum(mu * np.exp(sigma * z - 0.5 * sigma * sigma),
-                       field.cost_cap_factor * mu)
+                       COST_CAP_FACTOR * mu)
     segment = costs.sum(axis=0)
     k = max(1, math.ceil((1.0 - field.alpha) * segment.size - 1e-9))
     tail = np.sort(segment)[::-1][:k]
@@ -299,6 +302,116 @@ def _bfs_to_targets(
             seen.add(nb)
             queue.append((nb, d + 1))
     return None
+
+
+# --- the global layer with one grid scan per frontier cluster and two crumb loops ---
+
+def detect_frontiers(belief: BeliefGrid, min_cluster: int = DEFAULT_MIN_CLUSTER
+                     ) -> list[RoadmapNode]:
+    """Frontier clusters read one label at a time: a member mask, its mean,
+    and a second mask of the cells 4-adjacent to the cluster."""
+    state = belief.state
+    free = state == gw.KNOWN_FREE
+    unknown = state == gw.UNKNOWN
+    adj_unknown = np.zeros_like(free)
+    adj_unknown[1:, :] |= unknown[:-1, :]
+    adj_unknown[:-1, :] |= unknown[1:, :]
+    adj_unknown[:, 1:] |= unknown[:, :-1]
+    adj_unknown[:, :-1] |= unknown[:, 1:]
+    frontier_mask = free & adj_unknown
+    if not frontier_mask.any():
+        return []
+
+    labels, n_clusters = gw.label_components(frontier_mask, diagonal=True)
+    cell_area = belief.cell_size * belief.cell_size
+    nodes: list[RoadmapNode] = []
+    next_id = 0
+    for label in range(1, n_clusters + 1):
+        member_mask = labels == label
+        members = np.argwhere(member_mask)
+        if len(members) < min_cluster:
+            continue
+        centroid = members.mean(axis=0)
+        d2 = np.sum((members - centroid) ** 2, axis=1)
+        best = members[np.lexsort((members[:, 1], members[:, 0], d2))[0]]
+        # distinct unknown cells 4-adjacent to any member
+        near = np.zeros_like(member_mask)
+        near[1:, :] |= member_mask[:-1, :]
+        near[:-1, :] |= member_mask[1:, :]
+        near[:, 1:] |= member_mask[:, :-1]
+        near[:, :-1] |= member_mask[:, 1:]
+        gain = int(np.sum(near & unknown)) * cell_area
+        nodes.append(RoadmapNode(
+            id=next_id, pose=(int(best[0]), int(best[1])), kind=FRONTIER, info_gain=gain,
+        ))
+        next_id += 1
+    return nodes
+
+
+def update_global_irm(graph: RoadmapGraph | None, belief: BeliefGrid, risk_field: RiskField,
+                      robot_pose: Cell, breadcrumb_spacing: float = DEFAULT_BREADCRUMB_SPACING,
+                      min_cluster: int = DEFAULT_MIN_CLUSTER, horizon: int = 20) -> RoadmapGraph:
+    """The global roadmap with the trail edges and the shortcuts added in two
+    loops, the frontiers of detect_frontiers above attached by
+    _bfs_to_targets, and a robot on a crumb aliased to it by a riskless link."""
+    robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
+    cs = belief.cell_size
+    crumbs: list[Cell] = []
+    if graph is not None:
+        crumbs = [n.pose for n in graph.nodes_of_kind(BREADCRUMB)]
+    if not crumbs:
+        crumbs = [robot_pose]
+    else:
+        last = crumbs[-1]
+        dist_m = math.hypot(robot_pose[0] - last[0], robot_pose[1] - last[1]) * cs
+        if dist_m >= breadcrumb_spacing - 1e-9:
+            crumbs.append(robot_pose)
+
+    out = RoadmapGraph(scope=GLOBAL, horizon=horizon)
+    for i, pose in enumerate(crumbs):
+        out.add_node(RoadmapNode(id=i, pose=pose, kind=BREADCRUMB))
+    for i in range(1, len(crumbs)):
+        a, b = crumbs[i - 1], crumbs[i]
+        length = math.hypot(a[0] - b[0], a[1] - b[1]) * cs
+        if length > 0:
+            out.add_edge(i - 1, i, length=length, risk=edge_risk(risk_field, a, b))
+
+    shortcut_radius = 2.0 * breadcrumb_spacing / cs
+    for i in range(len(crumbs)):
+        for j in range(i + 2, len(crumbs)):
+            a, b = crumbs[i], crumbs[j]
+            d = math.hypot(a[0] - b[0], a[1] - b[1])
+            if d == 0 or d > shortcut_radius:
+                continue
+            segment = gw.bresenham_line(a[0], a[1], b[0], b[1])
+            if all(belief.state[cell] == gw.KNOWN_FREE for cell in segment):
+                out.add_edge(i, j, length=d * cs, risk=edge_risk(risk_field, a, b))
+
+    crumb_at = {pose: i for i, pose in enumerate(crumbs)}
+    frontiers = detect_frontiers(belief, min_cluster=min_cluster)
+    frontiers.sort(key=lambda n: n.pose)
+    next_id = len(crumbs)
+    for node in frontiers:
+        hit = _bfs_to_targets(belief, node.pose, crumb_at)
+        if hit is None:
+            continue
+        crumb_id, hops = hit
+        fid = next_id
+        next_id += 1
+        out.add_node(RoadmapNode(id=fid, pose=node.pose, kind=FRONTIER, info_gain=node.info_gain))
+        out.add_edge(fid, crumb_id, length=max(hops, 1) * cs,
+                     risk=edge_risk(risk_field, node.pose, crumbs[crumb_id]))
+
+    hit = _bfs_to_targets(belief, robot_pose, crumb_at)
+    out.add_node(RoadmapNode(id=ROBOT_NODE_ID, pose=robot_pose, kind=ROBOT))
+    if hit is not None:
+        crumb_id, hops = hit
+        if hops > 0:
+            out.add_edge(ROBOT_NODE_ID, crumb_id, length=hops * cs,
+                         risk=edge_risk(risk_field, robot_pose, crumbs[crumb_id]))
+        else:
+            out.add_edge(ROBOT_NODE_ID, crumb_id, length=1e-6, risk=0.0)
+    return out
 
 
 def _nearest_reachable_to(state: _EpisodeState, goal: Cell) -> Cell:

@@ -704,6 +704,39 @@ def test_cave_generator_equals_ndimage_version(seed):
     assert np.array_equal(world.risk_mu, mu)
 
 
+@given(shape=st.tuples(st.integers(1, 30), st.integers(1, 30)), seed=seeds,
+       min_cluster=st.integers(1, 4), spacing=st.sampled_from([0.5, 1.0, 2.0]),
+       steps=st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_global_layer_equals_reference(shape, seed, min_cluster, spacing, steps):
+    """A walk over a few believed-free cells of a random belief, which
+    revisits poses, stands on crumbs and off them, and reveals unknown cells
+    between calls; unreachable frontiers come with the walled-in cells."""
+    rng = np.random.default_rng(seed)
+    state = rng.choice(np.array([gw.UNKNOWN, gw.KNOWN_FREE, gw.KNOWN_OBSTACLE], dtype=np.uint8),
+                       size=shape, p=rng.dirichlet([1.0, 1.0, 1.0]))
+    belief = BeliefGrid(state=state, covered=np.zeros(shape, dtype=bool), cell_size=0.5)
+    # poses within an 8 x 8 window, so that shortcuts are within reach
+    top, left = int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1]))
+    poses = [(min(top + int(rng.integers(0, 8)), shape[0] - 1),
+              min(left + int(rng.integers(0, 8)), shape[1] - 1)) for _ in range(4)]
+    for pose in poses:
+        belief.state[pose] = gw.KNOWN_FREE
+    mu = rng.uniform(0, 1, shape) * (rng.random(shape) < 0.5)
+    field = RiskField(mu=mu, sigma=0.5 * mu, seed=seed)
+    got = want = None
+    for _ in range(steps):
+        pose = poses[int(rng.integers(0, len(poses)))]
+        got = roadmap.update_global_irm(got, belief, field, pose, spacing, min_cluster)
+        want = ref.update_global_irm(want, belief, field, pose, spacing, min_cluster)
+        assert graph_to_dict(got) == graph_to_dict(want)
+        assert got.adjacency == want.adjacency
+        assert detect_frontiers(belief, min_cluster) == ref.detect_frontiers(belief, min_cluster)
+        revealed = (rng.random(shape) < 0.2) & (belief.state == gw.UNKNOWN)
+        belief.state[revealed] = rng.choice(
+            np.array([gw.KNOWN_FREE, gw.KNOWN_OBSTACLE], dtype=np.uint8), size=int(revealed.sum()))
+
+
 @given(seed=seeds, min_cluster=st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_frontiers_equal_ndimage_labelling(seed, min_cluster):

@@ -227,6 +227,19 @@ def test_global_irm_connected_and_has_robot():
     assert seen == set(graph.nodes), "global graph must be connected"
 
 
+@pytest.mark.parametrize("pose", [(-1, 3), (51, 2), (0, -1), (2, 56), "obstacle", "unknown"])
+def test_global_irm_rejects_pose_not_believed_free(pose):
+    w = gw.generate_cave(0)
+    b = BeliefGrid.for_world(w)
+    gw.sense(w, b, w.spawn)
+    graph = update_global_irm(None, b, riskless_field(b.state.shape), w.spawn)
+    if isinstance(pose, str):
+        state = gw.KNOWN_OBSTACLE if pose == "obstacle" else gw.UNKNOWN
+        pose = tuple(int(x) for x in np.argwhere(b.state == state)[0])
+    with pytest.raises(InvalidStateError, match="not believed free"):
+        update_global_irm(graph, b, riskless_field(b.state.shape), pose)
+
+
 def test_global_irm_deterministic():
     w = gw.generate_maze(9, 21, 21)
     b = BeliefGrid.for_world(w)
