@@ -807,7 +807,8 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
     is a mismatch with a warning that names its line. A log that cannot be
     read, or whose header is bad, raises ReplayError. With verify=True the
     episode is re-run from the embedded config and the regenerated event
-    stream must match byte for byte.
+    stream must match byte for byte: the whole stream for a complete log,
+    its first bytes for a truncated one.
     """
     try:
         original = Path(log_path).read_text(encoding="utf-8")
@@ -880,7 +881,8 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
 
     if verify:
         regenerated = events_to_ndjson(run_episode(config).events)
-        if saw_end and regenerated != original:
+        matches = regenerated == original if saw_end else regenerated.startswith(original)
+        if not matches:
             mismatches += 1
             warnings.append("verify: regenerated event stream differs")
 

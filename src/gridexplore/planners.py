@@ -364,7 +364,6 @@ def plan_nbv(
     pool = free[(d <= radius_cells) & (d > 0)]
     if len(pool) == 0:
         return None
-    pool = pool[np.lexsort((pool[:, 1], pool[:, 0]))]
     count = min(samples, len(pool))
     picks = rng.choice(len(pool), size=count, replace=False)
     if count == 0:

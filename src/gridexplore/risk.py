@@ -197,12 +197,7 @@ def edge_risk(field: RiskField, from_cell: Cell, to_cell: Cell) -> float:
     seed and the (unordered) cell pair, so repeated planning cycles see
     identical edge risks.
     """
-    a = (int(from_cell[0]), int(from_cell[1]))
-    b = (int(to_cell[0]), int(to_cell[1]))
-    cached = field._edge_cache.get((a, b) if a <= b else (b, a))
-    if cached is not None:
-        return cached
-    return edge_risks(field, [(a, b)])[0]
+    return edge_risks(field, [(from_cell, to_cell)])[0]
 
 
 def edge_risks(field: RiskField, pairs: list[tuple[Cell, Cell]]) -> list[float]:

@@ -312,7 +312,8 @@ def visible_unknown_count(
     """Count unknown cells with line of sight from pose within sensor range.
 
     Optimistic proxy for newly coverable area: rays are blocked by believed
-    obstacles only, so unknown space is treated as see-through.
+    obstacles only, so unknown space is treated as see-through. The count
+    covers the full circle: it ignores sensor.arc, which sense honours.
     """
     return int(visible_unknown_counts(belief, [pose], sensor)[0])
 
@@ -327,8 +328,9 @@ def visible_unknown_counts(
     The target and chain-offset cells of all poses are gathered at once,
     bit-packed over the pose axis (8 poses a byte). A border as wide as the
     range reads as known free, so off-grid targets never count. Rays are
-    blocked by the chain table and reduce that sense uses. A pose off the
-    grid raises InvalidPoseError.
+    blocked by the chain table and reduce that sense uses. Like
+    visible_unknown_count, it ignores sensor.arc, which sense honours. A pose
+    off the grid raises InvalidPoseError.
     """
     sensor = sensor or SensorSpec()
     poses = np.asarray(poses, dtype=np.int64).reshape(-1, 2)
@@ -372,15 +374,18 @@ def padded_mask(mask: np.ndarray) -> tuple[bytes, int]:
     return padded.tobytes(), w + 2
 
 
-def grid_bfs(passable: bytes, width: int, start: int):
-    """4-connected breadth-first search over a padded_mask from the flat
-    index start, which must be an in-bounds cell and is entered whether or
-    not it is passable. Neighbours are tried in the order (1, 0), (-1, 0),
-    (0, 1), (0, -1). Yields (index, depth) for every cell reached, in
+def grid_bfs(passable: bytes, width: int, start: int, diagonal: bool = False):
+    """Breadth-first search over a padded_mask from the flat index start,
+    which must be an in-bounds cell and is entered whether or not it is
+    passable. Neighbours are tried in the order (1, 0), (-1, 0), (0, 1),
+    (0, -1), then, with diagonal=True (8-connected), (1, 1), (1, -1),
+    (-1, 1), (-1, -1). Yields (index, depth) for every cell reached, in
     discovery order, the start first with depth 0."""
     unseen = bytearray(passable)
     unseen[start] = 0
     steps = (width, -width, 1, -1)
+    if diagonal:
+        steps += (width + 1, width - 1, -width + 1, -width - 1)
     yield start, 0
     level = [start]
     depth = 0
@@ -418,32 +423,14 @@ def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarr
     background and components numbered from 1 in raster order of their first
     cell. 4-connected, or 8-connected with diagonal=True. This is the
     numbering of scipy.ndimage.label with the matching structure."""
-    h, w = mask.shape
-    wp = w + 2
-    padded = np.zeros((h + 2, wp), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    if diagonal:
-        steps = (-wp - 1, -wp, -wp + 1, -1, 1, wp - 1, wp, wp + 1)
-    else:
-        steps = (-wp, -1, 1, wp)
-    inside = padded.ravel().tolist()
-    labels = [0] * len(inside)
+    passable, wp = padded_mask(mask)
+    labels = np.zeros(len(passable), dtype=np.int32)
     count = 0
-    for first in np.flatnonzero(padded).tolist():
-        if labels[first]:
-            continue
-        count += 1
-        labels[first] = count
-        stack = [first]
-        while stack:
-            i = stack.pop()
-            for step in steps:
-                j = i + step
-                if inside[j] and not labels[j]:
-                    labels[j] = count
-                    stack.append(j)
-    out = np.array(labels, dtype=np.int32).reshape(h + 2, wp)[1:-1, 1:-1]
-    return out, count
+    for first in np.flatnonzero(np.frombuffer(passable, dtype=np.uint8)).tolist():
+        if not labels[first]:
+            count += 1
+            labels[[i for i, _ in grid_bfs(passable, wp, first, diagonal)]] = count
+    return labels.reshape(-1, wp)[1:-1, 1:-1], count
 
 
 def _obstacle_neighbours(occ: np.ndarray) -> np.ndarray:

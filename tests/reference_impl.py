@@ -304,6 +304,64 @@ def _bfs_to_targets(
     return None
 
 
+# --- the DFS labelling that grid_bfs replaced, and a BFS over any step list --------
+
+STEPS4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
+STEPS8 = STEPS4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def bfs_order(mask: np.ndarray, start: Cell, steps) -> list[tuple[Cell, int]]:
+    """(cell, depth) in discovery order of a breadth-first search over the
+    True cells of mask from start, which is entered whatever its value,
+    trying the (dr, dc) steps in the given order."""
+    h, w = mask.shape
+    order = [(start, 0)]
+    seen = {start}
+    queue = deque(order)
+    while queue:
+        (r, c), depth = queue.popleft()
+        for dr, dc in steps:
+            nb = (r + dr, c + dc)
+            if nb not in seen and 0 <= nb[0] < h and 0 <= nb[1] < w and mask[nb]:
+                seen.add(nb)
+                order.append((nb, depth + 1))
+                queue.append((nb, depth + 1))
+    return order
+
+
+def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray, int]:
+    """Connected components of a boolean mask: (labels, count), with 0 for
+    background and components numbered from 1 in raster order of their first
+    cell. 4-connected, or 8-connected with diagonal=True. This is the
+    numbering of scipy.ndimage.label with the matching structure."""
+    h, w = mask.shape
+    wp = w + 2
+    padded = np.zeros((h + 2, wp), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    if diagonal:
+        steps = (-wp - 1, -wp, -wp + 1, -1, 1, wp - 1, wp, wp + 1)
+    else:
+        steps = (-wp, -1, 1, wp)
+    inside = padded.ravel().tolist()
+    labels = [0] * len(inside)
+    count = 0
+    for first in np.flatnonzero(padded).tolist():
+        if labels[first]:
+            continue
+        count += 1
+        labels[first] = count
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            for step in steps:
+                j = i + step
+                if inside[j] and not labels[j]:
+                    labels[j] = count
+                    stack.append(j)
+    out = np.array(labels, dtype=np.int32).reshape(h + 2, wp)[1:-1, 1:-1]
+    return out, count
+
+
 # --- the global layer with one grid scan per frontier cluster and two crumb loops ---
 
 def detect_frontiers(belief: BeliefGrid, min_cluster: int = DEFAULT_MIN_CLUSTER
@@ -322,7 +380,7 @@ def detect_frontiers(belief: BeliefGrid, min_cluster: int = DEFAULT_MIN_CLUSTER
     if not frontier_mask.any():
         return []
 
-    labels, n_clusters = gw.label_components(frontier_mask, diagonal=True)
+    labels, n_clusters = label_components(frontier_mask, diagonal=True)
     cell_area = belief.cell_size * belief.cell_size
     nodes: list[RoadmapNode] = []
     next_id = 0

@@ -280,6 +280,42 @@ def test_replay_truncated_log_warns(tmp_path):
     assert result.steps < record.total_steps
 
 
+def half_log(tmp_path):
+    """The first half of a 60-step maze MLDM episode's log, as text."""
+    run_episode(small_maze_config(budget=60), out_dir=str(tmp_path))
+    full = (tmp_path / "events.ndjson").read_text()
+    return full[: len(full) // 2]
+
+
+@pytest.mark.parametrize("at_line_end", [True, False], ids=["line_end", "mid_line"])
+def test_replay_verify_passes_an_honestly_truncated_log(tmp_path, at_line_end):
+    text = half_log(tmp_path)
+    if at_line_end:
+        text = text[: text.rindex("\n") + 1]
+    cut = tmp_path / "truncated.ndjson"
+    cut.write_text(text)
+    result = replay(str(cut), verify=True)
+    assert result.ok, result.warnings
+    assert result.truncated
+    assert any("truncated" in w for w in result.warnings)
+
+
+def test_replay_verify_fails_a_truncated_log_with_a_forged_event(tmp_path):
+    lines = half_log(tmp_path).splitlines()[:-1]  # whole lines only
+    step = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == "step")
+    event = json.loads(lines[step])
+    assert event["pose"] != [0, 0]
+    event["pose"] = [0, 0]
+    lines[step] = events_to_ndjson([event]).rstrip("\n")
+    forged = tmp_path / "forged.ndjson"
+    forged.write_text("\n".join(lines) + "\n")
+    result = replay(str(forged), verify=True)
+    assert result.truncated
+    assert not result.ok
+    assert "verify: regenerated event stream differs" in result.warnings
+    assert cli_main(["replay", "--log", str(forged), "--verify"]) == 1
+
+
 def test_replay_rejects_bad_version(tmp_path):
     cfg = small_maze_config(budget=20)
     run_episode(cfg, out_dir=str(tmp_path))

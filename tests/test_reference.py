@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
@@ -480,20 +480,20 @@ def test_nearest_crumb_equals_bfs_to_targets(seed, n_targets):
             ref._bfs_to_targets(belief, start, targets)
 
 
-@given(seed=seeds)
+@given(seed=seeds, diagonal=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_grid_bfs_yields_each_cell_once_at_its_reference_depth(seed):
+def test_grid_bfs_yields_each_cell_once_at_its_reference_depth(seed, diagonal):
     rng = np.random.default_rng(seed)
     belief = random_grid_belief(rng)
     (r0, c0), = random_cells(rng, belief.state.shape, 1)
-    belief.state[r0, c0] = gw.KNOWN_FREE
-    passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
-    order = list(gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1))
+    passable_mask = belief.state != gw.KNOWN_OBSTACLE
+    passable, wp = gw.padded_mask(passable_mask)
+    order = list(gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1, diagonal))
     assert order[0] == ((r0 + 1) * wp + c0 + 1, 0)
     assert len({i for i, _ in order}) == len(order)
-    for i, depth in order:
-        cell = (i // wp - 1, i % wp - 1)
-        assert ref._bfs_to_targets(belief, (r0, c0), {cell: 0}) == (0, depth)
+    # the same cells at the same depths, discovered in the same order
+    want = ref.bfs_order(passable_mask, (r0, c0), ref.STEPS8 if diagonal else ref.STEPS4)
+    assert [((i // wp - 1, i % wp - 1), depth) for i, depth in order] == want
 
 
 @given(seed=seeds)
@@ -623,6 +623,27 @@ def test_cvar_equals_sort_and_mean(samples, alpha):
     arr = np.asarray(samples, dtype=np.float64)
     k = max(1, int(np.ceil((1.0 - alpha) * arr.size - 1e-9)))
     assert cvar(arr, alpha) == float(np.sort(arr)[::-1][:k].mean())
+
+
+mask_shapes = st.one_of(
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    st.tuples(st.just(1), st.integers(1, 30)),  # a single row
+    st.tuples(st.integers(1, 30), st.just(1)),  # a single column
+)
+
+
+@given(seed=seeds, shape=mask_shapes, diagonal=st.booleans(), density=st.floats(0.0, 1.0))
+@example(seed=0, shape=(1, 1), diagonal=False, density=0.0)
+@example(seed=0, shape=(1, 1), diagonal=True, density=1.0)
+@example(seed=0, shape=(30, 30), diagonal=False, density=0.0)
+@example(seed=0, shape=(30, 30), diagonal=True, density=1.0)
+@settings(max_examples=300, deadline=None)
+def test_label_components_equals_reference_dfs(seed, shape, diagonal, density):
+    mask = np.random.default_rng(seed).random(shape) < density
+    want, n_want = ref.label_components(mask, diagonal=diagonal)
+    got, n_got = gw.label_components(mask, diagonal=diagonal)
+    assert n_got == n_want
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # --- scipy.ndimage replacements ---------------------------------------------------
