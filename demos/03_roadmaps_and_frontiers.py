@@ -30,11 +30,13 @@ for _ in range(14):
     pose = options[0]
     visited.append(pose)
 
+# the local lattice is arrays: node gains, and CSR moves (an edge is a move
+# each way)
 local = build_local_irm(belief, risk, pose, radius=10.0)
-print(f"local IRM around {pose}: {len(local.nodes)} nodes, {len(local.edges)} edges")
-gainful = [n for n in local.nodes.values() if n.info_gain > 0]
+print(f"local IRM around {pose}: {len(local.nodes)} nodes, {len(local.targets) // 2} edges")
+gainful = local.gains[local.gains > 0]
 print(f"  {len(gainful)} nodes expect new coverage; the best offers "
-      f"{max(n.info_gain for n in gainful):.2f} m^2")
+      f"{gainful.max():.2f} m^2")
 
 frontiers = detect_frontiers(belief, min_cluster=1)
 print(f"\nfrontier detection: {len(frontiers)} clusters on the unknown boundary")

@@ -13,7 +13,7 @@ from .world import (
     save_world, sense, visible_unknown_count,
 )
 from .roadmap import (
-    RoadmapEdge, RoadmapGraph, RoadmapNode, build_local_irm, detect_frontiers,
+    LocalLattice, RoadmapEdge, RoadmapGraph, RoadmapNode, build_local_irm, detect_frontiers,
     graph_to_dict, update_global_irm,
 )
 from .risk import RiskField, cvar, edge_risk, policy_risk
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeliefGrid", "Candidate", "GenerationError", "HistoryWindow",
-    "InvalidPoseError", "KinodynamicSpec", "NoPolicyError", "PathPair",
+    "InvalidPoseError", "KinodynamicSpec", "LocalLattice", "NoPolicyError", "PathPair",
     "Policy", "ReplayError", "RewardModel", "RiskField", "RoadmapEdge",
     "RoadmapGraph", "RoadmapNode", "RunConfig", "RunRecord", "ScenarioResult",
     "SensorSpec", "SwitchConfig", "SwitchDecision", "SwitchSettings",

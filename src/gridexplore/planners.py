@@ -16,7 +16,7 @@ import numpy as np
 
 from .motion import astar, path_length, path_length_lower_bound
 from .risk import RiskField, edge_risk, policy_risk
-from .roadmap import FRONTIER, GLOBAL, LOCAL, RoadmapGraph
+from .roadmap import FRONTIER, GLOBAL, LOCAL, LocalLattice, RoadmapGraph
 from .world import BeliefGrid, InvalidPoseError, SensorSpec, sum_left, visible_unknown_counts
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps planners.visible_unknown_count
@@ -72,43 +72,36 @@ class Policy:
         }
 
 
-def _local_moves(graph: RoadmapGraph, w: float, dc: float):
-    """The moves of a walk over graph, in two forms. Nodes are numbered by
-    position in `ids`, the sorted node ids, which keeps their order.
+def _local_moves(lattice: LocalLattice, w: float, dc: float):
+    """The moves of a walk over the lattice, in two forms, over node
+    positions:
 
     - moves[v]: (target, first-visit reward, revisit reward, target gain)
-      per neighbour of v, in adjacency order;
+      per move of v, in CSR order;
     - target[v], best[v]: the same targets, and the larger of each move's
       two rewards, padded with -inf to the largest degree;
+    - first, revisit: each move's two rewards, in CSR order;
     - scale: the largest reward magnitude."""
-    ids = np.array(sorted(graph.nodes), dtype=np.intp)
-    gains = np.array([graph.nodes[i].info_gain for i in ids.tolist()], dtype=float)
-    edges = list(graph.edges.values())
-    ends = np.array([(e.src, e.dst) for e in edges], dtype=np.intp).reshape(-1, 2)
-    a, b = np.searchsorted(ids, ends[:, 0]), np.searchsorted(ids, ends[:, 1])
-    lengths = np.array([e.length for e in edges], dtype=float)
-    back = a != b  # a self-loop is one move
-    src, dst = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
-    length = np.concatenate([lengths, lengths[back]])
-    order = np.lexsort((dst, src))
-    src, dst, length = src[order], dst[order], length[order]
+    n = len(lattice.nodes)
+    indptr, dst, gains = lattice.indptr, lattice.targets, lattice.gains
+    src = np.repeat(np.arange(n), np.diff(indptr))
     # elementwise float64: each reward is the one w * gain - dc * length gives
-    first, revisit = w * gains[dst] - dc * length, w * 0.0 - dc * length
+    first, revisit = w * gains[dst] - dc * lattice.lengths, w * 0.0 - dc * lattice.lengths
 
-    starts = np.searchsorted(src, np.arange(len(ids) + 1))
     flat = list(zip(dst.tolist(), first.tolist(), revisit.tolist(), gains[dst].tolist()))
-    moves = [flat[s:e] for s, e in zip(starts.tolist(), starts[1:].tolist())]
-    col = np.arange(len(src)) - starts[src]
+    starts = indptr.tolist()
+    moves = [flat[s:e] for s, e in zip(starts, starts[1:])]
+    col = np.arange(len(src)) - indptr[src]
     width = int(col.max(initial=0)) + 1
-    target = np.zeros((len(ids), width), dtype=np.intp)
-    best = np.full((len(ids), width), -math.inf)
+    target = np.zeros((n, width), dtype=np.intp)
+    best = np.full((n, width), -math.inf)
     target[src, col], best[src, col] = dst, np.maximum(first, revisit)
     scale = float(np.abs(np.concatenate([first, revisit])).max(initial=0.0))
-    return ids, moves, target, best, scale
+    return moves, target, best, first, revisit, scale
 
 
 def plan_local(
-    local_graph: RoadmapGraph,
+    local_graph: LocalLattice | RoadmapGraph,
     reward_model: RewardModel,
     horizon: int = 10,
     budget: int = 20000,
@@ -116,11 +109,13 @@ def plan_local(
 ) -> Policy | None:
     """Best-utility walk of at most `horizon` nodes from the robot node.
 
+    A RoadmapGraph is searched as LocalLattice.from_graph(local_graph).
     Bounded best-first search over walks with revisit gain zeroing: walks
     are popped by utility, ties broken by the walk tuple, for at most
     `budget` pops. The search is exhaustive whenever the walk space fits
-    within the budget; an optimistic remaining-gain bound prunes hopeless
-    branches without affecting exactness.
+    within the budget; an optimistic remaining-gain bound (the node gains
+    summed in id order) prunes hopeless branches without affecting
+    exactness.
 
     The search also stops, exactly, as soon as no open walk can beat the
     best one. `future[k][v]` bounds the discounted reward any walk of at
@@ -136,21 +131,22 @@ def plan_local(
 
     Returns None when no walk with at least one move has positive utility
     (nothing locally worth covering)."""
-    robot = local_graph.robot_node()
-    if robot is None:
-        raise ValueError("local graph has no robot node")
+    lattice = local_graph
+    if isinstance(local_graph, RoadmapGraph):
+        lattice = LocalLattice.from_graph(local_graph)
     gamma = reward_model.gamma_for(LOCAL)
     w = reward_model.coverage_weight
-    total_gain = local_graph.total_info_gain()
+    gains = lattice.gains.tolist()
+    total_gain = sum_left(gains)
 
-    # walks hold positions in the sorted ids, so walk tuples compare as the
-    # id tuples would; a walk has at most `horizon` nodes, so `nb in walk`
-    # is the visited test
-    ids, moves, target, best_reward, scale = _local_moves(
-        local_graph, w, reward_model.distance_cost)
+    # walks hold node positions, so walk tuples compare as the id tuples
+    # would; a walk has at most `horizon` nodes, so `nb in walk` is the
+    # visited test
+    moves, target, best_reward, first, revisit, scale = _local_moves(
+        lattice, w, reward_model.distance_cost)
     depth = max(horizon, 1)
     discount = [gamma ** d for d in range(depth)]
-    future = [np.zeros(len(ids))]
+    future = [np.zeros(len(gains))]
     for _ in range(depth - 1):
         future.append(np.maximum((best_reward + gamma * future[-1][target]).max(axis=1), 0.0))
     # a utility sums at most `horizon` terms of magnitude <= scale, so its
@@ -166,9 +162,9 @@ def plan_local(
     # heap entries: (-utility, walk, utility, remaining_gain, bound); walks
     # are unique, so ties in utility are broken by the walk tuple and the
     # bound never takes part in the ordering
-    root = int(np.searchsorted(ids, robot.id))
+    root = lattice.robot
     heap: list[tuple[float, tuple[int, ...], float, float, float]] = [
-        (0.0, (root,), 0.0, total_gain - robot.info_gain, tail[1][root])
+        (0.0, (root,), 0.0, total_gain - gains[root], tail[1][root])
     ]
     live = int(heap[0][4] > best_utility)  # open entries bounded above best_utility
     pop, push = heapq.heappop, heapq.heappush
@@ -204,43 +200,27 @@ def plan_local(
 
     if best_walk is None or best_utility <= 0.0:
         return None
-    # the rewards the search added up along the best walk
-    rewards = []
-    for n in range(1, len(best_walk)):
-        _, first_reward, revisit_reward, _ = next(
-            move for move in moves[best_walk[n - 1]] if move[0] == best_walk[n])
-        rewards.append(revisit_reward if best_walk[n] in best_walk[:n] else first_reward)
-    best_walk = ids[list(best_walk)].tolist()
-    return _policy_over(
-        local_graph, LOCAL, best_walk, best_utility, created_at, step_rewards=rewards,
-        path_cells=[local_graph.nodes[i].pose for i in best_walk],
-    )
-
-
-def _policy_over(
-    graph: RoadmapGraph,
-    scope: str,
-    nodes: list[int],
-    utility: float,
-    created_at: int,
-    step_rewards: list[float] | None = None,
-    path_cells: list[Cell] | None = None,
-) -> Policy:
-    """Policy for a node walk over graph, with its summed edge risk; the goal
-    is the walk's last node."""
-    policy = Policy(
-        scope=scope,
+    # the CSR index of each move of the best walk, and the reward the
+    # search added up for it
+    walk = list(best_walk)
+    indptr = lattice.indptr.tolist()
+    at = [indptr[u] + lattice.targets[indptr[u]:indptr[u + 1]].tolist().index(v)
+          for u, v in zip(walk, walk[1:])]
+    rewards = [revisit.item(m) if walk[n] in walk[:n] else first.item(m)
+               for n, m in enumerate(at, start=1)]
+    nodes = lattice.nodes[walk].tolist()
+    path_cells = [tuple(pose) for pose in lattice.poses[walk].tolist()]
+    return Policy(
+        scope=LOCAL,
         node_sequence=nodes,
         edge_sequence=list(zip(nodes, nodes[1:])),
-        utility=utility,
-        risk=0.0,
+        utility=best_utility,
+        risk=sum_left(lattice.risks[at].tolist()),
         created_at=created_at,
-        step_rewards=step_rewards or [],
-        goal_pose=graph.nodes[nodes[-1]].pose,
+        step_rewards=rewards,
+        goal_pose=path_cells[-1],
         path_cells=path_cells,
     )
-    policy.risk = policy_risk(policy, graph)
-    return policy
 
 
 def _shortest_paths(graph: RoadmapGraph, source: int):
@@ -313,7 +293,13 @@ def _best_frontier(
         return None
     utility, target = best
     nodes = _path_from_parents(parent, robot_node, target)
-    return _policy_over(global_graph, GLOBAL, nodes, utility, created_at)
+    policy = Policy(
+        scope=GLOBAL, node_sequence=nodes, edge_sequence=list(zip(nodes, nodes[1:])),
+        utility=utility, risk=0.0, created_at=created_at,
+        goal_pose=global_graph.nodes[target].pose,
+    )
+    policy.risk = policy_risk(policy, global_graph)
+    return policy
 
 
 def plan_global(

@@ -21,14 +21,20 @@ COST_CAP_FACTOR = 20.0
 
 @dataclass
 class RiskField:
-    """Immutable per-cell cost distribution plus CVaR evaluation settings."""
+    """Immutable per-cell cost distribution plus CVaR evaluation settings.
+
+    Computed edge risks are kept in one of two stores, each pair in exactly
+    one: _unit_risks[0, r, c] holds the right unit edge (r, c) -> (r, c + 1)
+    and _unit_risks[1, r, c] the down unit edge (r, c) -> (r + 1, c), NaN
+    until computed; every other cell pair is a key of _edge_cache."""
 
     mu: np.ndarray
     sigma: np.ndarray
     alpha: float = 0.9
     sample_count: int = 64
     seed: int = 0
-    _edge_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _edge_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _unit_risks: np.ndarray = field(init=False, repr=False, compare=False)
     _riskless: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -42,6 +48,10 @@ class RiskField:
             raise ValueError("mu and sigma shapes differ")
         if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
             raise ValueError("terrain risk mu/sigma must be finite")
+        # a negative cost would make A* step costs negative
+        if (self.mu < 0).any() or (self.sigma < 0).any():
+            raise ValueError("terrain risk mu/sigma must be nonnegative")
+        self._unit_risks = np.full((2,) + self.mu.shape, np.nan)
         self._riskless = not self.mu.any()
 
     @classmethod
@@ -203,7 +213,7 @@ def edge_risk(field: RiskField, from_cell: Cell, to_cell: Cell) -> float:
 def edge_risks(field: RiskField, pairs: list[tuple[Cell, Cell]]) -> list[float]:
     """edge_risk of every (from_cell, to_cell) pair, in order.
 
-    Pairs missing from the field's cache are computed together: each one
+    Pairs missing from the field's stores are computed together: each one
     still draws from its own stream, seeded by the field seed and the pair
     (a large batch seeds all its streams at once, see pcg64_seeds), and the
     cost arithmetic runs once per segment length for all of them.
@@ -211,69 +221,118 @@ def edge_risks(field: RiskField, pairs: list[tuple[Cell, Cell]]) -> list[float]:
     out: list[float] = []
     missing: dict[tuple[Cell, Cell], list[int]] = {}
     cache = field._edge_cache
+    unit = field._unit_risks
     height, width = field.mu.shape
     for i, (from_cell, to_cell) in enumerate(pairs):
         a = (int(from_cell[0]), int(from_cell[1]))
         b = (int(to_cell[0]), int(to_cell[1]))
         key = (a, b) if a <= b else (b, a)
-        cached = cache.get(key)
-        if cached is None:  # only valid, distinct cell pairs are cached
-            if not (0 <= a[0] < height and 0 <= a[1] < width
-                    and 0 <= b[0] < height and 0 <= b[1] < width):
-                raise ValueError(f"edge endpoints out of bounds: {a} -> {b}")
-            if a != b:
-                missing.setdefault(key, []).append(i)
-            cached = 0.0
-        out.append(cached)
-    if not missing:
-        return out
-    if field._riskless:  # every segment costs exactly 0
-        for key in missing:
-            cache[key] = 0.0
-        return out
-
-    # segment cell count -> (keys, flat indices of the segments' cells)
-    by_length: dict[int, tuple[list, list]] = {}
-    for key in missing:
         (r0, c0), (r1, c1) = key
+        dr, dc = r1 - r0, c1 - c0
+        # a right (dr 0) or down (dr 1) unit edge on the grid
+        if dr + dc == 1 and dc >= 0 and r0 >= 0 and c0 >= 0 and r1 < height and c1 < width:
+            cached = unit.item(dr, r0, c0)
+            if cached == cached:  # not NaN: computed
+                out.append(cached)
+                continue
+        else:
+            cached = cache.get(key)
+            if cached is not None:
+                out.append(cached)
+                continue
+        # only valid, distinct cell pairs are stored
+        if not (0 <= r0 < height and 0 <= c0 < width and 0 <= r1 < height and 0 <= c1 < width):
+            raise ValueError(f"edge endpoints out of bounds: {a} -> {b}")
+        if a != b:
+            missing.setdefault(key, []).append(i)
+        out.append(0.0)
+    if missing:
+        for key, rho in zip(missing, _compute(field, list(missing))):
+            for i in missing[key]:
+                out[i] = rho
+    return out
+
+
+def _compute(field: RiskField, keys: list[tuple[Cell, Cell]]) -> list[float]:
+    """edge_risk of each of the distinct, valid, ordered cell pairs `keys`,
+    none of them stored yet; each is kept in the one store its pair has."""
+    risks = [0.0] * len(keys)
+    if field._riskless:  # every segment costs exactly 0
+        _store(field, keys, risks)
+        return risks
+    height, width = field.mu.shape
+
+    # segment cell count -> (positions in keys, flat indices of the segments' cells)
+    by_length: dict[int, tuple[list, list]] = {}
+    for k, ((r0, c0), (r1, c1)) in enumerate(keys):
         if abs(r1 - r0) <= 1 and abs(c1 - c0) <= 1:  # the segment is its endpoints
             cells = (r0 * width + c0, r1 * width + c1)
         else:
             cells = [r * width + c for r, c in bresenham_line(r0, c0, r1, c1)]
         group = by_length.setdefault(len(cells), ([], []))
-        group[0].append(key)
+        group[0].append(k)
         group[1].append(cells)
     # the 32-bit words SeedSequence makes of the list [seed mod 2**64,
     # r0, c0, r1, c1]: one or two for the seed, one per coordinate
     seed = field.seed & 0xFFFFFFFFFFFFFFFF
     seed_words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
-    for n, (keys, cells) in by_length.items():
+    for n, (at, cells) in by_length.items():
         cells = np.array(cells)
         mu = field.mu.take(cells)
         if np.count_nonzero(mu) < mu.size:  # a segment of riskless cells costs 0
             costly = mu.any(axis=1)
-            flags = costly.tolist()
-            for key, flag in zip(keys, flags):
-                if not flag:
-                    cache[key] = 0.0
-            if not any(flags):
+            if not costly.any():
                 continue
-            keys = [key for key, flag in zip(keys, flags) if flag]
+            at = [k for k, flag in zip(at, costly.tolist()) if flag]
             cells, mu = cells[costly], mu[costly]
-        draws = np.empty((len(keys), n, field.sample_count))
-        words = np.array([seed_words + [r0, c0, r1, c1] for (r0, c0), (r1, c1) in keys],
-                         dtype=np.uint32)
+        draws = np.empty((len(at), n, field.sample_count))
+        words = np.array([seed_words + [r0, c0, r1, c1] for (r0, c0), (r1, c1) in
+                          (keys[k] for k in at)], dtype=np.uint32)
         for j, rng in enumerate(_streams(words)):
             rng.standard_normal(out=draws[j])
         costs = _capped_costs(mu[:, :, None], field.sigma.take(cells)[:, :, None], draws)
         tails = _cvar_rows(np.add.reduce(costs, axis=1), field.alpha).tolist()
-        for key, tail in zip(keys, tails):
-            (r0, c0), (r1, c1) = key
-            rho = tail * math.hypot(r1 - r0, c1 - c0) / (n - 1)
-            cache[key] = rho
-            for i in missing[key]:
-                out[i] = rho
-    return out
+        for k, tail in zip(at, tails):
+            (r0, c0), (r1, c1) = keys[k]
+            risks[k] = tail * math.hypot(r1 - r0, c1 - c0) / (n - 1)
+    _store(field, keys, risks)
+    return risks
+
+
+def _store(field: RiskField, keys: list[tuple[Cell, Cell]], risks: list[float]) -> None:
+    """Keep each computed risk in the one store its valid, ordered pair has:
+    the unit-edge planes or the dict."""
+    height, width = field.mu.shape
+    at: list[int] = []  # flat indices into the planes
+    unit_risks: list[float] = []
+    for key, risk in zip(keys, risks):
+        (r0, c0), (r1, c1) = key
+        dr, dc = r1 - r0, c1 - c0
+        if dr + dc == 1 and dc >= 0:  # a right (dr 0) or down (dr 1) unit edge
+            at.append((dr * height + r0) * width + c0)
+            unit_risks.append(risk)
+        else:
+            field._edge_cache[key] = risk
+    np.put(field._unit_risks, at, unit_risks)
+
+
+def unit_edge_risks(field: RiskField, planes: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """edge_risk of each unit edge on the grid, given as its plane (0 for
+    (r, c) -> (r, c + 1), 1 for (r, c) -> (r + 1, c)), row r and column c,
+    read from the field's unit-edge store. The missing ones are computed
+    first, in the order of their first occurrence."""
+    risks = field._unit_risks[planes, rows, cols]
+    missed = np.flatnonzero(np.isnan(risks))
+    if len(missed):
+        flat = np.ravel_multi_index((planes[missed], rows[missed], cols[missed]),
+                                    field._unit_risks.shape)
+        _, first = np.unique(flat, return_index=True)
+        new = missed[np.sort(first)]
+        r0, c0, down = rows[new].tolist(), cols[new].tolist(), planes[new].tolist()
+        _compute(field, [((r, c), (r + d, c + 1 - d)) for r, c, d in zip(r0, c0, down)])
+        risks = field._unit_risks[planes, rows, cols]
+    return risks
 
 
 def policy_risk(policy, graph) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import world as gw
-from .risk import RiskField, edge_risk, edge_risks
+from .risk import RiskField, edge_risk, unit_edge_risks
 from .world import BeliefGrid, SensorSpec, sum_left, visible_unknown_counts
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps roadmap.visible_unknown_count
@@ -102,6 +102,55 @@ class RoadmapGraph:
         return float(sum_left(node.info_gain for node in self.nodes.values()))
 
 
+@dataclass(eq=False)
+class LocalLattice:
+    """A local roadmap as arrays. The node at position i has id nodes[i]
+    (ids ascending), cell poses[i] and info gain gains[i]; the robot node is
+    at position robot. Its moves go to the positions
+    targets[indptr[i]:indptr[i + 1]], in ascending order, with each move's
+    length and CVaR risk alongside. An edge is a move each way, a self-loop
+    one move."""
+
+    scope: str
+    horizon: int
+    nodes: np.ndarray
+    poses: np.ndarray
+    gains: np.ndarray
+    robot: int
+    indptr: np.ndarray
+    targets: np.ndarray
+    lengths: np.ndarray
+    risks: np.ndarray
+
+    @classmethod
+    def from_graph(cls, graph: RoadmapGraph) -> "LocalLattice":
+        """The lattice of a RoadmapGraph; its robot node is the first of kind
+        ROBOT."""
+        robot = graph.robot_node()
+        if robot is None:
+            raise ValueError("local graph has no robot node")
+        ids = np.array(sorted(graph.nodes), dtype=np.intp)
+        nodes = [graph.nodes[i] for i in ids.tolist()]
+        edges = list(graph.edges.values())
+        ends = np.array([(e.src, e.dst) for e in edges], dtype=np.intp).reshape(-1, 2)
+        a, b = np.searchsorted(ids, ends[:, 0]), np.searchsorted(ids, ends[:, 1])
+        lengths = np.array([e.length for e in edges], dtype=np.float64)
+        risks = np.array([e.risk for e in edges], dtype=np.float64)
+        back = a != b  # a self-loop is one move
+        src, dst = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
+        order = np.lexsort((dst, src))
+        return cls(
+            scope=graph.scope, horizon=graph.horizon, nodes=ids,
+            poses=np.array([n.pose for n in nodes], dtype=np.intp).reshape(-1, 2),
+            gains=np.array([n.info_gain for n in nodes], dtype=np.float64),
+            robot=int(np.searchsorted(ids, robot.id)),
+            indptr=np.searchsorted(src[order], np.arange(len(ids) + 1)),
+            targets=dst[order],
+            lengths=np.concatenate([lengths, lengths[back]])[order],
+            risks=np.concatenate([risks, risks[back]])[order],
+        )
+
+
 @functools.lru_cache(maxsize=32)
 def _disk(k: int, limit: float) -> np.ndarray:
     """(2k + 1) x (2k + 1) mask of the offsets (dr, dc), |dr|, |dc| <= k,
@@ -119,15 +168,17 @@ def build_local_irm(
     radius: float = DEFAULT_LOCAL_RADIUS,
     sensor: SensorSpec | None = None,
     horizon: int = 10,
-) -> RoadmapGraph:
+) -> LocalLattice:
     """Dense 4-connected lattice over believed-free cells within radius of the
     robot, restricted to the robot's connected component. Nodes carry info
-    gain, edges carry CVaR traversal risk.
+    gain, moves carry CVaR traversal risk.
 
     Node ids number the cells in row-major order. The radius disk is a cached
-    offset mask (_disk); the graph is filled in bulk from a padded grid of
-    node ids, in the order add_node and add_edge would give: nodes by id,
-    each node's right then down edge, and sorted adjacency lists."""
+    offset mask (_disk); the arrays are filled from a padded grid of node
+    ids, whose up, left, right and down neighbours are each node's moves in
+    ascending id order. Edge risks are read from the field's unit-edge store,
+    which first computes the missing ones, each node's right then down edge
+    in id order."""
     sensor = sensor or SensorSpec()
     r0, c0 = int(robot_pose[0]), int(robot_pose[1])
     if not belief.is_known_free(r0, c0):
@@ -145,27 +196,29 @@ def build_local_irm(
         top - r0 + k:bottom - r0 + k, left - c0 + k:right - c0 + k]
     passable, wp = gw.padded_mask((belief.state == gw.KNOWN_FREE) & disk)
     members = np.array(sorted(i for i, _ in gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1)))
-    cells = list(zip((members // wp - 1).tolist(), (members % wp - 1).tolist()))
+    rows, cols = members // wp - 1, members % wp - 1
     node_id = np.full(len(passable), -1)
     node_id[members] = np.arange(len(members))
     # per node: up, left, right, down neighbour ids (-1 for none), in id order
     around = node_id[members[:, None] + np.array([-wp, -1, 1, wp])]
+    moves = around >= 0
 
     cell_area = belief.cell_size * belief.cell_size
-    counts = visible_unknown_counts(belief, cells, sensor).tolist()
-    nodes = {
-        i: RoadmapNode(id=i, pose=cell, kind=ROBOT if cell == (r0, c0) else LATTICE,
-                       info_gain=count * cell_area)
-        for i, (cell, count) in enumerate(zip(cells, counts))
-    }
-    later = around[:, 2:].ravel()  # each node's right, then down neighbour
-    src = np.repeat(np.arange(len(members)), 2)[later >= 0].tolist()
-    dst = later[later >= 0].tolist()
-    risks = edge_risks(risk_field, [(cells[i], cells[j]) for i, j in zip(src, dst)])
-    edges = {(i, j): RoadmapEdge(i, j, belief.cell_size, risk)
-             for i, j, risk in zip(src, dst, risks)}
-    adjacency = {i: [j for j in row if j >= 0] for i, row in enumerate(around.tolist())}
-    return RoadmapGraph(LOCAL, horizon, nodes, edges, adjacency)
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    gains = visible_unknown_counts(belief, cells, sensor) * cell_area
+    # the unit edge of each node's up, left, right and down move: its plane
+    # (0 right, 1 down) and upper-left cell
+    node, side = np.nonzero(moves)
+    risks = unit_edge_risks(risk_field, np.array([1, 0, 0, 1])[side],
+                            rows[node] - (side == 0), cols[node] - (side == 1))
+    indptr = np.zeros(len(members) + 1, dtype=np.intp)
+    np.cumsum(moves.sum(axis=1), out=indptr[1:])
+    return LocalLattice(
+        scope=LOCAL, horizon=horizon, nodes=np.arange(len(members)),
+        poses=np.stack([rows, cols], axis=1), gains=gains,
+        robot=int(node_id[(r0 + 1) * wp + c0 + 1]), indptr=indptr, targets=around[moves],
+        lengths=np.full(len(risks), belief.cell_size), risks=risks,
+    )
 
 
 def detect_frontiers(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .motion import PathPair
 from .planners import Policy
-from .risk import RiskField, edge_risks
+from .risk import RiskField, unit_edge_risks
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps switching.edge_risk
 from .risk import edge_risk  # noqa: F401
@@ -203,19 +203,23 @@ def calibrate_j_max(
     Run once per episode so the threshold matches the field's risk scale."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x4A]))
     h, w = world.height, world.width
-    paths = []
+    # each path's edges, as their unit-edge plane (0 right, 1 down) and
+    # upper-left cell, and each path's edge count
+    planes, rows, cols, counts = [], [], [], []
     dirs = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    steps = max(horizon - 1, 1)
     for _ in range(CALIBRATION_SAMPLES):
         r = int(rng.integers(0, h))
         c = int(rng.integers(0, w))
         dr, dc = dirs[int(rng.integers(0, 4))]
-        path = [(r, c)]
-        for _step in range(max(horizon - 1, 1)):
-            nxt = (path[-1][0] + dr, path[-1][1] + dc)
-            if not (0 <= nxt[0] < h and 0 <= nxt[1] < w):
-                break
-            path.append(nxt)
-        paths.append(path)
-    risks = iter(edge_risks(risk_field, [edge for path in paths for edge in zip(path, path[1:])]))
-    sums = [sum_left(itertools.islice(risks, len(path) - 1)) for path in paths]
+        n = 0
+        while n < steps and 0 <= r + dr < h and 0 <= c + dc < w:
+            planes.append(abs(dr))
+            rows.append(min(r, r + dr))
+            cols.append(min(c, c + dc))
+            r, c, n = r + dr, c + dc, n + 1
+        counts.append(n)
+    risks = iter(unit_edge_risks(risk_field, *(np.array(x, dtype=np.intp)
+                                               for x in (planes, rows, cols))).tolist())
+    sums = [sum_left(itertools.islice(risks, n)) for n in counts]
     return max(float(np.percentile(np.asarray(sums), CALIBRATION_PERCENTILE)), 1e-3)

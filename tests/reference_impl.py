@@ -254,7 +254,8 @@ def local_component(belief: BeliefGrid, robot_pose: Cell, radius: float) -> list
 def local_lattice(belief: BeliefGrid, risk_field: RiskField, robot_pose: Cell,
                   radius: float, sensor: SensorSpec, horizon: int = 10) -> RoadmapGraph:
     """The local lattice assembled one add_node and one add_edge at a time:
-    nodes in cell order, then each cell's right and down edge."""
+    nodes in cell order, then each cell's right and down edge, its risk
+    computed uncached."""
     cells = local_component(belief, robot_pose, radius)
     graph = RoadmapGraph(scope=LOCAL, horizon=horizon)
     ids = {cell: i for i, cell in enumerate(cells)}
@@ -266,7 +267,7 @@ def local_lattice(belief: BeliefGrid, risk_field: RiskField, robot_pose: Cell,
         for nb in ((cell[0], cell[1] + 1), (cell[0] + 1, cell[1])):
             if nb in ids:
                 graph.add_edge(ids[cell], ids[nb], length=belief.cell_size,
-                               risk=edge_risk(risk_field, cell, nb))
+                               risk=edge_risk_miss(risk_field, cell, nb))
     return graph
 
 def _bfs_to_targets(

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import reference_impl as ref
 from gridexplore import world as gw
 from gridexplore.planners import (
     Policy, RewardModel, plan_global, plan_hfe, plan_local, plan_nbv,
 )
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import (
-    BREADCRUMB, FRONTIER, GLOBAL, LATTICE, LOCAL, ROBOT, RoadmapGraph,
+    BREADCRUMB, FRONTIER, GLOBAL, LATTICE, LOCAL, ROBOT, LocalLattice, RoadmapGraph,
     RoadmapNode, build_local_irm,
 )
 from gridexplore.world import BeliefGrid, SensorSpec
@@ -169,6 +170,50 @@ def test_plan_local_utility_scale_invariance():
     if p1 is not None:
         assert p2.utility == pytest.approx(k * p1.utility, rel=1e-9)
         assert p2.node_sequence == p1.node_sequence
+
+
+def graph_with_gaps_and_loops(rng, n_nodes):
+    """A local graph with ids from -40 to 40 in no order, unequal edge
+    lengths and risks, and a self-loop at every third node."""
+    ids = rng.choice(np.arange(-40, 41), size=n_nodes, replace=False).tolist()
+    nodes = {nid: ((int(rng.integers(0, 9)), int(rng.integers(0, 9))), LATTICE,
+                   float(rng.uniform(0, 3))) for nid in ids}
+    nodes[ids[0]] = ((4, 4), ROBOT, float(rng.uniform(0, 1)))
+    edges = [(ids[i - 1], ids[i], float(rng.uniform(0.2, 2.0)), float(rng.uniform(0, 1)))
+             for i in range(1, n_nodes)]
+    edges += [(u, u, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0, 1))) for u in ids[::3]]
+    for _ in range(n_nodes):
+        u, v = rng.choice(ids, size=2).tolist()
+        edges.append((u, v, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0, 1))))
+    return make_graph(LOCAL, nodes, edges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_plan_local_on_a_graph_equals_plan_local_on_its_lattice(seed):
+    rng = np.random.default_rng(seed)
+    g = graph_with_gaps_and_loops(rng, int(rng.integers(2, 9)))
+    lattice = LocalLattice.from_graph(g)
+    ids = lattice.nodes.tolist()
+    assert ids == sorted(g.nodes)
+    assert ids[lattice.robot] == g.robot_node().id
+    for i, nid in enumerate(ids):
+        assert lattice.poses[i].tolist() == list(g.nodes[nid].pose)
+        assert lattice.gains[i] == g.nodes[nid].info_gain
+        span = slice(lattice.indptr[i], lattice.indptr[i + 1])
+        # the sorted adjacency list: a self-loop is one move
+        assert [ids[m] for m in lattice.targets[span].tolist()] == g.neighbors(nid)
+        for m, length, risk in zip(lattice.targets[span].tolist(),
+                                   lattice.lengths[span].tolist(), lattice.risks[span].tolist()):
+            edge = g.get_edge(nid, ids[m])
+            assert (length, risk) == (edge.length, edge.risk)
+    rm = RewardModel(distance_cost=float(rng.choice([0.05, 0.5])))
+    want = ref.plan_local(g, rm, horizon=5, budget=500)
+    for graph in (g, lattice):
+        got = plan_local(graph, rm, horizon=5, budget=500)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.to_dict() == want.to_dict()
+            assert got.path_cells == want.path_cells
 
 
 def test_plan_local_policies_stay_on_believed_free_cells():

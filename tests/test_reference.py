@@ -16,7 +16,7 @@ from gridexplore import world as gw
 from gridexplore.motion import astar, path_length, path_length_lower_bound
 from gridexplore.planners import RewardModel, plan_local, plan_nbv
 from gridexplore.risk import RiskField, cvar, edge_risk, edge_risks
-from gridexplore.roadmap import build_local_irm, detect_frontiers, graph_to_dict
+from gridexplore.roadmap import LocalLattice, build_local_irm, detect_frontiers, graph_to_dict
 from gridexplore.switching import calibrate_j_max
 from gridexplore.world import BeliefGrid, SensorSpec
 
@@ -95,20 +95,26 @@ def test_batched_counts_at_packing_boundaries(range_m, batch, occlusion):
 @settings(max_examples=100, deadline=None)
 def test_lattice_gains_equal_per_node_loop(seed, radius, range_m, occlusion):
     belief, field, robot, sensor = random_lattice(seed, radius, range_m, occlusion)
-    graph = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
-    nodes = sorted(graph.nodes.values(), key=lambda n: n.id)
-    assert [n.info_gain for n in nodes] == ref.lattice_gains(
-        belief, [n.pose for n in nodes], sensor)
+    lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
+    assert lattice.gains.tolist() == ref.lattice_gains(belief, cells_of(lattice), sensor)
+
+
+def cells_of(lattice):
+    return [tuple(pose) for pose in lattice.poses.tolist()]
 
 
 def assert_same_lattice(belief, field, robot, radius, sensor):
+    """build_local_irm against the reference assembly through the converter,
+    field by field: ids, poses, gains to the bit, the CSR order of the
+    moves, their lengths and their risks."""
     got = build_local_irm(belief, field, robot, radius=radius, sensor=sensor, horizon=7)
-    want = ref.local_lattice(belief, field, robot, radius, sensor, horizon=7)
-    assert graph_to_dict(got) == graph_to_dict(want)
-    # insertion order too: the planners walk these dicts
-    assert list(got.nodes.items()) == list(want.nodes.items())
-    assert list(got.edges.items()) == list(want.edges.items())
-    assert list(got.adjacency.items()) == list(want.adjacency.items())
+    want = LocalLattice.from_graph(ref.local_lattice(belief, field, robot, radius, sensor,
+                                                     horizon=7))
+    assert (got.scope, got.horizon, got.robot) == (want.scope, want.horizon, want.robot)
+    for name in ("nodes", "poses", "gains", "indptr", "targets", "lengths", "risks"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
     return got
 
 
@@ -137,14 +143,32 @@ def test_lattice_wider_than_grid_equals_reference_assembly(robot):
     assert len(graph.nodes) == 7 * 9 - 5
 
 
+def test_lattice_computes_missing_risks_in_pair_order(monkeypatch):
+    """On a fresh field the lattice computes its edge risks in one batch:
+    each node's right, then down edge, in id order, as the reference
+    assembly adds them."""
+    belief = BeliefGrid(state=np.full((7, 9), gw.KNOWN_FREE, dtype=np.uint8),
+                        covered=np.zeros((7, 9), dtype=bool), cell_size=0.5)
+    belief.state[2, 2:7] = gw.KNOWN_OBSTACLE
+    field = RiskField(mu=np.full((7, 9), 0.4), sigma=np.full((7, 9), 0.2), seed=3)
+    batches = []
+    compute = risk._compute
+    monkeypatch.setattr(risk, "_compute", lambda f, keys: batches.append(keys) or compute(f, keys))
+    build_local_irm(belief, field, (3, 4), radius=50.0)
+    graph = ref.local_lattice(belief, field, (3, 4), 50.0, SensorSpec())
+    assert batches == [[(graph.nodes[e.src].pose, graph.nodes[e.dst].pose)
+                        for e in graph.edges.values()]]
+
+
 def test_single_node_lattice_equals_reference_assembly():
     belief = BeliefGrid(state=np.full((5, 5), gw.UNKNOWN, dtype=np.uint8),
                         covered=np.zeros((5, 5), dtype=bool), cell_size=0.5)
     belief.state[1:4, 1:4] = gw.KNOWN_OBSTACLE
     belief.state[2, 2] = gw.KNOWN_FREE
     field = RiskField(mu=np.full((5, 5), 0.4), sigma=np.full((5, 5), 0.2), seed=3)
-    graph = assert_same_lattice(belief, field, (2, 2), 10.0, SensorSpec(range_m=2.5))
-    assert list(graph.nodes) == [0] and graph.edges == {} and graph.adjacency == {0: []}
+    lattice = assert_same_lattice(belief, field, (2, 2), 10.0, SensorSpec(range_m=2.5))
+    assert lattice.nodes.tolist() == [0] and lattice.indptr.tolist() == [0, 0]
+    assert lattice.targets.size == 0
 
 
 # --- sensing ----------------------------------------------------------------------
@@ -206,14 +230,17 @@ def test_sense_equals_reference(seed, kind, range_m, arc, heading, occlusion, ce
 def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma, weight,
                                             distance_cost, open_room):
     belief, field, robot, sensor = random_lattice(seed, radius, 2.5, True, open_room)
-    graph = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
+    lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
+    graph = ref.local_lattice(belief, field, robot, radius, sensor)
     reward = RewardModel(gamma_local=gamma, coverage_weight=weight,
                          distance_cost=distance_cost)
-    assert_same_local_policy(graph, reward, horizon, budget)
+    assert_same_local_policy(lattice, graph, reward, horizon, budget)
 
 
-def assert_same_local_policy(graph, reward, horizon, budget):
-    got = plan_local(graph, reward, horizon=horizon, budget=budget, created_at=3)
+def assert_same_local_policy(lattice, graph, reward, horizon, budget):
+    """plan_local on the lattice against the reference search on the
+    reference graph of the same lattice."""
+    got = plan_local(lattice, reward, horizon=horizon, budget=budget, created_at=3)
     want = ref.plan_local(graph, reward, horizon=horizon, budget=budget, created_at=3)
     if want is None:
         assert got is None
@@ -242,8 +269,9 @@ def open_room_lattice(seed):
     belief = BeliefGrid(state=state, covered=np.zeros(shape, dtype=bool), cell_size=0.5)
     mu = rng.uniform(0, 1, shape) * (rng.random(shape) < 0.5)
     field = RiskField(mu=mu, sigma=0.5 * mu, seed=seed)
-    return build_local_irm(belief, field, robot, radius=10.0, sensor=SensorSpec(range_m=2.5),
-                           horizon=10)
+    sensor = SensorSpec(range_m=2.5)
+    return (build_local_irm(belief, field, robot, radius=10.0, sensor=sensor, horizon=10),
+            ref.local_lattice(belief, field, robot, 10.0, sensor, horizon=10))
 
 
 def pops_of(monkeypatch, call):
@@ -265,19 +293,19 @@ def pops_of(monkeypatch, call):
 def test_plan_local_equals_reference_search_in_truncated_open_rooms(seed, monkeypatch):
     # the reference pops its whole budget in all three rooms; plan_local's
     # early stop fires in rooms 7 and 9 (after 45 and 1726 pops) and not in 1
-    graph = open_room_lattice(seed)
+    lattice, graph = open_room_lattice(seed)
     reward = RewardModel()
     assert pops_of(monkeypatch, lambda: ref.plan_local(graph, reward, budget=20000)) == 20000
-    assert_same_local_policy(graph, reward, 10, 20000)
+    assert_same_local_policy(lattice, graph, reward, 10, 20000)
 
 
 def test_plan_local_early_stop_saves_pops(monkeypatch):
-    graph = open_room_lattice(9)
+    lattice, graph = open_room_lattice(9)
     reward = RewardModel()
     assert pops_of(monkeypatch, lambda: ref.plan_local(graph, reward, budget=20000)) == 20000
-    stopped = pops_of(monkeypatch, lambda: plan_local(graph, reward, budget=20000))
+    stopped = pops_of(monkeypatch, lambda: plan_local(lattice, reward, budget=20000))
     assert stopped <= 2000  # 1726 when pinned
-    assert_same_local_policy(graph, reward, 10, 20000)
+    assert_same_local_policy(lattice, graph, reward, 10, 20000)
 
 
 # --- A* and NBV -------------------------------------------------------------------
@@ -516,9 +544,8 @@ def test_nearest_reachable_equals_reference(seed):
 @settings(max_examples=200, deadline=None)
 def test_lattice_cells_equal_reference_flood(seed, radius):
     belief, field, robot, sensor = random_lattice(seed, radius, 1.0, True)
-    graph = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
-    nodes = sorted(graph.nodes.values(), key=lambda n: n.id)
-    assert [n.pose for n in nodes] == ref.local_component(belief, robot, radius)
+    lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
+    assert cells_of(lattice) == ref.local_component(belief, robot, radius)
 
 
 # --- edge risk ------------------------------------------------------------------
@@ -613,7 +640,66 @@ def test_calibrate_j_max_equals_reference(seed, field_seed, height, width, horiz
     expected, risks = ref.calibrate_j_max(world, field(), horizon=horizon, seed=seed)
     fast = field()
     assert calibrate_j_max(world, fast, horizon=horizon, seed=seed) == expected
-    assert fast._edge_cache == risks
+    assert stored_risks(fast) == risks
+
+
+def stored_risks(field):
+    """Every edge risk the field holds, from both of its stores, keyed as
+    (cell, cell) in order. Asserts that no pair is held twice: the dict
+    holds no right or down unit edge."""
+    out = dict(field._edge_cache)
+    assert not [(a, b) for a, b in out if (b[0] - a[0], b[1] - a[1]) in ((0, 1), (1, 0))]
+    for plane, r, c in np.argwhere(~np.isnan(field._unit_risks)).tolist():
+        out[(r, c), (r + plane, c + 1 - plane)] = field._unit_risks.item(plane, r, c)
+    return out
+
+
+def random_pair(rng, shape):
+    """A unit edge in one of the four directions, or any pair of cells."""
+    a = (int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])))
+    if rng.random() < 0.3:
+        return a, (int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])))
+    dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[int(rng.integers(0, 4))]
+    return a, (min(max(a[0] + dr, 0), shape[0] - 1), min(max(a[1] + dc, 0), shape[1] - 1))
+
+
+@given(seed=seeds, ops=st.lists(st.sampled_from(["edge_risk", "edge_risks", "lattice",
+                                                  "calibrate"]), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_edge_risk_stores_hold_each_pair_once(seed, ops):
+    """edge_risk, edge_risks, the local lattice and calibrate_j_max,
+    interleaved on one field: every risk any of them returns, and every
+    pair either store holds, equals the uncached computation."""
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 16)), int(rng.integers(1, 16)))
+    mu = rng.uniform(0, 2, shape) * (rng.random(shape) < 0.6)
+    world = gw.make_world(np.zeros(shape, dtype=np.uint8), spawn=(0, 0), risk_mu=mu,
+                          risk_sigma=rng.uniform(0, 1.5, shape))
+    field = RiskField.for_world(world, sample_count=int(rng.integers(1, 65)), seed=seed)
+    belief = random_belief(rng, shape)
+    for op in ops:
+        if op == "edge_risk":
+            a, b = random_pair(rng, shape)
+            assert edge_risk(field, a, b) == ref.edge_risk_miss(field, a, b)
+        elif op == "edge_risks":
+            pairs = [random_pair(rng, shape) for _ in range(int(rng.integers(0, 40)))]
+            assert edge_risks(field, pairs) == [ref.edge_risk_miss(field, a, b)
+                                                for a, b in pairs]
+        elif op == "lattice":
+            robot = (int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])))
+            belief.state[robot] = gw.KNOWN_FREE
+            lattice = build_local_irm(belief, field, robot, radius=float(rng.choice([1.0, 4.0])))
+            cells = cells_of(lattice)
+            src = np.repeat(np.arange(len(cells)), np.diff(lattice.indptr)).tolist()
+            assert lattice.risks.tolist() == [
+                ref.edge_risk_miss(field, cells[u], cells[v])
+                for u, v in zip(src, lattice.targets.tolist())]
+        else:
+            horizon = int(rng.integers(1, 11))
+            assert calibrate_j_max(world, field, horizon=horizon, seed=seed) == \
+                ref.calibrate_j_max(world, field, horizon=horizon, seed=seed)[0]
+    for (a, b), rho in stored_risks(field).items():
+        assert rho == ref.edge_risk_miss(field, a, b), (a, b)
 
 
 @given(samples=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),

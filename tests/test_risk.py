@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -98,6 +99,18 @@ def test_risk_field_rejects_non_finite_mu_or_sigma(value):
         RiskField(mu=np.ones((4, 4)), sigma=bad)
 
 
+@pytest.mark.parametrize("name", ["mu", "sigma"])
+def test_risk_field_rejects_negative_mu_or_sigma(name):
+    """A negative cost would give negative edge risks and A* step costs,
+    and with them cycles that A* never finishes."""
+    params = {"mu": np.ones((6, 6)), "sigma": np.zeros((6, 6))}
+    params[name][2, 3] = -5.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        RiskField(**params)
+    params[name][:] = -0.0  # negative zero is not below zero
+    RiskField(**params)
+
+
 # --- edge_risk -------------------------------------------------------------------
 
 def test_edge_risk_zero_for_riskless_cells():
@@ -150,6 +163,34 @@ def test_edge_risk_out_of_bounds_rejected():
     field = field_with({}, {})
     with pytest.raises(ValueError):
         edge_risk(field, (0, 0), (9, 9))
+
+
+@pytest.mark.parametrize("pair", [((-1, 0), (-1, 1)), ((-1, 2), (0, 2)), ((2, 3), (2, 4)),
+                                  ((3, 1), (4, 1))])
+def test_edge_risk_rejects_unit_edges_off_the_grid(pair):
+    """Off-grid unit edges are rejected even where their plane index would
+    wrap onto a stored edge."""
+    field = field_with({(r, c): 1.0 for r in range(4) for c in range(4)}, {})
+    for r in range(4):
+        for c in range(4):
+            edge_risk(field, (r, c), (r, min(c + 1, 3)))
+            edge_risk(field, (r, c), (min(r + 1, 3), c))
+    with pytest.raises(ValueError, match="out of bounds"):
+        edge_risk(field, *pair)
+
+
+def test_replaced_field_shares_no_stored_risk():
+    """dataclasses.replace builds a field with empty stores, so a new seed
+    gives new risks for unit edges and longer segments alike."""
+    rng = np.random.default_rng(5)
+    mu = rng.uniform(0.1, 1.0, (6, 6))
+    old = RiskField(mu=mu, sigma=0.5 * mu, seed=1)
+    pairs = [((0, 0), (0, 1)), ((0, 0), (3, 4))]
+    before = [edge_risk(old, a, b) for a, b in pairs]
+    new = dataclasses.replace(old, seed=2)
+    fresh = RiskField(mu=mu, sigma=0.5 * mu, seed=2)
+    assert [edge_risk(new, a, b) for a, b in pairs] == [edge_risk(fresh, a, b) for a, b in pairs]
+    assert [edge_risk(old, a, b) for a, b in pairs] == before
 
 
 def test_sampled_costs_respect_cap_and_mean():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import reference_impl as ref
 from gridexplore import world as gw
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import (
-    BREADCRUMB, FRONTIER, LOCAL, ROBOT, ROBOT_NODE_ID, InvalidStateError,
+    BREADCRUMB, FRONTIER, LOCAL, ROBOT_NODE_ID, InvalidStateError,
     build_local_irm, detect_frontiers, graph_to_dict, update_global_irm,
 )
 from gridexplore.world import BeliefGrid, SensorSpec
@@ -30,16 +31,17 @@ def test_local_irm_unknown_world_is_single_robot_node():
     b.state[3, 3] = gw.KNOWN_FREE
     g = build_local_irm(b, riskless_field((7, 7)), (3, 3))
     assert len(g.nodes) == 1
-    assert g.robot_node().pose == (3, 3)
-    assert len(g.edges) == 0
+    assert g.poses[g.robot].tolist() == [3, 3]
+    assert len(g.targets) == 0
 
 
 def test_local_irm_lattice_counts_on_open_grid():
     b = known_free_belief(5, 5)
     g = build_local_irm(b, riskless_field((5, 5)), (2, 2), radius=10.0)
     assert len(g.nodes) == 25
-    assert len(g.edges) == 40  # 4-connected 5x5: 2 * 5 * 4
-    assert g.robot_node().kind == ROBOT
+    assert len(g.targets) == 2 * 40  # 4-connected 5x5: 2 * 5 * 4 edges, a move each way
+    assert g.poses[g.robot].tolist() == [2, 2]
+    assert g.nodes[g.robot] == 12  # the row-major id of (2, 2)
 
 
 def test_local_irm_gain_counts_adjacent_unknown():
@@ -48,8 +50,8 @@ def test_local_irm_gain_counts_adjacent_unknown():
         b.state[cell] = gw.UNKNOWN
         b.covered[cell] = False
     g = build_local_irm(b, riskless_field((7, 7)), (5, 5), radius=10.0)
-    node = next(n for n in g.nodes.values() if n.pose == (3, 3))
-    assert node.info_gain == pytest.approx(3 * 0.25)
+    gain = g.gains[g.poses.tolist().index([3, 3])]
+    assert gain == pytest.approx(3 * 0.25)
 
 
 def test_local_irm_gain_matches_per_node_visibility_oracle():
@@ -77,15 +79,15 @@ def test_local_irm_gain_matches_per_node_visibility_oracle():
                 count += 1
         return count * 0.25
 
-    for node in g.nodes.values():
-        assert node.info_gain == pytest.approx(oracle_gain(node.pose)), node.pose
+    for pose, gain in zip(g.poses.tolist(), g.gains.tolist()):
+        assert gain == pytest.approx(oracle_gain(pose)), pose
 
 
 def test_local_irm_restricted_to_robot_component():
     b = known_free_belief(5, 5)
     b.state[:, 2] = gw.KNOWN_OBSTACLE  # split the grid
     g = build_local_irm(b, riskless_field((5, 5)), (2, 0), radius=10.0)
-    assert all(n.pose[1] < 2 for n in g.nodes.values())
+    assert (g.poses[:, 1] < 2).all()
 
 
 def test_local_irm_rejects_bad_robot_pose():
@@ -101,16 +103,16 @@ def test_local_irm_node_bound_and_reachability():
     g = build_local_irm(b, riskless_field((41, 41)), (20, 20), radius=radius)
     bound = (2 * radius / b.cell_size + 1) ** 2
     assert len(g.nodes) <= bound
-    # all nodes reachable from the robot node inside the graph
-    seen = {g.robot_node().id}
-    stack = [g.robot_node().id]
+    # all nodes reachable from the robot node over the moves
+    seen = {g.robot}
+    stack = [g.robot]
     while stack:
         u = stack.pop()
-        for v in g.neighbors(u):
+        for v in g.targets[g.indptr[u]:g.indptr[u + 1]].tolist():
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    assert seen == set(g.nodes)
+    assert seen == set(range(len(g.nodes)))
 
 
 def test_local_irm_deterministic():
@@ -120,7 +122,9 @@ def test_local_irm_deterministic():
     f = riskless_field((9, 9))
     g1 = build_local_irm(b, f, (2, 2))
     g2 = build_local_irm(b, f, (2, 2))
-    assert graph_to_dict(g1) == graph_to_dict(g2)
+    assert g1.robot == g2.robot
+    for name in ("nodes", "poses", "gains", "indptr", "targets", "lengths", "risks"):
+        assert np.array_equal(getattr(g1, name), getattr(g2, name)), name
 
 
 # --- frontiers -------------------------------------------------------------------
@@ -252,7 +256,7 @@ def test_global_irm_deterministic():
 
 def test_graph_dict_shape():
     b = known_free_belief(5, 5)
-    g = build_local_irm(b, riskless_field((5, 5)), (2, 2))
+    g = ref.local_lattice(b, riskless_field((5, 5)), (2, 2), 10.0, SensorSpec())
     doc = graph_to_dict(g)
     assert doc["scope"] == LOCAL
     assert {n["id"] for n in doc["nodes"]} == set(range(25))
