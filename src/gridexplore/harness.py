@@ -35,6 +35,9 @@ from .switching import (
 from .world import BeliefGrid, SensorSpec, WorldModel
 
 EVENT_SCHEMA_VERSION = 1
+# bumped by every change that moves what an episode does; a header without
+# the "behaviour" key was written under behaviour 1
+BEHAVIOUR_VERSION = 2
 
 # largest gap replay accepts between a logged score and its recomputation
 SCORE_TOLERANCE = 1e-9
@@ -538,6 +541,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
     state.events.append({
         "type": "header",
         "version": EVENT_SCHEMA_VERSION,
+        "behaviour": BEHAVIOUR_VERSION,
         "config": asdict(config),
         "config_hash": chash,
         "j_max": state.switch_config.j_max,
@@ -808,7 +812,8 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
     read, or whose header is bad, raises ReplayError. With verify=True the
     episode is re-run from the embedded config and the regenerated event
     stream must match byte for byte: the whole stream for a complete log,
-    its first bytes for a truncated one.
+    its first bytes for a truncated one. A log recorded under another
+    behaviour version is not re-run, and fails verification.
     """
     try:
         original = Path(log_path).read_text(encoding="utf-8")
@@ -879,7 +884,12 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
     if not saw_end:
         warnings.append("log is truncated: no end event")
 
-    if verify:
+    behaviour = header.get("behaviour", 1)
+    if verify and behaviour != BEHAVIOUR_VERSION:
+        mismatches += 1
+        warnings.append(f"recorded under behaviour {behaviour}; "
+                        f"this build runs behaviour {BEHAVIOUR_VERSION}")
+    elif verify:
         regenerated = events_to_ndjson(run_episode(config).events)
         matches = regenerated == original if saw_end else regenerated.startswith(original)
         if not matches:

@@ -6,7 +6,9 @@ rewrites changed no behaviour. SHAPE_SHA256 was recorded before the planners
 became one table and the grid searches one BFS, and pins the cycle-event
 shapes the first pins do not reach. TIE_SHA256 was recorded before NBV's
 argmax became a branch-and-bound and A* a flat-index search, and pins
-episodes whose NBV and A* choices are decided by ties."""
+episodes whose NBV and A* choices are decided by ties. Every pin was
+re-recorded when the header gained its "behaviour" key; with that key
+removed, each new log hashed to the pin it replaced."""
 import hashlib
 import math
 
@@ -26,19 +28,19 @@ PARAMS = {
 # (generator, planner, world seed) -> sha256 of events_to_ndjson. The last
 # seed is >= 2**32, so the edge-risk streams are seeded with a two-word seed.
 EPISODE_SHA256 = {
-    ("maze", "MLDM", 3): "56f68cd4cedd4e8be0cf9d82a3d1d1baa98ab316abac0f860149185ec0da57cf",
-    ("maze", "HCP", 3): "560df9bb036ec34ec45763ed29c21076f4bb72db63a9b7bfcdc537af8e7e7bbb",
-    ("maze", "NBV", 3): "cf4ef0ad3ddf3742fea58a6944b236fed2651b43a8321a4b34b59b7b1e1b05e1",
-    ("maze", "HFE", 3): "1df0f62b1f6e924a993a096a57fde7fe5211883edca308fb60156e0ee80968e9",
-    ("subway", "MLDM", 4): "90b96f508edd91507f7c3220d92c583f17cd381bc693948ab78c9565bd27b56c",
-    ("subway", "HCP", 4): "d7b3bf9b6130299a97149c325b225619861c2c50d4379e431f1b09ef89d1bb54",
-    ("subway", "NBV", 4): "4204f2b96c38a677a6dad7525d051ae94fc75bc664b45df06459577a1f87762c",
-    ("subway", "HFE", 4): "d34bb1e62a6864d9a98238a9b5b8f2a9c20ca321960644993d28a6a2fd4a9f5d",
-    ("cave", "MLDM", 5): "0515458849af88fe1c9b700989cbabae092a9eb68ddd23c9f81a91ea352e9372",
-    ("cave", "HCP", 5): "b9211811422cd0e23b3de73b3b80545af53dc6b170a6dea2f7d58291ae4244cf",
-    ("cave", "NBV", 5): "9efc15947337b16a7f3772a2876c3b74df1a12f8ff8db3b713456c8d89c7d6a0",
-    ("cave", "HFE", 5): "c6f67d3dcba533a894a8db23d7c80cb67509654e8adfb7c4504e070ae547a43f",
-    ("cave", "MLDM", 2**32 + 5): "08342b1e47fc68f2b2132b2563d5403c457e77c8e10101532c58e9689081e0ef",
+    ("maze", "MLDM", 3): "50c94c4c0bee63b9208d27faa701799a2f8c1b855d930c5bc3e923c6b3ada8e8",
+    ("maze", "HCP", 3): "ed8a91156adb5475e1f0c5f59a26abbc631ec0fa7a962a7db2c827cf0223b2a5",
+    ("maze", "NBV", 3): "125c716eb0892c5af9fc8020db9b078b99deb30fc9a2b9647abf8fe19d386404",
+    ("maze", "HFE", 3): "2b23b197b553caac65e9396d4a4a5194ef2eb2331979f84a2296654a464470f8",
+    ("subway", "MLDM", 4): "8086fbfe136b93665b9b36c59acb084f58c190a951d27ef03b5b41827067f92e",
+    ("subway", "HCP", 4): "7ee032469d473cc3e07e5f9b0f0abec34014f9ec6fbe19ca048fd79f733664fb",
+    ("subway", "NBV", 4): "5cc70421f2d1f506cf8f37cc18ec907cfafde25e908cf2b6d99e828eb17e645c",
+    ("subway", "HFE", 4): "299826f4a529e8a58a438448871b3132041a72138d4e76825509427ae987c9eb",
+    ("cave", "MLDM", 5): "92e0c982909dc3f5cb57fcb9f7321c584b2663ddc57efde3b06428644934726a",
+    ("cave", "HCP", 5): "ec35f88221347e9607b09f2f01b1b1e4cf5dd0bec9f045af5e6195e2ee9e9cd4",
+    ("cave", "NBV", 5): "00bf27d163971745274e598b6696a4b6e24601b1434253c201464312701a3230",
+    ("cave", "HFE", 5): "151e23b0bc58772726860c628e6e95cd0069c38b16284b143030bc8ef3d4b163",
+    ("cave", "MLDM", 2**32 + 5): "06f128d99771fca74f900bc0f7c405b0b52eed0143777f18b7d9b7300bc6b3f1",
 }
 
 # Cycle-event shapes the pins above do not reach: (label, generator, planner,
@@ -48,22 +50,22 @@ EPISODE_SHA256 = {
 SHAPE_SHA256 = {
     # an MLDM cycle with no candidate at all; ends no_policy at step 150
     ("mldm_no_candidate", "subway", "MLDM", 5, 160, False):
-        "a7681135eda983ef575b9713b64443db4f429b033b6c185ed6b7bf70250820d4",
+        "4304f950be47831288e3929e86967e217f83df3866c1d40e47f07ddae408ccd0",
     # HCP with no policy; ends no_policy at step 150
     ("hcp_no_policy", "subway", "HCP", 5, 160, False):
-        "24632d6a19943992313902545f18a14f244336a4e4dee721309bc7d6a29a1e75",
+        "43670d3f401d9d08e3a3763fdd35f08a68130dc3941179f9dc028ee41f486462",
     # HCP gives up its committed goal and calls plan_global (global_found)
     ("hcp_global_fallback", "subway", "HCP", 3, 120, True):
-        "06b19cb5deff4542118ebfa386f038a061b19161f3eedc3f0c579656bb8270d0",
+        "63d8c3a3325e6b8c90d462e31e435fa4cb0ce10c23b57e90b96fcf682720ac8d",
     # HFE with no policy (chosen: null)
     ("hfe_no_policy", "maze", "HFE", 3, 120, True):
-        "a1249547f2a7abf4188b41ee297bc3e46654f25657e871abfba7dfb394556423",
+        "e10fe10bc29b75bafd6c49179f86d8acdaa6becfdccb829829543c947d12fe90",
     # MLDM discrepancy override
     ("mldm_d_exceeded", "subway", "MLDM", 3, 120, True):
-        "4e77c3068d620a00d96e5cb000daafde67f03d25100adb56941fa4bc5f6f899f",
+        "0a6362b93131a9f8ef95dcd13410fe61142bdfd4485e7c201202767535f889de",
     # MLDM risk override
     ("mldm_j_exceeded", "cave", "MLDM", 0, 60, True):
-        "e5e60f237a5c04e3401a0c01733d86cef35ab6d72e1823ff05f6919bf2f39f92",
+        "f7a5e7077c09acac8794f212adff43682fe1d18e09b7aa1a6a9922afd46e6f11",
 }
 
 GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global": 40}
@@ -74,15 +76,15 @@ GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global
 TIE_SHA256 = {
     # risk-free A*: equal-cost paths are told apart only by heap order
     "nbv_risk_free": ("cave", "NBV", 5, {"astar_risk_weight": 0.0},
-                      "e9f2806e710d3c886588505956ffc22b7eb5a682d659406cfdc17839c2e0c94a"),
+                      "6c6e35e9ae31c71717e02c3e0f709d4073ad20f7980a31eac0f4c02d9a78cfe9"),
     "hfe_risk_free": ("cave", "HFE", 5, {"astar_risk_weight": 0.0},
-                      "f825df279b53cff58d4a89644bf07ae1fd7cc6ddb45f0aa6c33485c0f094fd30"),
+                      "fbb5df83c80aaaf383a1c26d3517bd3702d28363f6ba512e74a252c8b43ecb7a"),
     # free travel: every NBV score equals its bound, so the tie rule decides
     "nbv_free_travel": ("cave", "NBV", 5, {"reward": RewardModel(distance_cost=0.0)},
-                        "43bb4922f19a70ed2af5020663786e3e9f13bb68d3cb7a45070d9648a611875d"),
+                        "ea7fec8b676a510cf488544f8181b616fde77d098729bd2553df27447bbfd0aa"),
     # many viewpoints per cycle
     "nbv_200_samples": ("subway", "NBV", 4, {"nbv_samples": 200},
-                        "277b404c4db26d7ee29e2db8cdc9c7911b17f8c4f25b59dda199a40f48bf1196"),
+                        "0b4b1b50e125f304ba9a7fb472035efc73fef45a45c899e5462ee08932639308"),
 }
 
 # (seed, width, height) -> (sha256 of occupancy bytes, sha256 of risk_mu bytes)

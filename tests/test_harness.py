@@ -372,6 +372,20 @@ def test_replay_rejects_invalid_header_config(tmp_path, edit):
         replay(rewrite_header(tmp_path, edit))
 
 
+def test_replay_verify_refuses_a_log_of_another_behaviour(tmp_path, monkeypatch, capsys):
+    """A header without the behaviour key was written under behaviour 1. Such
+    a log replays, but verification fails with the reason and re-runs
+    nothing; a log of this build verifies (see above)."""
+    old = rewrite_header(tmp_path, lambda h: h.pop("behaviour"))
+    assert replay(old).ok
+    monkeypatch.setattr(harness, "run_episode", lambda config: pytest.fail("re-ran the episode"))
+    result = replay(old, verify=True)
+    assert not result.ok
+    assert result.warnings == ["recorded under behaviour 1; this build runs behaviour 2"]
+    assert cli_main(["replay", "--log", old, "--verify"]) == 1
+    assert "recorded under behaviour 1; this build runs behaviour 2" in capsys.readouterr().err
+
+
 def test_replay_counts_negative_risk_as_score_mismatch(tmp_path):
     run_episode(small_maze_config(budget=80), out_dir=str(tmp_path))
     lines = (tmp_path / "events.ndjson").read_text().splitlines()
