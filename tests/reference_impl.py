@@ -150,8 +150,10 @@ def lattice_gains(belief, cells, sensor) -> list[float]:
 
 
 def edge_risk_miss(field: RiskField, a, b) -> float:
-    """The uncached edge-risk computation: SeedSequence from a Python list,
-    per-cell parameters gathered one by one, CVaR through ndarray.mean."""
+    """The uncached edge-risk computation, one cell at a time: the k-th cell
+    of the segment from its lower endpoint draws row k of the field's common
+    random numbers, from a SeedSequence of its own; per-cell parameters are
+    read one by one, and the CVaR goes through ndarray.mean."""
     a = (int(a[0]), int(a[1]))
     b = (int(b[0]), int(b[1]))
     if a == b:
@@ -160,16 +162,15 @@ def edge_risk_miss(field: RiskField, a, b) -> float:
     cells = gw.bresenham_line(key[0][0], key[0][1], key[1][0], key[1][1])
     if all(field.mu[r, c] == 0.0 for r, c in cells):
         return 0.0
-    seq = np.random.SeedSequence(
-        [field.seed & 0xFFFFFFFFFFFFFFFF, key[0][0], key[0][1], key[1][0], key[1][1]]
-    )
-    rng = np.random.default_rng(seq)
-    mu = np.array([field.mu[r, c] for r, c in cells], dtype=np.float64)[:, None]
-    sigma = np.array([field.sigma[r, c] for r, c in cells], dtype=np.float64)[:, None]
-    z = rng.standard_normal((len(cells), field.sample_count))
-    costs = np.minimum(mu * np.exp(sigma * z - 0.5 * sigma * sigma),
-                       COST_CAP_FACTOR * mu)
-    segment = costs.sum(axis=0)
+    seed = field.seed & 0xFFFFFFFFFFFFFFFF
+    costs = []
+    for k, (r, c) in enumerate(cells):
+        z = np.random.default_rng(np.random.SeedSequence([seed, k])).standard_normal(
+            field.sample_count)
+        mu, sigma = float(field.mu[r, c]), float(field.sigma[r, c])
+        costs.append(np.minimum(mu * np.exp(sigma * z - 0.5 * sigma * sigma),
+                                COST_CAP_FACTOR * mu))
+    segment = np.sum(costs, axis=0)
     k = max(1, math.ceil((1.0 - field.alpha) * segment.size - 1e-9))
     tail = np.sort(segment)[::-1][:k]
     euclid = math.hypot(b[0] - a[0], b[1] - a[1])

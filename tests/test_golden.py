@@ -8,7 +8,10 @@ shapes the first pins do not reach. TIE_SHA256 was recorded before NBV's
 argmax became a branch-and-bound and A* a flat-index search, and pins
 episodes whose NBV and A* choices are decided by ties. Every pin was
 re-recorded when the header gained its "behaviour" key; with that key
-removed, each new log hashed to the pin it replaced."""
+removed, each new log hashed to the pin it replaced. When edge risk moved
+to common random numbers (behaviour 2), the pins of episodes with a
+nonzero risk field were re-recorded: the cave episodes, mldm_j_exceeded and
+the three cave ties."""
 import hashlib
 import math
 
@@ -26,7 +29,7 @@ PARAMS = {
 }
 
 # (generator, planner, world seed) -> sha256 of events_to_ndjson. The last
-# seed is >= 2**32, so the edge-risk streams are seeded with a two-word seed.
+# seed is >= 2**32, so the field's rows of draws are seeded with a two-word seed.
 EPISODE_SHA256 = {
     ("maze", "MLDM", 3): "50c94c4c0bee63b9208d27faa701799a2f8c1b855d930c5bc3e923c6b3ada8e8",
     ("maze", "HCP", 3): "ed8a91156adb5475e1f0c5f59a26abbc631ec0fa7a962a7db2c827cf0223b2a5",
@@ -36,11 +39,11 @@ EPISODE_SHA256 = {
     ("subway", "HCP", 4): "7ee032469d473cc3e07e5f9b0f0abec34014f9ec6fbe19ca048fd79f733664fb",
     ("subway", "NBV", 4): "5cc70421f2d1f506cf8f37cc18ec907cfafde25e908cf2b6d99e828eb17e645c",
     ("subway", "HFE", 4): "299826f4a529e8a58a438448871b3132041a72138d4e76825509427ae987c9eb",
-    ("cave", "MLDM", 5): "92e0c982909dc3f5cb57fcb9f7321c584b2663ddc57efde3b06428644934726a",
-    ("cave", "HCP", 5): "ec35f88221347e9607b09f2f01b1b1e4cf5dd0bec9f045af5e6195e2ee9e9cd4",
-    ("cave", "NBV", 5): "00bf27d163971745274e598b6696a4b6e24601b1434253c201464312701a3230",
-    ("cave", "HFE", 5): "151e23b0bc58772726860c628e6e95cd0069c38b16284b143030bc8ef3d4b163",
-    ("cave", "MLDM", 2**32 + 5): "06f128d99771fca74f900bc0f7c405b0b52eed0143777f18b7d9b7300bc6b3f1",
+    ("cave", "MLDM", 5): "ee6342f553be6e7fc14d877911b1531e57fd7fbccfcc0e00c5965c33a7388908",
+    ("cave", "HCP", 5): "f438d9525671638a733d46f70a6a5230ce34d59bf307b873d710b9048ec4ff14",
+    ("cave", "NBV", 5): "d790d779f876d5ed57571c9bddddbb13d4761c6124b6c727ab53d51febc7c88b",
+    ("cave", "HFE", 5): "d686a9ea7d85b03833cfc71606281b8d9c8de5da353e6c11e7c178db5b1e995b",
+    ("cave", "MLDM", 2**32 + 5): "5e3bb94aa9102b9bbdcaaf01664fcd0773b319477a2c223836bbe6266b0e17f8",
 }
 
 # Cycle-event shapes the pins above do not reach: (label, generator, planner,
@@ -65,7 +68,7 @@ SHAPE_SHA256 = {
         "0a6362b93131a9f8ef95dcd13410fe61142bdfd4485e7c201202767535f889de",
     # MLDM risk override
     ("mldm_j_exceeded", "cave", "MLDM", 0, 60, True):
-        "f7a5e7077c09acac8794f212adff43682fe1d18e09b7aa1a6a9922afd46e6f11",
+        "b8df9a7e630ff9200cb482e9a733c1fc5b5cf3bd402128f3f57bd9c9cb1aa4e3",
 }
 
 GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global": 40}
@@ -76,12 +79,12 @@ GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global
 TIE_SHA256 = {
     # risk-free A*: equal-cost paths are told apart only by heap order
     "nbv_risk_free": ("cave", "NBV", 5, {"astar_risk_weight": 0.0},
-                      "6c6e35e9ae31c71717e02c3e0f709d4073ad20f7980a31eac0f4c02d9a78cfe9"),
+                      "27da1e38f4925dee1bee636b36a35300eaa5640062eade71f61027e9af980541"),
     "hfe_risk_free": ("cave", "HFE", 5, {"astar_risk_weight": 0.0},
-                      "fbb5df83c80aaaf383a1c26d3517bd3702d28363f6ba512e74a252c8b43ecb7a"),
+                      "a2a09106b96b8cdce7d1a0db6670ee7e94aaaa628a3816dc21008fa183920b5f"),
     # free travel: every NBV score equals its bound, so the tie rule decides
     "nbv_free_travel": ("cave", "NBV", 5, {"reward": RewardModel(distance_cost=0.0)},
-                        "ea7fec8b676a510cf488544f8181b616fde77d098729bd2553df27447bbfd0aa"),
+                        "13a4e16672e321e66643a3b7da8cf9c3e7d1524996b603ff68f0a21a95052acf"),
     # many viewpoints per cycle
     "nbv_200_samples": ("subway", "NBV", 4, {"nbv_samples": 200},
                         "0b4b1b50e125f304ba9a7fb472035efc73fef45a45c899e5462ee08932639308"),

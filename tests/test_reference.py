@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_impl as ref
-from gridexplore import harness, planners, risk, roadmap
+from gridexplore import harness, planners, roadmap
 from gridexplore import world as gw
 from gridexplore.motion import astar, path_length, path_length_lower_bound
 from gridexplore.planners import RewardModel, plan_local, plan_nbv
@@ -141,23 +141,6 @@ def test_lattice_wider_than_grid_equals_reference_assembly(robot):
     field = RiskField(mu=np.full((7, 9), 0.4), sigma=np.full((7, 9), 0.2), seed=3)
     graph = assert_same_lattice(belief, field, robot, 50.0, SensorSpec(range_m=2.5))
     assert len(graph.nodes) == 7 * 9 - 5
-
-
-def test_lattice_computes_missing_risks_in_pair_order(monkeypatch):
-    """On a fresh field the lattice computes its edge risks in one batch:
-    each node's right, then down edge, in id order, as the reference
-    assembly adds them."""
-    belief = BeliefGrid(state=np.full((7, 9), gw.KNOWN_FREE, dtype=np.uint8),
-                        covered=np.zeros((7, 9), dtype=bool), cell_size=0.5)
-    belief.state[2, 2:7] = gw.KNOWN_OBSTACLE
-    field = RiskField(mu=np.full((7, 9), 0.4), sigma=np.full((7, 9), 0.2), seed=3)
-    batches = []
-    compute = risk._compute
-    monkeypatch.setattr(risk, "_compute", lambda f, keys: batches.append(keys) or compute(f, keys))
-    build_local_irm(belief, field, (3, 4), radius=50.0)
-    graph = ref.local_lattice(belief, field, (3, 4), 50.0, SensorSpec())
-    assert batches == [[(graph.nodes[e.src].pose, graph.nodes[e.dst].pose)
-                        for e in graph.edges.values()]]
 
 
 def test_single_node_lattice_equals_reference_assembly():
@@ -575,8 +558,7 @@ def test_edge_risk_equals_reference_miss_path(seed, field_seed, alpha, sample_co
 def test_edge_risks_batch_equals_reference_miss_path(seed, field_seed, count, alpha,
                                                     sample_count):
     """Unit edges, longer segments, repeats and same-cell pairs in one batch,
-    some of them already cached; batches on both sides of the size from
-    which streams are seeded by risk.pcg64_seeds."""
+    some of them already cached."""
     rng = np.random.default_rng(field_seed)
     shape = (int(rng.integers(2, 15)), int(rng.integers(2, 15)))
     mu = rng.uniform(0, 2, shape) * (rng.random(shape) < 0.6)
@@ -597,28 +579,6 @@ def test_edge_risks_batch_equals_reference_miss_path(seed, field_seed, count, al
     assert edge_risks(field, pairs) == [ref.edge_risk_miss(field, a, b) for a, b in pairs]
 
 
-@pytest.mark.parametrize("size", [1, risk.BATCH_SEEDING_MIN - 1, risk.BATCH_SEEDING_MIN, 1000])
-@pytest.mark.parametrize("seed_words", [[0], [2**32 - 1], [7, 1], [2**32 - 1, 2**32 - 1]])
-def test_pcg64_seeds_and_streams_equal_numpy(size, seed_words):
-    """States and draws of the batch seeding against numpy's SeedSequence and
-    PCG64, for one- and two-word seeds and coordinate words that are 0, small
-    or anywhere in 32 bits."""
-    rng = np.random.default_rng(size)
-    coords = rng.integers(0, 2**32, size=(size, 4), dtype=np.uint64)
-    coords[::2] = rng.integers(0, 60, size=coords[::2].shape)
-    coords[::3, rng.integers(0, 4)] = 0
-    coords[::5] = 0
-    words = np.hstack([np.tile(np.array(seed_words, dtype=np.uint64), (size, 1)),
-                       coords]).astype(np.uint32)
-    states = risk.pcg64_seeds(words)
-    streams = risk._streams(words)
-    for row, (state, inc) in zip(words, states):
-        expected = np.random.default_rng(np.random.SeedSequence(row))
-        assert expected.bit_generator.state["state"] == {"state": state, "inc": inc}
-        draws = next(streams).standard_normal((2, 3))
-        assert draws.tolist() == expected.standard_normal((2, 3)).tolist()
-
-
 @given(seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 + 9, 2**70 + 3]),
        field_seed=seeds, height=st.integers(1, 40), width=st.integers(1, 40),
        horizon=st.sampled_from([1, 2, 10]), risky=st.booleans(),
@@ -626,8 +586,9 @@ def test_pcg64_seeds_and_streams_equal_numpy(size, seed_words):
 @settings(max_examples=60, deadline=None)
 def test_calibrate_j_max_equals_reference(seed, field_seed, height, width, horizon, risky,
                                           alpha, sample_count):
-    """The threshold and every cached edge risk, on grids from one cell to
-    40 x 40, so that many paths stop at the border."""
+    """The threshold and every edge risk it summed, on grids from one cell
+    to 40 x 40, so that many paths stop at the border. It only reads the
+    planes, so the dict stays empty."""
     rng = np.random.default_rng(field_seed)
     shape = (height, width)
     mu = rng.uniform(0, 2, shape) * (rng.random(shape) < 0.6) if risky else np.zeros(shape)
@@ -640,18 +601,65 @@ def test_calibrate_j_max_equals_reference(seed, field_seed, height, width, horiz
     expected, risks = ref.calibrate_j_max(world, field(), horizon=horizon, seed=seed)
     fast = field()
     assert calibrate_j_max(world, fast, horizon=horizon, seed=seed) == expected
-    assert stored_risks(fast) == risks
+    stored = stored_risks(fast)
+    assert {key: stored[key] for key in risks} == risks
+    assert not fast._edge_cache
 
 
 def stored_risks(field):
     """Every edge risk the field holds, from both of its stores, keyed as
     (cell, cell) in order. Asserts that no pair is held twice: the dict
-    holds no right or down unit edge."""
+    holds no right or down unit edge, and the planes hold every unit edge of
+    the grid and 0 in each plane cell that is no edge."""
     out = dict(field._edge_cache)
     assert not [(a, b) for a, b in out if (b[0] - a[0], b[1] - a[1]) in ((0, 1), (1, 0))]
-    for plane, r, c in np.argwhere(~np.isnan(field._unit_risks)).tolist():
-        out[(r, c), (r + plane, c + 1 - plane)] = field._unit_risks.item(plane, r, c)
+    h, w = field.mu.shape
+    assert not field._unit_risks[0, :, w - 1:].any() and not field._unit_risks[1, h - 1:].any()
+    for r, c in np.ndindex(h, w):
+        if c + 1 < w:
+            out[(r, c), (r, c + 1)] = field._unit_risks.item(0, r, c)
+        if r + 1 < h:
+            out[(r, c), (r + 1, c)] = field._unit_risks.item(1, r, c)
     return out
+
+
+@pytest.mark.parametrize("source", ["cave", "random"])
+def test_unit_edge_planes_are_full_from_construction(source):
+    """Every unit edge of a fresh field, read from its planes, equals the
+    uncached computation."""
+    if source == "cave":
+        field = RiskField.for_world(gw.generate_cave(3, width=31, height=23))
+    else:
+        rng = np.random.default_rng(8)
+        shape = (17, 12)
+        mu = rng.uniform(0, 2, shape) * (rng.random(shape) < 0.6)
+        field = RiskField(mu=mu, sigma=rng.uniform(0, 1.5, shape), alpha=0.8,
+                          sample_count=37, seed=2**40 + 3)
+    assert field.mu.any()
+    for (a, b), rho in stored_risks(field).items():
+        assert rho == ref.edge_risk_miss(field, a, b), (a, b)
+
+
+def test_riskless_field_has_zero_planes_and_draws_nothing():
+    field = RiskField(mu=np.zeros((5, 7)), sigma=np.full((5, 7), 0.5))
+    assert not field._unit_risks.any()
+    assert edge_risks(field, [((0, 0), (4, 6)), ((2, 2), (2, 3))]) == [0.0, 0.0]
+    assert field._rows.shape == (0, 64)
+
+
+def test_long_segment_risk_does_not_depend_on_call_order():
+    """A 30-cell segment gives the same bits whether it is asked for before
+    or after shorter segments, which draw fewer rows first."""
+    rng = np.random.default_rng(4)
+    mu, sigma = rng.uniform(0.1, 2.0, (40, 40)), rng.uniform(0.0, 1.5, (40, 40))
+    segment = ((3, 2), (32, 9))
+    assert len(gw.bresenham_line(3, 2, 32, 9)) == 30
+    first = RiskField(mu=mu, sigma=sigma, seed=11)
+    rho = edge_risk(first, *segment)
+    later = RiskField(mu=mu, sigma=sigma, seed=11)
+    edge_risks(later, [((0, 0), (0, 5)), ((5, 5), (9, 17)), ((1, 1), (2, 3))])
+    assert len(later._rows) == 13
+    assert edge_risk(later, *segment) == rho == ref.edge_risk_miss(first, *segment)
 
 
 def random_pair(rng, shape):

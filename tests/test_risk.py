@@ -111,6 +111,23 @@ def test_risk_field_rejects_negative_mu_or_sigma(name):
     RiskField(**params)
 
 
+@pytest.mark.parametrize("params", [
+    {"mu": np.ones(3), "sigma": np.ones(3)},
+    {"mu": np.ones((2, 2, 2)), "sigma": np.ones((2, 2, 2))},
+    {"mu": 1.0, "sigma": 1.0},
+    {"sample_count": 2.5},
+    {"sample_count": 64.0},
+    {"sample_count": True},
+], ids=["1d", "3d", "scalar", "fractional_samples", "float_samples", "bool_samples"])
+def test_risk_field_rejects_bad_shape_or_sample_count_at_construction(params):
+    """Construction fills the unit-edge planes, so a bad field must fail
+    here, not deep inside the fill or at first use."""
+    with pytest.raises(ValueError, match="2-D|integer"):
+        RiskField(**{"mu": np.ones((4, 4)), "sigma": np.ones((4, 4)), **params})
+    assert RiskField(mu=np.ones((4, 4)), sigma=np.ones((4, 4)),
+                     sample_count=np.int64(8))._rows.shape == (2, 8)
+
+
 # --- edge_risk -------------------------------------------------------------------
 
 def test_edge_risk_zero_for_riskless_cells():
@@ -180,8 +197,8 @@ def test_edge_risk_rejects_unit_edges_off_the_grid(pair):
 
 
 def test_replaced_field_shares_no_stored_risk():
-    """dataclasses.replace builds a field with empty stores, so a new seed
-    gives new risks for unit edges and longer segments alike."""
+    """dataclasses.replace builds a field with its own stores and rows, so
+    a new seed gives new risks for unit edges and longer segments alike."""
     rng = np.random.default_rng(5)
     mu = rng.uniform(0.1, 1.0, (6, 6))
     old = RiskField(mu=mu, sigma=0.5 * mu, seed=1)
