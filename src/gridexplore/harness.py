@@ -392,7 +392,8 @@ PlanOutcome = tuple[Candidate | None, list[Candidate], dict]
 
 
 def _update_global_graph(state: _EpisodeState) -> RoadmapGraph:
-    """Rebuild the global roadmap; its breadcrumb trail grows every cycle."""
+    """Update the global roadmap from the last one: its breadcrumb trail
+    grows every cycle, and the crumb layer it carries is extended."""
     config = state.config
     state.global_graph = update_global_irm(
         state.global_graph, state.belief, state.risk_field, state.pose,

@@ -59,6 +59,28 @@ class RoadmapEdge:
     risk: float
 
 
+@dataclass(frozen=True, eq=False)
+class CrumbMesh:
+    """The breadcrumb layer of a global roadmap as update_global_irm left it:
+    the crumbs, the edges between them, each crumb's sorted crumb neighbours,
+    and the sorted crumb pairs (i, j, cells) whose shortcut waits on the
+    cells of its line of sight that were unknown when last read.
+
+    The belief is monotone: sensing writes ground truth, so a cell goes from
+    unknown to known-free or known-obstacle and never changes again. Every
+    other pair is therefore settled for good, and the next call on the same
+    belief, risk field and shortcut radius only classifies the new crumbs'
+    pairs and rechecks the waiting ones. A mesh is never changed once made."""
+
+    belief: BeliefGrid
+    risk_field: RiskField
+    radius: float  # shortcut radius, in cells
+    crumbs: tuple[Cell, ...]
+    edges: dict[tuple[int, int], RoadmapEdge]
+    adjacency: dict[int, list[int]]
+    waiting: tuple[tuple[int, int, tuple[Cell, ...]], ...]
+
+
 @dataclass
 class RoadmapGraph:
     scope: str
@@ -66,6 +88,8 @@ class RoadmapGraph:
     nodes: dict[int, RoadmapNode] = field(default_factory=dict)
     edges: dict[tuple[int, int], RoadmapEdge] = field(default_factory=dict)
     adjacency: dict[int, list[int]] = field(default_factory=dict)
+    # the crumb layer a global roadmap carries to the next update_global_irm
+    mesh: CrumbMesh | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, node: RoadmapNode) -> None:
         self.nodes[node.id] = node
@@ -287,6 +311,56 @@ def _nearest_crumb(
     return None
 
 
+def _crumb_mesh(
+    mesh: CrumbMesh | None,
+    crumbs: list[Cell],
+    belief: BeliefGrid,
+    risk_field: RiskField,
+    radius: float,
+) -> CrumbMesh:
+    """The crumb layer of the trail crumbs: consecutive crumbs are linked
+    unless they share a cell, other pairs when within radius cells and in
+    line of sight through believed-free cells. It extends mesh when mesh was
+    made on the same belief, risk field and radius for a prefix of crumbs,
+    and starts from nothing otherwise."""
+    state, cs = belief.state, belief.cell_size
+    if (mesh is not None and mesh.belief is belief and mesh.risk_field is risk_field
+            and mesh.radius == radius and tuple(crumbs[:len(mesh.crumbs)]) == mesh.crumbs):
+        known = len(mesh.crumbs)
+        edges = dict(mesh.edges)
+        adjacency = {i: adj.copy() for i, adj in mesh.adjacency.items()}
+        pending = list(mesh.waiting)
+    else:
+        known, edges, adjacency, pending = 0, {}, {}, []
+    waiting: list[tuple[int, int, tuple[Cell, ...]]] = []
+
+    def classify(i: int, j: int, cells) -> None:
+        """Link crumbs i and j once cells are all known-free, drop the pair
+        for good once one is a known obstacle, and keep it waiting on the
+        rest."""
+        cells = tuple(cell for cell in cells if state[cell] != gw.KNOWN_FREE)
+        if not cells:
+            a, b = crumbs[i], crumbs[j]
+            edges[(i, j)] = RoadmapEdge(i, j, math.hypot(a[0] - b[0], a[1] - b[1]) * cs,
+                                        edge_risk(risk_field, a, b))
+            bisect.insort(adjacency[i], j)
+            bisect.insort(adjacency[j], i)
+        elif all(state[cell] == gw.UNKNOWN for cell in cells):
+            waiting.append((i, j, cells))
+
+    for i, j, cells in pending:
+        classify(i, j, cells)
+    for j in range(known, len(crumbs)):
+        adjacency[j] = []
+        b = crumbs[j]
+        for i, a in enumerate(crumbs[:j]):
+            d = math.hypot(a[0] - b[0], a[1] - b[1])
+            if d > 0 and (j == i + 1 or d <= radius):
+                classify(i, j, () if j == i + 1 else gw.bresenham_line(a[0], a[1], b[0], b[1]))
+    return CrumbMesh(belief, risk_field, radius, tuple(crumbs), edges, adjacency,
+                     tuple(waiting))
+
+
 def update_global_irm(
     graph: RoadmapGraph | None,
     belief: BeliefGrid,
@@ -296,14 +370,17 @@ def update_global_irm(
     min_cluster: int = DEFAULT_MIN_CLUSTER,
     horizon: int = 20,
 ) -> RoadmapGraph:
-    """Rebuild the global roadmap: the breadcrumb trail (appending one when the
-    robot moved at least breadcrumb_spacing from the last), current frontier
-    nodes attached to their nearest reachable breadcrumb, and a robot node.
-    Frontiers that cannot reach any breadcrumb through believed-free space are
-    dropped so the graph stays connected. Consecutive breadcrumbs are linked
-    unless they share a cell, other pairs when within twice the spacing and in
-    line of sight. Raises InvalidStateError for a robot pose that is not
-    believed free."""
+    """The global roadmap after the previous one, graph (None at the start):
+    the breadcrumb trail (appending one when the robot moved at least
+    breadcrumb_spacing from the last), current frontier nodes attached to
+    their nearest reachable breadcrumb, and a robot node. Frontiers that
+    cannot reach any breadcrumb through believed-free space are dropped so
+    the graph stays connected. Consecutive breadcrumbs are linked unless they
+    share a cell, other pairs when within twice the spacing and in line of
+    sight. The crumb layer is carried on graph.mesh and extended (see
+    CrumbMesh), which gives the graph a from-scratch build would, as long as
+    the belief only ever learns cells. Raises InvalidStateError for a robot
+    pose that is not believed free."""
     robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
     if not belief.is_known_free(*robot_pose):
         raise InvalidStateError(f"robot pose {robot_pose!r} is not believed free")
@@ -319,20 +396,15 @@ def update_global_irm(
         if dist_m >= breadcrumb_spacing - 1e-9:
             crumbs.append(robot_pose)
 
-    out = RoadmapGraph(scope=GLOBAL, horizon=horizon)
-    for i, pose in enumerate(crumbs):
-        out.add_node(RoadmapNode(id=i, pose=pose, kind=BREADCRUMB))
     # the trail, meshed with line-of-sight shortcuts between nearby crumbs so
     # that hop distances reflect the metric layout rather than the walk order
-    shortcut_radius = 2.0 * breadcrumb_spacing / cs
-    for i, a in enumerate(crumbs):
-        for j, b in enumerate(crumbs[i + 1:], start=i + 1):
-            d = math.hypot(a[0] - b[0], a[1] - b[1])
-            if d == 0 or (j > i + 1 and (d > shortcut_radius or not all(
-                    belief.state[cell] == gw.KNOWN_FREE
-                    for cell in gw.bresenham_line(a[0], a[1], b[0], b[1])))):
-                continue
-            out.add_edge(i, j, length=d * cs, risk=edge_risk(risk_field, a, b))
+    mesh = _crumb_mesh(graph.mesh if graph is not None else None, crumbs, belief,
+                       risk_field, 2.0 * breadcrumb_spacing / cs)
+    out = RoadmapGraph(scope=GLOBAL, horizon=horizon, edges=dict(mesh.edges),
+                       adjacency={i: adj.copy() for i, adj in mesh.adjacency.items()},
+                       mesh=mesh)
+    for i, pose in enumerate(crumbs):
+        out.add_node(RoadmapNode(id=i, pose=pose, kind=BREADCRUMB))
 
     passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
     crumb_at = {(r + 1) * wp + c + 1: i for i, (r, c) in enumerate(crumbs)}

@@ -1,7 +1,9 @@
 """Closed-loop properties over random small worlds, planners and configs:
 coverage never decreases, the robot only stands on ground-truth free cells,
-no step ends on a cell the belief held as an obstacle before the step, and a
-second run gives the same event-log bytes."""
+no step ends on a cell the belief held as an obstacle before the step, no
+step changes a cell the belief already knew (the monotone belief that lets
+the global roadmap carry its crumb layer across cycles), and a second run
+gives the same event-log bytes."""
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +49,8 @@ def test_episode_invariants(generator, planner, data, seed, budget, replan_inter
         before = belief.state.copy()
         new_pose, collided = execute_step(world, belief, pose, executed, index, sensor)
         assert before[new_pose] != gw.KNOWN_OBSTACLE
+        known = before != gw.UNKNOWN
+        assert np.array_equal(belief.state[known], before[known])
         poses.append(new_pose)
         return new_pose, collided
 

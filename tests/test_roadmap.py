@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import reference_impl as ref
+from gridexplore import harness
 from gridexplore import world as gw
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import (
@@ -242,6 +244,85 @@ def test_global_irm_rejects_pose_not_believed_free(pose):
         pose = tuple(int(x) for x in np.argwhere(b.state == state)[0])
     with pytest.raises(InvalidStateError, match="not believed free"):
         update_global_irm(graph, b, riskless_field(b.state.shape), pose)
+
+
+@pytest.mark.parametrize("planner", ["MLDM", "HCP", "HFE"])
+@pytest.mark.parametrize("generator,seed,params", [
+    ("maze", 3, {"width": 25, "height": 25}),
+    ("subway", 4, {"rooms": 4}),
+    ("cave", 5, {"width": 41, "height": 41}),
+])
+def test_carried_global_roadmap_equals_a_fresh_build(monkeypatch, generator, seed, params,
+                                                     planner):
+    """On every cycle of a whole episode, the roadmap built on the carried
+    crumb mesh equals the one built from the same crumbs without it."""
+    carried = harness.update_global_irm
+    cycles = 0
+
+    def checked(graph, belief, risk_field, robot_pose, **kwargs):
+        nonlocal cycles
+        got = carried(graph, belief, risk_field, robot_pose, **kwargs)
+        bare = None if graph is None else dataclasses.replace(graph, mesh=None)
+        want = carried(bare, belief, risk_field, robot_pose, **kwargs)
+        assert graph_to_dict(got) == graph_to_dict(want)
+        assert got.adjacency == want.adjacency
+        cycles += 1
+        return got
+
+    monkeypatch.setattr(harness, "update_global_irm", checked)
+    config = harness.RunConfig(
+        world=harness.WorldSpec(generator=generator, seed=seed, params=params),
+        planner=planner, min_frontier_cluster=1,
+    )
+    record = harness.run_episode(config)
+    assert record.termination != "budget"
+    assert cycles == record.cycles > 1
+
+
+def test_crumb_mesh_is_carried_only_for_its_own_belief_and_trail():
+    """A graph passed with another belief, or with crumbs that its mesh does
+    not start with, is built from scratch."""
+    b = known_free_belief(9, 9)
+    f = riskless_field((9, 9))
+    graph = None
+    for pose in [(1, 1), (1, 5), (5, 5), (5, 1)]:
+        graph = update_global_irm(graph, b, f, pose, breadcrumb_spacing=2.0)
+    assert graph.get_edge(0, 2) is not None  # the (1, 1)-(5, 5) shortcut
+    walled = known_free_belief(9, 9)
+    walled.state[3, 3] = gw.KNOWN_OBSTACLE
+    bare = dataclasses.replace(graph, mesh=None)
+    for pose in [(5, 1), (5, 3)]:
+        got = update_global_irm(graph, walled, f, pose, breadcrumb_spacing=2.0)
+        want = update_global_irm(bare, walled, f, pose, breadcrumb_spacing=2.0)
+        assert graph_to_dict(got) == graph_to_dict(want)
+        assert got.get_edge(0, 2) is None
+    graph.nodes[0].pose = (1, 2)  # the trail no longer starts as the mesh did
+    got = update_global_irm(graph, b, f, (5, 1), breadcrumb_spacing=2.0)
+    want = update_global_irm(dataclasses.replace(graph, mesh=None), b, f, (5, 1),
+                             breadcrumb_spacing=2.0)
+    assert graph_to_dict(got) == graph_to_dict(want)
+
+
+def test_crumb_shortcut_waits_on_its_unknown_cells():
+    """A shortcut whose line of sight crosses unknown cells appears once they
+    are all known-free, and never once one is a known obstacle."""
+    b = known_free_belief(9, 9)
+    b.state[2, 2] = b.state[2, 4] = gw.UNKNOWN  # on the 0-2 and 1-3 diagonals
+    f = riskless_field((9, 9))
+    graph = None
+    for pose in [(1, 1), (1, 5), (5, 5), (5, 1)]:
+        graph = update_global_irm(graph, b, f, pose, breadcrumb_spacing=2.0)
+    assert [(i, j) for i, j, _ in graph.mesh.waiting] == [(0, 2), (1, 3)]
+    assert graph.get_edge(0, 2) is None and graph.get_edge(1, 3) is None
+    b.state[2, 2], b.state[2, 4] = gw.KNOWN_FREE, gw.KNOWN_OBSTACLE
+    got = update_global_irm(graph, b, f, (5, 1), breadcrumb_spacing=2.0)
+    want = update_global_irm(None, b, f, (1, 1), breadcrumb_spacing=2.0)
+    for pose in [(1, 5), (5, 5), (5, 1)]:
+        want = update_global_irm(dataclasses.replace(want, mesh=None), b, f, pose,
+                                 breadcrumb_spacing=2.0)
+    assert graph_to_dict(got) == graph_to_dict(want)
+    assert got.get_edge(0, 2) is not None and got.get_edge(1, 3) is None
+    assert got.mesh.waiting == ()
 
 
 def test_global_irm_deterministic():
