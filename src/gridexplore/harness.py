@@ -37,7 +37,7 @@ from .world import BeliefGrid, SensorSpec, WorldModel
 EVENT_SCHEMA_VERSION = 1
 # bumped by every change that moves what an episode does; a header without
 # the "behaviour" key was written under behaviour 1
-BEHAVIOUR_VERSION = 2
+BEHAVIOUR_VERSION = 3
 
 # largest gap replay accepts between a logged score and its recomputation
 SCORE_TOLERANCE = 1e-9

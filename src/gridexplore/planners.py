@@ -76,8 +76,8 @@ def _local_moves(lattice: LocalLattice, w: float, dc: float):
     """The moves of a walk over the lattice, in two forms, over node
     positions:
 
-    - moves[v]: (target, first-visit reward, revisit reward, target gain)
-      per move of v, in CSR order;
+    - moves[v]: (target, first-visit reward, revisit reward) per move of v,
+      in CSR order;
     - target[v], best[v]: the same targets, and the larger of each move's
       two rewards, padded with -inf to the largest degree;
     - first, revisit: each move's two rewards, in CSR order;
@@ -88,7 +88,7 @@ def _local_moves(lattice: LocalLattice, w: float, dc: float):
     # elementwise float64: each reward is the one w * gain - dc * length gives
     first, revisit = w * gains[dst] - dc * lattice.lengths, w * 0.0 - dc * lattice.lengths
 
-    flat = list(zip(dst.tolist(), first.tolist(), revisit.tolist(), gains[dst].tolist()))
+    flat = list(zip(dst.tolist(), first.tolist(), revisit.tolist()))
     starts = indptr.tolist()
     moves = [flat[s:e] for s, e in zip(starts, starts[1:])]
     col = np.arange(len(src)) - indptr[src]
@@ -107,27 +107,23 @@ def plan_local(
     budget: int = 20000,
     created_at: int = 0,
 ) -> Policy | None:
-    """Best-utility walk of at most `horizon` nodes from the robot node.
+    """Best-utility walk of at most `horizon` nodes from the robot node, with
+    revisit gain zeroing; among walks of equal utility, the one whose tuple
+    of node ids is smallest.
 
     A RoadmapGraph is searched as LocalLattice.from_graph(local_graph).
-    Bounded best-first search over walks with revisit gain zeroing: walks
-    are popped by utility, ties broken by the walk tuple, for at most
-    `budget` pops. The search is exhaustive whenever the walk space fits
-    within the budget; an optimistic remaining-gain bound (the node gains
-    summed in id order) prunes hopeless branches without affecting
-    exactness.
-
-    The search also stops, exactly, as soon as no open walk can beat the
-    best one. `future[k][v]` bounds the discounted reward any walk of at
-    most k more moves from v can still collect: each move is scored at the
-    larger of its first-visit and revisit reward, a walk may stop anywhere
-    (floor 0), and a slack covers float rounding. A heap entry of n nodes
-    ending at v carries `u + gamma^(n-1) * future[H-n][v]`, which bounds its
-    own utility and that of every walk extending it. The best walk changes
-    only when a popped walk's utility exceeds `best_utility`, so once no
-    open bound exceeds it, no pop left in the budget can change the result,
-    and stopping returns the policy the full budget would. The bound prunes
-    nothing: pop order and budget truncation are those of the plain search.
+    Best-first search over walks, popped by an admissible bound, as in A*:
+    `future[k][v]` bounds the discounted reward any walk of at most k more
+    moves from v can still collect. Each move is scored at the larger of its
+    first-visit and revisit reward, a walk may stop anywhere (floor 0), and
+    a slack covers float rounding. A walk of n nodes ending at v is bounded
+    by `u + gamma^(n-1) * future[H-n][v]`, which covers its own utility and
+    that of every walk extending it, and exceeds its own utility by the
+    slack. A walk is pushed only while its bound exceeds the best utility
+    found, and the search stops at the first pop whose bound does not: no
+    open walk can then beat the best one or tie it, so the best walk is
+    exact. `budget` caps the pops; a search it cuts returns the best walk
+    found so far.
 
     Returns None when no walk with at least one move has positive utility
     (nothing locally worth covering)."""
@@ -135,18 +131,15 @@ def plan_local(
     if isinstance(local_graph, RoadmapGraph):
         lattice = LocalLattice.from_graph(local_graph)
     gamma = reward_model.gamma_for(LOCAL)
-    w = reward_model.coverage_weight
-    gains = lattice.gains.tolist()
-    total_gain = sum_left(gains)
 
     # walks hold node positions, so walk tuples compare as the id tuples
     # would; a walk has at most `horizon` nodes, so `nb in walk` is the
     # visited test
     moves, target, best_reward, first, revisit, scale = _local_moves(
-        lattice, w, reward_model.distance_cost)
+        lattice, reward_model.coverage_weight, reward_model.distance_cost)
     depth = max(horizon, 1)
     discount = [gamma ** d for d in range(depth)]
-    future = [np.zeros(len(gains))]
+    future = [np.zeros(len(lattice.nodes))]
     for _ in range(depth - 1):
         future.append(np.maximum((best_reward + gamma * future[-1][target]).max(axis=1), 0.0))
     # a utility sums at most `horizon` terms of magnitude <= scale, so its
@@ -159,44 +152,31 @@ def plan_local(
 
     best_utility = 0.0
     best_walk: tuple[int, ...] | None = None
-    # heap entries: (-utility, walk, utility, remaining_gain, bound); walks
-    # are unique, so ties in utility are broken by the walk tuple and the
-    # bound never takes part in the ordering
+    # heap entries: (-bound, walk, utility); walks are unique, so equal
+    # bounds pop in walk-tuple order
     root = lattice.robot
-    heap: list[tuple[float, tuple[int, ...], float, float, float]] = [
-        (0.0, (root,), 0.0, total_gain - gains[root], tail[1][root])
-    ]
-    live = int(heap[0][4] > best_utility)  # open entries bounded above best_utility
+    heap: list[tuple[float, tuple[int, ...], float]] = [(-tail[1][root], (root,), 0.0)]
     pop, push = heapq.heappop, heapq.heappush
     expansions = 0
-    while live and expansions < budget:
-        _, walk, utility, rem_gain, bound = pop(heap)
+    while heap and expansions < budget:
+        neg_bound, walk, utility = pop(heap)
+        if -neg_bound <= best_utility:
+            break
         expansions += 1
-        if bound > best_utility:
-            live -= 1
         n = len(walk)
-        if n > 1 and utility > best_utility:
+        if n > 1 and (utility > best_utility or (
+                utility == best_utility and best_walk is not None and walk < best_walk)):
             best_utility = utility
             best_walk = walk
-            live = sum(entry[4] > best_utility for entry in heap)
         if n >= horizon:
-            continue
-        if utility + w * rem_gain <= best_utility:
             continue
         g = discount[n - 1]  # gamma ** moves taken so far
         bounds = tail[n + 1]
-        for nb, first_reward, revisit_reward, gain in moves[walk[-1]]:
-            if nb in walk:
-                new_u = utility + g * revisit_reward
-                new_rem = rem_gain
-            else:
-                new_u = utility + g * first_reward
-                new_rem = rem_gain - gain
-            if new_u + w * new_rem <= best_utility:
-                continue
+        for nb, first_reward, revisit_reward in moves[walk[-1]]:
+            new_u = utility + g * (revisit_reward if nb in walk else first_reward)
             bound = new_u + bounds[nb]
-            live += bound > best_utility
-            push(heap, (-new_u, walk + (nb,), new_u, new_rem, bound))
+            if bound > best_utility:
+                push(heap, (-bound, walk + (nb,), new_u))
 
     if best_walk is None or best_utility <= 0.0:
         return None

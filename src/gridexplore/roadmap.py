@@ -17,7 +17,7 @@ import numpy as np
 
 from . import world as gw
 from .risk import RiskField, edge_risk, unit_edge_risks
-from .world import BeliefGrid, SensorSpec, sum_left, visible_unknown_counts
+from .world import BeliefGrid, SensorSpec, visible_unknown_counts
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps roadmap.visible_unknown_count
 from .world import visible_unknown_count  # noqa: F401
@@ -121,9 +121,6 @@ class RoadmapGraph:
             if node.kind == ROBOT:
                 return node
         return None
-
-    def total_info_gain(self) -> float:
-        return float(sum_left(node.info_gain for node in self.nodes.values()))
 
 
 @dataclass(eq=False)

@@ -24,53 +24,44 @@ from gridexplore.world import FREE, BeliefGrid, SensorSpec
 Cell = tuple[int, int]
 
 
-def plan_local(local_graph: RoadmapGraph, reward_model, horizon=10, budget=20000,
+def plan_local(local_graph: RoadmapGraph, reward_model, horizon=10,
                created_at=0) -> Policy | None:
-    """Best-first walk search with a frozenset of visited nodes and an edge
-    lookup per expansion."""
+    """Every walk of at most horizon nodes from the robot node, enumerated
+    depth first with no bound: the greatest utility, ties to the smaller
+    tuple of node ids; None when that utility is not above 0. A revisited
+    node's gain is 0, and the k-th move's reward is discounted by gamma ** k."""
     robot = local_graph.robot_node()
     gamma = reward_model.gamma_for(LOCAL)
-    w = reward_model.coverage_weight
-    total_gain = local_graph.total_info_gain()
+    w, dc = reward_model.coverage_weight, reward_model.distance_cost
+    best = [0.0, None]  # utility, walk
 
-    best_utility = 0.0
-    best_walk = None
-    root_rem = total_gain - robot.info_gain
-    heap = [(0.0, (robot.id,), 0.0, root_rem, frozenset([robot.id]))]
-    expansions = 0
-    while heap and expansions < budget:
-        neg_u, walk, utility, rem_gain, visited = heapq.heappop(heap)
-        expansions += 1
-        if len(walk) > 1 and utility > best_utility:
-            best_utility = utility
-            best_walk = list(walk)
+    def extend(walk: tuple[int, ...], utility: float) -> None:
+        if len(walk) > 1 and (utility > best[0] or (
+                utility == best[0] and best[1] is not None and walk < best[1])):
+            best[:] = [utility, walk]
         if len(walk) >= horizon:
-            continue
-        if utility + w * rem_gain <= best_utility:
-            continue
-        depth = len(walk) - 1
-        cur = walk[-1]
-        for nb in local_graph.neighbors(cur):
-            edge = local_graph.get_edge(cur, nb)
-            node = local_graph.nodes[nb]
-            first_visit = nb not in visited
-            gain = node.info_gain if first_visit else 0.0
-            reward = w * gain - reward_model.distance_cost * edge.length
-            new_u = utility + (gamma ** depth) * reward
-            new_rem = rem_gain - gain
-            if new_u + w * new_rem <= best_utility:
-                continue
-            heapq.heappush(heap, (
-                -new_u, walk + (nb,), new_u, new_rem,
-                visited | {nb} if first_visit else visited,
-            ))
+            return
+        for nb in local_graph.neighbors(walk[-1]):
+            gain = 0.0 if nb in walk else local_graph.nodes[nb].info_gain
+            reward = w * gain - dc * local_graph.get_edge(walk[-1], nb).length
+            extend(walk + (nb,), utility + (gamma ** (len(walk) - 1)) * reward)
 
-    if best_walk is None or best_utility <= 0.0:
+    extend((robot.id,), 0.0)
+    utility, walk = best
+    if walk is None or utility <= 0.0:
         return None
-    edges = list(zip(best_walk, best_walk[1:]))
-    # score the walk again, move by move: the gain of a node entered for the
-    # first time, minus the travel, discounted from the first move
-    visited = {best_walk[0]}
+    return score_walk(local_graph, reward_model, list(walk), created_at)
+
+
+def score_walk(local_graph: RoadmapGraph, reward_model, walk: list[int],
+               created_at=0) -> Policy:
+    """The local policy of a walk, scored move by move: the gain of a node
+    entered for the first time, minus the travel, discounted from the first
+    move."""
+    gamma = reward_model.gamma_for(LOCAL)
+    w, dc = reward_model.coverage_weight, reward_model.distance_cost
+    edges = list(zip(walk, walk[1:]))
+    visited = {walk[0]}
     utility = 0.0
     rewards = []
     risk = 0.0
@@ -78,15 +69,15 @@ def plan_local(local_graph: RoadmapGraph, reward_model, horizon=10, budget=20000
         edge = local_graph.get_edge(u, v)
         gain = 0.0 if v in visited else local_graph.nodes[v].info_gain
         visited.add(v)
-        reward = w * gain - reward_model.distance_cost * edge.length
+        reward = w * gain - dc * edge.length
         rewards.append(reward)
         utility += reward * gamma ** t
         risk += edge.risk
     return Policy(
-        scope=LOCAL, node_sequence=best_walk, edge_sequence=edges, utility=utility,
+        scope=LOCAL, node_sequence=walk, edge_sequence=edges, utility=utility,
         risk=risk, created_at=created_at, step_rewards=rewards,
-        goal_pose=local_graph.nodes[best_walk[-1]].pose,
-        path_cells=[local_graph.nodes[i].pose for i in best_walk],
+        goal_pose=local_graph.nodes[walk[-1]].pose,
+        path_cells=[local_graph.nodes[i].pose for i in walk],
     )
 
 

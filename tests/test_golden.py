@@ -11,7 +11,11 @@ re-recorded when the header gained its "behaviour" key; with that key
 removed, each new log hashed to the pin it replaced. When edge risk moved
 to common random numbers (behaviour 2), the pins of episodes with a
 nonzero risk field were re-recorded: the cave episodes, mldm_j_exceeded and
-the three cave ties."""
+the three cave ties. When the local search became exact (behaviour 3),
+every pin was re-recorded for the header; with the header's behaviour set
+back to 2, each new log hashed to its old pin except the MLDM and HCP cave
+episodes and five shape pins. Four of those had lost their shape and moved
+to a seed that shows it; each shape test now checks its shape as well."""
 import hashlib
 import math
 
@@ -31,19 +35,19 @@ PARAMS = {
 # (generator, planner, world seed) -> sha256 of events_to_ndjson. The last
 # seed is >= 2**32, so the field's rows of draws are seeded with a two-word seed.
 EPISODE_SHA256 = {
-    ("maze", "MLDM", 3): "50c94c4c0bee63b9208d27faa701799a2f8c1b855d930c5bc3e923c6b3ada8e8",
-    ("maze", "HCP", 3): "ed8a91156adb5475e1f0c5f59a26abbc631ec0fa7a962a7db2c827cf0223b2a5",
-    ("maze", "NBV", 3): "125c716eb0892c5af9fc8020db9b078b99deb30fc9a2b9647abf8fe19d386404",
-    ("maze", "HFE", 3): "2b23b197b553caac65e9396d4a4a5194ef2eb2331979f84a2296654a464470f8",
-    ("subway", "MLDM", 4): "8086fbfe136b93665b9b36c59acb084f58c190a951d27ef03b5b41827067f92e",
-    ("subway", "HCP", 4): "7ee032469d473cc3e07e5f9b0f0abec34014f9ec6fbe19ca048fd79f733664fb",
-    ("subway", "NBV", 4): "5cc70421f2d1f506cf8f37cc18ec907cfafde25e908cf2b6d99e828eb17e645c",
-    ("subway", "HFE", 4): "299826f4a529e8a58a438448871b3132041a72138d4e76825509427ae987c9eb",
-    ("cave", "MLDM", 5): "ee6342f553be6e7fc14d877911b1531e57fd7fbccfcc0e00c5965c33a7388908",
-    ("cave", "HCP", 5): "f438d9525671638a733d46f70a6a5230ce34d59bf307b873d710b9048ec4ff14",
-    ("cave", "NBV", 5): "d790d779f876d5ed57571c9bddddbb13d4761c6124b6c727ab53d51febc7c88b",
-    ("cave", "HFE", 5): "d686a9ea7d85b03833cfc71606281b8d9c8de5da353e6c11e7c178db5b1e995b",
-    ("cave", "MLDM", 2**32 + 5): "5e3bb94aa9102b9bbdcaaf01664fcd0773b319477a2c223836bbe6266b0e17f8",
+    ("maze", "MLDM", 3): "da3b9185be2f9f0a03e75f3f9fbb3e35478eb1b1db19d13aaac21d1c772a56c3",
+    ("maze", "HCP", 3): "586a02b4e2e1d017f24ddf5c5dc6b3ca30c489a1b0d1faaaa0cd2ea09cd04c06",
+    ("maze", "NBV", 3): "e9c52fdb523db4e881a7f21034715f6404a62e35ada93a842aaddc7b563be6ba",
+    ("maze", "HFE", 3): "733b20a1e3e452353e27f5aeda50b4eccb66ec18c149784460091035e3b6bf49",
+    ("subway", "MLDM", 4): "ef9406bba75c0640c75fb2bdd1dc9b32cab3830069336aae24e71f0e181b0f72",
+    ("subway", "HCP", 4): "1e5e125eeb48d90eadbea26faa875e88c82db7781929730167b6936f53a3931c",
+    ("subway", "NBV", 4): "cecd40842b9060c569b307be3bcea709f2ab3b8aef603489109f764c4dd860c6",
+    ("subway", "HFE", 4): "14f5621ed9e7778c5a836945a21c3c1b873924349c6e0c784e4a296949781f96",
+    ("cave", "MLDM", 5): "3271bdbcd7537a058037a4173a93099f9b3fdb59895c3bd27e29dc52c23e577d",
+    ("cave", "HCP", 5): "03d94f33971064cd128e29f7a53312e08ecdfafebc0b359a7393957ba7e1e9f2",
+    ("cave", "NBV", 5): "326593d4ae1d0ed455272845036c476646379b1dc6013652eecc3622b78b9c16",
+    ("cave", "HFE", 5): "49336c06f24ed3d6e716c27d036d98096cb98fe8003c5e60f63058441909fbae",
+    ("cave", "MLDM", 2**32 + 5): "7d742ededf550d9a557574e34b91e33c559012795b2515784a3c896b05fb9c48",
 }
 
 # Cycle-event shapes the pins above do not reach: (label, generator, planner,
@@ -51,24 +55,47 @@ EPISODE_SHA256 = {
 # "Golden settings" are the settings of the pins above; without them the
 # episode runs on RunConfig defaults.
 SHAPE_SHA256 = {
-    # an MLDM cycle with no candidate at all; ends no_policy at step 150
-    ("mldm_no_candidate", "subway", "MLDM", 5, 160, False):
-        "4304f950be47831288e3929e86967e217f83df3866c1d40e47f07ddae408ccd0",
-    # HCP with no policy; ends no_policy at step 150
-    ("hcp_no_policy", "subway", "HCP", 5, 160, False):
-        "43670d3f401d9d08e3a3763fdd35f08a68130dc3941179f9dc028ee41f486462",
+    # an MLDM cycle with no candidate at all; ends no_policy at step 145
+    ("mldm_no_candidate", "subway", "MLDM", 17, 160, False):
+        "7c8932de0cbf4cfe6ec5ceecdcf4f41c7e1aca8d543e65b44f7f4ffe24bf1fab",
+    # HCP with no policy; ends no_policy at step 145
+    ("hcp_no_policy", "subway", "HCP", 17, 160, False):
+        "d27a6adca506a52dc57b8553a79deba6f4fe91be4d753afc0eab96101d65f5a4",
     # HCP gives up its committed goal and calls plan_global (global_found)
-    ("hcp_global_fallback", "subway", "HCP", 3, 120, True):
-        "63d8c3a3325e6b8c90d462e31e435fa4cb0ce10c23b57e90b96fcf682720ac8d",
+    ("hcp_global_fallback", "subway", "HCP", 8, 120, True):
+        "b098805cf07a32793e9478c73bf9102e72d97777034e17bb974b94fa42cfeb03",
     # HFE with no policy (chosen: null)
     ("hfe_no_policy", "maze", "HFE", 3, 120, True):
-        "e10fe10bc29b75bafd6c49179f86d8acdaa6becfdccb829829543c947d12fe90",
+        "37062aaa4dd350ce16662036d76d75a7795600cc1e5ffb1fd63b685516d304fb",
     # MLDM discrepancy override
-    ("mldm_d_exceeded", "subway", "MLDM", 3, 120, True):
-        "0a6362b93131a9f8ef95dcd13410fe61142bdfd4485e7c201202767535f889de",
+    ("mldm_d_exceeded", "subway", "MLDM", 8, 120, True):
+        "a9531cb0a70760f674d1317710893c5adb2178b9a273c81900b4a881a5c49103",
     # MLDM risk override
     ("mldm_j_exceeded", "cave", "MLDM", 0, 60, True):
-        "b8df9a7e630ff9200cb482e9a733c1fc5b5cf3bd402128f3f57bd9c9cb1aa4e3",
+        "e149e103343fc247978de2f430b960f864b86c0e3d3d9ba7d448702c14f36d4a",
+}
+
+
+def _last_cycle_has_no_candidate(events) -> bool:
+    cycles = [ev for ev in events if ev["type"] == "cycle"]
+    return events[-1]["termination"] == "no_policy" and "chosen" not in cycles[-1]
+
+
+def _override(reason):
+    return lambda events: any((ev.get("decision") or {}).get("override_reason") == reason
+                              for ev in events if ev["type"] == "cycle")
+
+
+# label -> the shape its log must show, so that a re-recorded pin keeps it
+SHAPES = {
+    "mldm_no_candidate": _last_cycle_has_no_candidate,
+    "hcp_no_policy": _last_cycle_has_no_candidate,
+    "hcp_global_fallback": lambda events: any(
+        "global_found" in ev for ev in events if ev["type"] == "cycle"),
+    "hfe_no_policy": lambda events: any(
+        ev["type"] == "cycle" and "chosen" in ev and ev["chosen"] is None for ev in events),
+    "mldm_d_exceeded": _override("D_exceeded"),
+    "mldm_j_exceeded": _override("J_exceeded"),
 }
 
 GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global": 40}
@@ -79,15 +106,15 @@ GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global
 TIE_SHA256 = {
     # risk-free A*: equal-cost paths are told apart only by heap order
     "nbv_risk_free": ("cave", "NBV", 5, {"astar_risk_weight": 0.0},
-                      "27da1e38f4925dee1bee636b36a35300eaa5640062eade71f61027e9af980541"),
+                      "4b7a5573f84e1f792f8c99312c01f6f42ecb297a2c0897294cec3405f3f73c69"),
     "hfe_risk_free": ("cave", "HFE", 5, {"astar_risk_weight": 0.0},
-                      "a2a09106b96b8cdce7d1a0db6670ee7e94aaaa628a3816dc21008fa183920b5f"),
+                      "743eb5cfd4b07355fef14f9d9e9f5768dfd6527492d598f6b1bbde1c0c465dcc"),
     # free travel: every NBV score equals its bound, so the tie rule decides
     "nbv_free_travel": ("cave", "NBV", 5, {"reward": RewardModel(distance_cost=0.0)},
-                        "13a4e16672e321e66643a3b7da8cf9c3e7d1524996b603ff68f0a21a95052acf"),
+                        "34629e896ef8afbd8f375e642da99a47b9000394ffb70c4fe7f99e70d6fc0edb"),
     # many viewpoints per cycle
     "nbv_200_samples": ("subway", "NBV", 4, {"nbv_samples": 200},
-                        "0b4b1b50e125f304ba9a7fb472035efc73fef45a45c899e5462ee08932639308"),
+                        "066f771d8afb0bce89cff5d4e450ae98a31e9db30e575a79f9c2b5237bd02279"),
 }
 
 # (seed, width, height) -> (sha256 of occupancy bytes, sha256 of risk_mu bytes)
@@ -124,6 +151,7 @@ def test_event_shape_log_matches_golden_hash(label, generator, planner, seed, bu
         planner=planner, step_budget=budget, **(GOLDEN_SETTINGS if golden else {}),
     )
     record = run_episode(config)
+    assert SHAPES[label](record.events)
     text = events_to_ndjson(record.events)
     key = (label, generator, planner, seed, budget, golden)
     assert sha256(text.encode("utf-8")) == SHAPE_SHA256[key]

@@ -373,17 +373,25 @@ def test_replay_rejects_invalid_header_config(tmp_path, edit):
 
 
 def test_replay_verify_refuses_a_log_of_another_behaviour(tmp_path, monkeypatch, capsys):
-    """A header without the behaviour key was written under behaviour 1. Such
-    a log replays, but verification fails with the reason and re-runs
-    nothing; a log of this build verifies (see above)."""
-    old = rewrite_header(tmp_path, lambda h: h.pop("behaviour"))
-    assert replay(old).ok
+    """A header without the behaviour key was written under behaviour 1;
+    behaviour 2 searched the local lattice only up to its budget. Such logs
+    replay, but verification fails with the reason and re-runs nothing; a
+    log of this build verifies (see above)."""
+    assert harness.BEHAVIOUR_VERSION == 3
+    logs = {}
+    for behaviour, edit in [(1, lambda h: h.pop("behaviour")),
+                            (2, lambda h: h.update(behaviour=2))]:
+        (tmp_path / str(behaviour)).mkdir()
+        logs[behaviour] = rewrite_header(tmp_path / str(behaviour), edit)
     monkeypatch.setattr(harness, "run_episode", lambda config: pytest.fail("re-ran the episode"))
-    result = replay(old, verify=True)
-    assert not result.ok
-    assert result.warnings == ["recorded under behaviour 1; this build runs behaviour 2"]
-    assert cli_main(["replay", "--log", old, "--verify"]) == 1
-    assert "recorded under behaviour 1; this build runs behaviour 2" in capsys.readouterr().err
+    for behaviour, old in logs.items():
+        assert replay(old).ok
+        result = replay(old, verify=True)
+        assert not result.ok
+        reason = f"recorded under behaviour {behaviour}; this build runs behaviour 3"
+        assert result.warnings == [reason]
+        assert cli_main(["replay", "--log", old, "--verify"]) == 1
+        assert reason in capsys.readouterr().err
 
 
 def test_replay_counts_negative_risk_as_score_mismatch(tmp_path):

@@ -207,7 +207,7 @@ def test_plan_local_on_a_graph_equals_plan_local_on_its_lattice(seed):
             edge = g.get_edge(nid, ids[m])
             assert (length, risk) == (edge.length, edge.risk)
     rm = RewardModel(distance_cost=float(rng.choice([0.05, 0.5])))
-    want = ref.plan_local(g, rm, horizon=5, budget=500)
+    want = ref.plan_local(g, rm, horizon=5)
     for graph in (g, lattice):
         got = plan_local(graph, rm, horizon=5, budget=500)
         assert (got is None) == (want is None)

@@ -205,26 +205,55 @@ def test_sense_equals_reference(seed, kind, range_m, arc, heading, occlusion, ce
 # --- local search -----------------------------------------------------------------
 
 @given(seed=seeds, radius=st.sampled_from([1.0, 2.0, 4.0, 10.0]),
-       horizon=st.integers(1, 10), budget=st.sampled_from([1, 2, 7, 60, 500, 20000]),
-       gamma=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+       horizon=st.integers(1, 10), gamma=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
        weight=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
        distance_cost=st.sampled_from([0.0, 0.05, 0.3, 5.0]), open_room=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_plan_local_equals_reference_search(seed, radius, horizon, budget, gamma, weight,
+def test_plan_local_equals_reference_search(seed, radius, horizon, gamma, weight,
                                             distance_cost, open_room):
     belief, field, robot, sensor = random_lattice(seed, radius, 2.5, True, open_room)
     lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
     graph = ref.local_lattice(belief, field, robot, radius, sensor)
     reward = RewardModel(gamma_local=gamma, coverage_weight=weight,
                          distance_cost=distance_cost)
-    assert_same_local_policy(lattice, graph, reward, horizon, budget)
+    assert_same_local_policy(lattice, graph, reward, horizon, 20000)
+
+
+# budgets that cut the exact search on some of these lattices, where it can
+# need over a thousand pops
+@given(seed=seeds, radius=st.sampled_from([1.0, 2.0, 4.0, 10.0]),
+       horizon=st.integers(1, 10), budget=st.sampled_from([1, 2, 7, 60, 500]),
+       gamma=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+       weight=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+       distance_cost=st.sampled_from([0.0, 0.05, 0.3, 5.0]), open_room=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_plan_local_cut_by_its_budget_returns_a_walk_no_better_than_the_optimum(
+        seed, radius, horizon, budget, gamma, weight, distance_cost, open_room):
+    """A search its budget cuts returns a walk of the lattice from the robot,
+    scored as the reference scores it, whose utility is at most the
+    optimum; or None."""
+    belief, field, robot, sensor = random_lattice(seed, radius, 2.5, True, open_room)
+    lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
+    graph = ref.local_lattice(belief, field, robot, radius, sensor)
+    reward = RewardModel(gamma_local=gamma, coverage_weight=weight,
+                         distance_cost=distance_cost)
+    got = plan_local(lattice, reward, horizon=horizon, budget=budget)
+    if got is None:
+        return
+    walk = got.node_sequence
+    assert walk[0] == graph.robot_node().id and 1 < len(walk) <= horizon
+    assert all(graph.get_edge(u, v) is not None for u, v in got.edge_sequence)
+    rescored = ref.score_walk(graph, reward, walk)
+    assert got.step_rewards == rescored.step_rewards
+    assert got.utility == rescored.utility > 0.0
+    assert got.utility <= ref.plan_local(graph, reward, horizon=horizon).utility
 
 
 def assert_same_local_policy(lattice, graph, reward, horizon, budget):
-    """plan_local on the lattice against the reference search on the
+    """plan_local on the lattice against the reference enumeration on the
     reference graph of the same lattice."""
     got = plan_local(lattice, reward, horizon=horizon, budget=budget, created_at=3)
-    want = ref.plan_local(graph, reward, horizon=horizon, budget=budget, created_at=3)
+    want = ref.plan_local(graph, reward, horizon=horizon, created_at=3)
     if want is None:
         assert got is None
     else:
@@ -274,20 +303,20 @@ def pops_of(monkeypatch, call):
 
 @pytest.mark.parametrize("seed", [1, 7, 9])
 def test_plan_local_equals_reference_search_in_truncated_open_rooms(seed, monkeypatch):
-    # the reference pops its whole budget in all three rooms; plan_local's
-    # early stop fires in rooms 7 and 9 (after 45 and 1726 pops) and not in 1
+    # rooms whose walks of 10 nodes (up to 4^9 = 262 144) a search popped by
+    # utility could not finish within 20 000 pops; popped by bound, the
+    # search is exact in all three with pops to spare
     lattice, graph = open_room_lattice(seed)
     reward = RewardModel()
-    assert pops_of(monkeypatch, lambda: ref.plan_local(graph, reward, budget=20000)) == 20000
+    assert pops_of(monkeypatch, lambda: plan_local(lattice, reward, budget=20000)) < 20000
     assert_same_local_policy(lattice, graph, reward, 10, 20000)
 
 
 def test_plan_local_early_stop_saves_pops(monkeypatch):
     lattice, graph = open_room_lattice(9)
     reward = RewardModel()
-    assert pops_of(monkeypatch, lambda: ref.plan_local(graph, reward, budget=20000)) == 20000
     stopped = pops_of(monkeypatch, lambda: plan_local(lattice, reward, budget=20000))
-    assert stopped <= 2000  # 1726 when pinned
+    assert stopped <= 11  # 11 when pinned
     assert_same_local_policy(lattice, graph, reward, 10, 20000)
 
 
