@@ -31,9 +31,11 @@ for _ in range(14):
     visited.append(pose)
 
 # the local lattice is arrays: node gains, and CSR moves (an edge is a move
-# each way)
-local = build_local_irm(belief, risk, pose, radius=10.0)
-print(f"local IRM around {pose}: {len(local.nodes)} nodes, {len(local.targets) // 2} edges")
+# each way); it keeps the cells of the 10 m disk that a walk of 10 nodes can
+# reach, each under its id among all the disk's cells, so ids may skip
+local = build_local_irm(belief, risk, pose, radius=10.0, horizon=10)
+print(f"local IRM around {pose}: {len(local.nodes)} nodes within 9 moves "
+      f"(ids {local.nodes.min()}-{local.nodes.max()}), {len(local.targets) // 2} edges")
 gainful = local.gains[local.gains > 0]
 print(f"  {len(gainful)} nodes expect new coverage; the best offers "
       f"{gainful.max():.2f} m^2")

@@ -126,10 +126,16 @@ def plan_local(
     found so far.
 
     Returns None when no walk with at least one move has positive utility
-    (nothing locally worth covering)."""
+    (nothing locally worth covering). Raises ValueError for a horizon longer
+    than the lattice's: build_local_irm keeps only the nodes a walk of its
+    own horizon can reach."""
     lattice = local_graph
     if isinstance(local_graph, RoadmapGraph):
         lattice = LocalLattice.from_graph(local_graph)
+    depth = max(horizon, 1)
+    if depth > max(lattice.horizon, 1):
+        raise ValueError(f"horizon {horizon} is longer than the lattice's horizon "
+                         f"{lattice.horizon}")
     gamma = reward_model.gamma_for(LOCAL)
 
     # walks hold node positions, so walk tuples compare as the id tuples
@@ -137,7 +143,6 @@ def plan_local(
     # visited test
     moves, target, best_reward, first, revisit, scale = _local_moves(
         lattice, reward_model.coverage_weight, reward_model.distance_cost)
-    depth = max(horizon, 1)
     discount = [gamma ** d for d in range(depth)]
     future = [np.zeros(len(lattice.nodes))]
     for _ in range(depth - 1):

@@ -1,15 +1,16 @@
 """Two-layer information roadmap over the belief grid.
 
-The local layer is a dense lattice of believed-free cells around the robot;
-the global layer is a sparse trail of breadcrumbs dropped along the traveled
-path plus frontier nodes at the boundary of unknown space. Node info gain is
-the line-of-sight count of unknown cells within sensor range, converted to
-square meters.
+The local layer is a dense lattice of the believed-free cells around the
+robot that a walk of the local horizon can reach; the global layer is a
+sparse trail of breadcrumbs dropped along the traveled path plus frontier
+nodes at the boundary of unknown space. Node info gain is the line-of-sight
+count of unknown cells within sensor range, converted to square meters.
 """
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -126,11 +127,12 @@ class RoadmapGraph:
 @dataclass(eq=False)
 class LocalLattice:
     """A local roadmap as arrays. The node at position i has id nodes[i]
-    (ids ascending), cell poses[i] and info gain gains[i]; the robot node is
-    at position robot. Its moves go to the positions
-    targets[indptr[i]:indptr[i + 1]], in ascending order, with each move's
-    length and CVaR risk alongside. An edge is a move each way, a self-loop
-    one move."""
+    (ids ascending; they may skip values, see build_local_irm), cell
+    poses[i] and info gain gains[i]; the robot node is at position robot.
+    Its moves go to the positions targets[indptr[i]:indptr[i + 1]], in
+    ascending order, with each move's length and CVaR risk alongside. An
+    edge is a move each way, a self-loop one move. horizon is the longest
+    walk, in nodes, that the lattice serves."""
 
     scope: str
     horizon: int
@@ -190,16 +192,18 @@ def build_local_irm(
     sensor: SensorSpec | None = None,
     horizon: int = 10,
 ) -> LocalLattice:
-    """Dense 4-connected lattice over believed-free cells within radius of the
-    robot, restricted to the robot's connected component. Nodes carry info
-    gain, moves carry CVaR traversal risk.
+    """Dense 4-connected lattice over the believed-free cells of the robot's
+    connected component within radius of the robot that a walk of horizon
+    nodes (at least 1) can reach: those at most horizon - 1 moves away. Nodes
+    carry info gain, moves carry CVaR traversal risk.
 
-    Node ids number the cells in row-major order. The radius disk is a cached
-    offset mask (_disk); the arrays are filled from a padded grid of node
-    ids, whose up, left, right and down neighbours are each node's moves in
-    ascending id order. Edge risks are read from the field's unit-edge store,
-    which first computes the missing ones, each node's right then down edge
-    in id order."""
+    A node's id is its cell's rank in row-major order among all cells of the
+    radius-disk component, so the ids of a cut lattice skip the cells a walk
+    cannot reach. The radius disk is a cached offset mask (_disk); one BFS
+    over it gives each member's move count from the robot. The arrays are
+    filled from a padded grid of node positions, whose up, left, right and
+    down neighbours are each node's moves in ascending id order. Edge risks
+    are read from the field's unit-edge planes."""
     sensor = sensor or SensorSpec()
     r0, c0 = int(robot_pose[0]), int(robot_pose[1])
     if not belief.is_known_free(r0, c0):
@@ -216,12 +220,20 @@ def build_local_irm(
     disk[top:bottom, left:right] = _disk(k, limit)[
         top - r0 + k:bottom - r0 + k, left - c0 + k:right - c0 + k]
     passable, wp = gw.padded_mask((belief.state == gw.KNOWN_FREE) & disk)
-    members = np.array(sorted(i for i, _ in gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1)))
+    start = (r0 + 1) * wp + c0 + 1
+    # (flat index, depth) of every member in row-major order, so that a
+    # member's row is its id; the lattice keeps those a walk can reach
+    flood = np.fromiter(itertools.chain.from_iterable(gw.grid_bfs(passable, wp, start)),
+                        dtype=np.intp).reshape(-1, 2)
+    flood = flood[np.argsort(flood[:, 0])]
+    ids = np.flatnonzero(flood[:, 1] <= max(horizon, 1) - 1)
+    members = flood[ids, 0]
     rows, cols = members // wp - 1, members % wp - 1
-    node_id = np.full(len(passable), -1)
-    node_id[members] = np.arange(len(members))
-    # per node: up, left, right, down neighbour ids (-1 for none), in id order
-    around = node_id[members[:, None] + np.array([-wp, -1, 1, wp])]
+    position = np.full(len(passable), -1)
+    position[members] = np.arange(len(members))
+    # per node: up, left, right, down neighbour positions (-1 for none or out
+    # of reach), in id order
+    around = position[members[:, None] + np.array([-wp, -1, 1, wp])]
     moves = around >= 0
 
     cell_area = belief.cell_size * belief.cell_size
@@ -235,9 +247,9 @@ def build_local_irm(
     indptr = np.zeros(len(members) + 1, dtype=np.intp)
     np.cumsum(moves.sum(axis=1), out=indptr[1:])
     return LocalLattice(
-        scope=LOCAL, horizon=horizon, nodes=np.arange(len(members)),
+        scope=LOCAL, horizon=horizon, nodes=ids,
         poses=np.stack([rows, cols], axis=1), gains=gains,
-        robot=int(node_id[(r0 + 1) * wp + c0 + 1]), indptr=indptr, targets=around[moves],
+        robot=int(position[start]), indptr=indptr, targets=around[moves],
         lengths=np.full(len(risks), belief.cell_size), risks=risks,
     )
 

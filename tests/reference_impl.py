@@ -243,21 +243,44 @@ def local_component(belief: BeliefGrid, robot_pose: Cell, radius: float) -> list
 
 
 
+def local_reach(belief: BeliefGrid, robot_pose: Cell, radius: float,
+                horizon: int) -> list[Cell]:
+    """The cells of local_component that a walk of horizon nodes (at least
+    1) can reach: those at most horizon - 1 moves from the robot over the
+    component, found by a BFS of their own, sorted."""
+    component = set(local_component(belief, robot_pose, radius))
+    robot = (int(robot_pose[0]), int(robot_pose[1]))
+    depth = {robot: 0}
+    queue = deque([robot])
+    while queue:
+        r, c = queue.popleft()
+        if depth[(r, c)] == max(horizon, 1) - 1:
+            continue
+        for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nb = (r + dr, c + dc)
+            if nb in component and nb not in depth:
+                depth[nb] = depth[(r, c)] + 1
+                queue.append(nb)
+    return sorted(depth)
+
+
 def local_lattice(belief: BeliefGrid, risk_field: RiskField, robot_pose: Cell,
                   radius: float, sensor: SensorSpec, horizon: int = 10) -> RoadmapGraph:
     """The local lattice assembled one add_node and one add_edge at a time:
-    nodes in cell order, then each cell's right and down edge, its risk
-    computed uncached."""
-    cells = local_component(belief, robot_pose, radius)
+    the cells of local_reach in cell order, each with its index in the whole
+    local_component as its id, then each cell's right and down edge within
+    reach, its risk computed uncached."""
+    ids = {cell: i for i, cell in enumerate(local_component(belief, robot_pose, radius))}
+    cells = local_reach(belief, robot_pose, radius, horizon)
+    kept = set(cells)
     graph = RoadmapGraph(scope=LOCAL, horizon=horizon)
-    ids = {cell: i for i, cell in enumerate(cells)}
     robot = (int(robot_pose[0]), int(robot_pose[1]))
     for cell, gain in zip(cells, lattice_gains(belief, cells, sensor)):
         kind = ROBOT if cell == robot else LATTICE
         graph.add_node(RoadmapNode(id=ids[cell], pose=cell, kind=kind, info_gain=gain))
     for cell in cells:
         for nb in ((cell[0], cell[1] + 1), (cell[0] + 1, cell[1])):
-            if nb in ids:
+            if nb in kept:
                 graph.add_edge(ids[cell], ids[nb], length=belief.cell_size,
                                risk=edge_risk_miss(risk_field, cell, nb))
     return graph

@@ -103,13 +103,13 @@ def cells_of(lattice):
     return [tuple(pose) for pose in lattice.poses.tolist()]
 
 
-def assert_same_lattice(belief, field, robot, radius, sensor):
+def assert_same_lattice(belief, field, robot, radius, sensor, horizon=7):
     """build_local_irm against the reference assembly through the converter,
     field by field: ids, poses, gains to the bit, the CSR order of the
     moves, their lengths and their risks."""
-    got = build_local_irm(belief, field, robot, radius=radius, sensor=sensor, horizon=7)
+    got = build_local_irm(belief, field, robot, radius=radius, sensor=sensor, horizon=horizon)
     want = LocalLattice.from_graph(ref.local_lattice(belief, field, robot, radius, sensor,
-                                                     horizon=7))
+                                                     horizon=horizon))
     assert (got.scope, got.horizon, got.robot) == (want.scope, want.horizon, want.robot)
     for name in ("nodes", "poses", "gains", "indptr", "targets", "lengths", "risks"):
         a, b = getattr(got, name), getattr(want, name)
@@ -120,17 +120,17 @@ def assert_same_lattice(belief, field, robot, radius, sensor):
 
 @given(seed=seeds, radius=st.floats(1.0, 10.0), row=st.sampled_from([None, 0, -1]),
        col=st.sampled_from([None, 0, -1]), range_m=st.sampled_from([1.0, 2.5, 5.0]),
-       occlusion=st.booleans(), open_room=st.booleans())
+       occlusion=st.booleans(), open_room=st.booleans(), horizon=st.integers(0, 12))
 @settings(max_examples=150, deadline=None)
 def test_lattice_equals_reference_assembly(seed, radius, row, col, range_m, occlusion,
-                                           open_room):
+                                           open_room, horizon):
     """row and col move the robot to the first or last row or column (None
     keeps it where random_lattice put it), so corners and edges clip the disk."""
     belief, field, robot, sensor = random_lattice(seed, radius, range_m, occlusion, open_room)
     h, w = belief.state.shape
     robot = (robot[0] if row is None else row % h, robot[1] if col is None else col % w)
     belief.state[robot] = gw.KNOWN_FREE
-    assert_same_lattice(belief, field, robot, radius, sensor)
+    assert_same_lattice(belief, field, robot, radius, sensor, horizon)
 
 
 @pytest.mark.parametrize("robot", [(0, 0), (6, 8), (3, 0), (0, 4), (3, 4)])
@@ -139,7 +139,8 @@ def test_lattice_wider_than_grid_equals_reference_assembly(robot):
                         covered=np.zeros((7, 9), dtype=bool), cell_size=0.5)
     belief.state[2, 2:7] = gw.KNOWN_OBSTACLE
     field = RiskField(mu=np.full((7, 9), 0.4), sigma=np.full((7, 9), 0.2), seed=3)
-    graph = assert_same_lattice(belief, field, robot, 50.0, SensorSpec(range_m=2.5))
+    # a horizon of 7 * 9 nodes reaches every cell of the grid
+    graph = assert_same_lattice(belief, field, robot, 50.0, SensorSpec(range_m=2.5), 7 * 9)
     assert len(graph.nodes) == 7 * 9 - 5
 
 
@@ -152,6 +153,47 @@ def test_single_node_lattice_equals_reference_assembly():
     lattice = assert_same_lattice(belief, field, (2, 2), 10.0, SensorSpec(range_m=2.5))
     assert lattice.nodes.tolist() == [0] and lattice.indptr.tolist() == [0, 0]
     assert lattice.targets.size == 0
+
+
+@given(seed=seeds, radius=st.sampled_from([1.0, 2.0, 4.0, 10.0]), horizon=st.integers(0, 12),
+       open_room=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_cut_lattice_is_the_whole_one_within_reach(seed, radius, horizon, open_room):
+    """The lattice cut for a horizon keeps the component cells at most
+    horizon - 1 moves from the robot (at least the robot), each under its
+    rank among all cells of the radius-disk component, and the whole
+    lattice's moves between them, with their gains, lengths and risks."""
+    belief, field, robot, sensor = random_lattice(seed, radius, 2.5, True, open_room)
+    cut = build_local_irm(belief, field, robot, radius=radius, sensor=sensor, horizon=horizon)
+    # a walk of as many nodes as the grid has cells reaches the whole component
+    whole = build_local_irm(belief, field, robot, radius=radius, sensor=sensor,
+                            horizon=belief.state.size)
+    component = ref.local_component(belief, robot, radius)
+    assert cells_of(whole) == component
+    assert cut.nodes.tolist() == [component.index(cell) for cell in cells_of(cut)]
+
+    # move counts from the robot over the whole lattice
+    depth = {whole.robot: 0}
+    queue = [whole.robot]
+    for u in queue:
+        for v in whole.targets[whole.indptr[u]:whole.indptr[u + 1]].tolist():
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    kept = sorted(v for v, d in depth.items() if d <= max(horizon, 1) - 1)
+    assert cut.nodes.tolist() == whole.nodes[kept].tolist()
+    assert cut.robot == kept.index(whole.robot)
+    assert cut.poses.tolist() == whole.poses[kept].tolist()
+    assert cut.gains.tolist() == whole.gains[kept].tolist()
+
+    def moves(lattice, u):
+        """(target, length, risk) of each move of the node at position u."""
+        return [(lattice.targets.item(m), lattice.lengths.item(m), lattice.risks.item(m))
+                for m in range(lattice.indptr[u], lattice.indptr[u + 1])]
+    for i, u in enumerate(kept):
+        assert moves(cut, i) == [(kept.index(v), length, risk)
+                                 for v, length, risk in moves(whole, u) if v in kept]
+    assert len(cut.indptr) == len(kept) + 1
 
 
 # --- sensing ----------------------------------------------------------------------
@@ -211,9 +253,12 @@ def test_sense_equals_reference(seed, kind, range_m, arc, heading, occlusion, ce
 @settings(max_examples=200, deadline=None)
 def test_plan_local_equals_reference_search(seed, radius, horizon, gamma, weight,
                                             distance_cost, open_room):
+    """The lattice is cut at the walk's reach; the reference graph is the
+    whole disk component, so no walk the cut drops could have won."""
     belief, field, robot, sensor = random_lattice(seed, radius, 2.5, True, open_room)
     lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
-    graph = ref.local_lattice(belief, field, robot, radius, sensor)
+    # a walk of as many nodes as the grid has cells reaches the whole component
+    graph = ref.local_lattice(belief, field, robot, radius, sensor, horizon=belief.state.size)
     reward = RewardModel(gamma_local=gamma, coverage_weight=weight,
                          distance_cost=distance_cost)
     assert_same_local_policy(lattice, graph, reward, horizon, 20000)
@@ -267,10 +312,22 @@ def assert_same_local_policy(lattice, graph, reward, horizon, budget):
         assert got.utility == utility
 
 
-def open_room_lattice(seed):
-    """The 10 m lattice in a known-free room of random size in unknown
-    space, the robot somewhere inside: a walk space far beyond a 20 000-pop
-    budget, with mirror-symmetric gains."""
+def test_plan_local_refuses_a_horizon_longer_than_its_lattice():
+    """A lattice cut for 4-node walks serves walks of up to 4 nodes, and
+    those exactly."""
+    lattice, graph = open_room_lattice(1, horizon=4)
+    reward = RewardModel()
+    with pytest.raises(ValueError, match="horizon 5 .* horizon 4"):
+        plan_local(lattice, reward, horizon=5)
+    for horizon in (1, 3, 4):
+        assert_same_local_policy(lattice, graph, reward, horizon, 20000)
+
+
+def open_room_lattice(seed, horizon=10):
+    """The 10 m lattice for walks of horizon nodes in a known-free room of
+    random size in unknown space, the robot somewhere inside: a walk space
+    far beyond a 20 000-pop budget, with mirror-symmetric gains. Returned
+    with the reference graph of the whole disk component."""
     rng = np.random.default_rng(seed)
     shape = (48, 48)
     state = np.full(shape, gw.UNKNOWN, dtype=np.uint8)
@@ -282,8 +339,8 @@ def open_room_lattice(seed):
     mu = rng.uniform(0, 1, shape) * (rng.random(shape) < 0.5)
     field = RiskField(mu=mu, sigma=0.5 * mu, seed=seed)
     sensor = SensorSpec(range_m=2.5)
-    return (build_local_irm(belief, field, robot, radius=10.0, sensor=sensor, horizon=10),
-            ref.local_lattice(belief, field, robot, 10.0, sensor, horizon=10))
+    return (build_local_irm(belief, field, robot, radius=10.0, sensor=sensor, horizon=horizon),
+            ref.local_lattice(belief, field, robot, 10.0, sensor, horizon=state.size))
 
 
 def pops_of(monkeypatch, call):
@@ -557,7 +614,7 @@ def test_nearest_reachable_equals_reference(seed):
 def test_lattice_cells_equal_reference_flood(seed, radius):
     belief, field, robot, sensor = random_lattice(seed, radius, 1.0, True)
     lattice = build_local_irm(belief, field, robot, radius=radius, sensor=sensor)
-    assert cells_of(lattice) == ref.local_component(belief, robot, radius)
+    assert cells_of(lattice) == ref.local_reach(belief, robot, radius, lattice.horizon)
 
 
 # --- edge risk ------------------------------------------------------------------

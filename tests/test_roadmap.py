@@ -7,6 +7,7 @@ import pytest
 import reference_impl as ref
 from gridexplore import harness
 from gridexplore import world as gw
+from gridexplore.planners import RewardModel, plan_local
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import (
     BREADCRUMB, FRONTIER, LOCAL, ROBOT_NODE_ID, InvalidStateError,
@@ -115,6 +116,30 @@ def test_local_irm_node_bound_and_reachability():
                 seen.add(v)
                 stack.append(v)
     assert seen == set(range(len(g.nodes)))
+
+
+@pytest.mark.parametrize("horizon", [1, 0])
+def test_local_irm_horizon_1_is_the_robot_alone(horizon):
+    """A walk of one node makes no move, so a horizon below 2 keeps the
+    robot node alone, under its id in the whole component, with no moves."""
+    b = known_free_belief(5, 5)
+    g = build_local_irm(b, riskless_field((5, 5)), (2, 2), radius=10.0, horizon=horizon)
+    assert g.nodes.tolist() == [12] and g.robot == 0
+    assert g.poses.tolist() == [[2, 2]]
+    assert g.indptr.tolist() == [0, 0] and len(g.targets) == 0
+    assert plan_local(g, RewardModel(), horizon=horizon) is None
+
+
+def test_local_irm_radius_inside_the_reach_cuts_by_the_disk():
+    """1.0 m is 2 cells: the disk's 13 cells are all within 2 moves, well
+    inside the reach of a 10-node walk, so the radius alone cuts."""
+    b = known_free_belief(41, 41)
+    g = build_local_irm(b, riskless_field((41, 41)), (20, 20), radius=1.0, horizon=10)
+    disk = [(r, c) for r in range(41) for c in range(41) if math.hypot(r - 20, c - 20) <= 2]
+    assert len(disk) == 13
+    assert [tuple(p) for p in g.poses.tolist()] == disk
+    assert g.nodes.tolist() == list(range(13))
+    assert len(g.targets) == 2 * 16  # the 3 x 3 block's 12 unit edges, one to each tip
 
 
 def test_local_irm_deterministic():
@@ -277,6 +302,53 @@ def test_carried_global_roadmap_equals_a_fresh_build(monkeypatch, generator, see
     record = harness.run_episode(config)
     assert record.termination != "budget"
     assert cycles == record.cycles > 1
+
+
+@pytest.mark.parametrize("planner", ["MLDM", "HCP"])
+@pytest.mark.parametrize("generator,seed,params", [
+    ("maze", 3, {"width": 25, "height": 25}),
+    ("subway", 4, {"rooms": 4}),
+    ("cave", 5, {"width": 41, "height": 41}),
+])
+def test_local_policy_on_the_cut_lattice_equals_the_whole_one(monkeypatch, generator, seed,
+                                                               params, planner):
+    """On every cycle of a whole episode, plan_local on the lattice cut at
+    the walk's reach returns the policy it returns on the lattice of the
+    whole radius-disk component."""
+    build, search = harness.build_local_irm, harness.plan_local
+    whole = []
+    cycles = dropped = 0
+
+    def building(belief, risk_field, robot_pose, **kwargs):
+        # a walk of as many nodes as the grid has cells reaches every cell
+        whole.append(build(belief, risk_field, robot_pose,
+                           **dict(kwargs, horizon=belief.state.size)))
+        return build(belief, risk_field, robot_pose, **kwargs)
+
+    def searching(lattice, reward_model, **kwargs):
+        nonlocal cycles, dropped
+        uncut = whole.pop()
+        got = search(lattice, reward_model, **kwargs)
+        want = search(uncut, reward_model, **kwargs)
+        if want is None:
+            assert got is None
+        else:
+            assert got.to_dict() == want.to_dict()
+            assert got.path_cells == want.path_cells
+        cycles += 1
+        dropped += len(uncut.nodes) - len(lattice.nodes)
+        return got
+
+    monkeypatch.setattr(harness, "build_local_irm", building)
+    monkeypatch.setattr(harness, "plan_local", searching)
+    config = harness.RunConfig(
+        world=harness.WorldSpec(generator=generator, seed=seed, params=params),
+        planner=planner, min_frontier_cluster=1,
+    )
+    record = harness.run_episode(config)
+    assert record.termination != "budget"
+    assert cycles == record.cycles > 1
+    assert dropped > 0  # the cut dropped nodes on some cycle
 
 
 def test_crumb_mesh_is_carried_only_for_its_own_belief_and_trail():
