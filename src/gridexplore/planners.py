@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,7 +210,9 @@ def plan_local(
 
 
 def _shortest_paths(graph: RoadmapGraph, source: int):
-    """Dijkstra by metric length plus BFS hop counts from source."""
+    """Dijkstra by metric length plus BFS hop counts from source. Neither
+    depends on the order of a node's neighbours: heap entries are (d, id)
+    tuples, and a BFS depth is the same in any order."""
     dist = {source: 0.0}
     parent: dict[int, int] = {}
     heap = [(0.0, source)]
@@ -217,20 +220,17 @@ def _shortest_paths(graph: RoadmapGraph, source: int):
         d, u = heapq.heappop(heap)
         if d > dist.get(u, math.inf):
             continue
-        for v in graph.neighbors(u):
-            edge = graph.get_edge(u, v)
+        for v, edge in graph.adjacency[u].items():
             nd = d + edge.length
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
     hops = {source: 0}
-    from collections import deque
-
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in graph.neighbors(u):
+        for v in graph.adjacency[u]:
             if v not in hops:
                 hops[v] = hops[u] + 1
                 queue.append(v)

@@ -8,11 +8,11 @@ count of unknown cells within sensor range, converted to square meters.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,9 +63,9 @@ class RoadmapEdge:
 @dataclass(frozen=True, eq=False)
 class CrumbMesh:
     """The breadcrumb layer of a global roadmap as update_global_irm left it:
-    the crumbs, the edges between them, each crumb's sorted crumb neighbours,
-    and the sorted crumb pairs (i, j, cells) whose shortcut waits on the
-    cells of its line of sight that were unknown when last read.
+    the crumbs, each crumb's crumb neighbours with the edge to each, and the
+    sorted crumb pairs (i, j, cells) whose shortcut waits on the cells of its
+    line of sight that were unknown when last read.
 
     The belief is monotone: sensing writes ground truth, so a cell goes from
     unknown to known-free or known-obstacle and never changes again. Every
@@ -77,42 +77,45 @@ class CrumbMesh:
     risk_field: RiskField
     radius: float  # shortcut radius, in cells
     crumbs: tuple[Cell, ...]
-    edges: dict[tuple[int, int], RoadmapEdge]
-    adjacency: dict[int, list[int]]
+    adjacency: dict[int, dict[int, RoadmapEdge]]
     waiting: tuple[tuple[int, int, tuple[Cell, ...]], ...]
 
 
 @dataclass
 class RoadmapGraph:
+    """Nodes by id and one edge store: adjacency[u][v] is the edge of u and v
+    (src the smaller id), held under both ends, a self-loop once."""
+
     scope: str
     horizon: int
     nodes: dict[int, RoadmapNode] = field(default_factory=dict)
-    edges: dict[tuple[int, int], RoadmapEdge] = field(default_factory=dict)
-    adjacency: dict[int, list[int]] = field(default_factory=dict)
+    adjacency: dict[int, dict[int, RoadmapEdge]] = field(default_factory=dict)
     # the crumb layer a global roadmap carries to the next update_global_irm
     mesh: CrumbMesh | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, node: RoadmapNode) -> None:
         self.nodes[node.id] = node
-        self.adjacency.setdefault(node.id, [])
+        self.adjacency.setdefault(node.id, {})
 
     def add_edge(self, src: int, dst: int, length: float, risk: float) -> None:
         if src not in self.nodes or dst not in self.nodes:
             raise ValueError(f"edge ({src}, {dst}) references missing node")
         if length <= 0:
             raise ValueError("edge length must be > 0")
-        key = (src, dst) if src <= dst else (dst, src)
-        self.edges[key] = RoadmapEdge(key[0], key[1], length, risk)
-        if dst not in self.adjacency[src]:
-            bisect.insort(self.adjacency[src], dst)
-        if src not in self.adjacency[dst]:
-            bisect.insort(self.adjacency[dst], src)
+        edge = RoadmapEdge(min(src, dst), max(src, dst), length, risk)
+        self.adjacency[src][dst] = self.adjacency[dst][src] = edge
 
     def get_edge(self, u: int, v: int) -> RoadmapEdge | None:
-        return self.edges.get((u, v) if u <= v else (v, u))
+        return self.adjacency.get(u, {}).get(v)
 
     def neighbors(self, u: int) -> list[int]:
-        return self.adjacency.get(u, [])
+        return sorted(self.adjacency.get(u, ()))
+
+    @property
+    def edges(self) -> MappingProxyType:
+        """Every edge once, by (src, dst): a read-only view made from adjacency."""
+        return MappingProxyType({(e.src, e.dst): e for near in self.adjacency.values()
+                                 for e in near.values()})
 
     def nodes_of_kind(self, kind: str) -> list[RoadmapNode]:
         return [n for n in sorted(self.nodes.values(), key=lambda n: n.id) if n.kind == kind]
@@ -152,25 +155,21 @@ class LocalLattice:
         robot = graph.robot_node()
         if robot is None:
             raise ValueError("local graph has no robot node")
-        ids = np.array(sorted(graph.nodes), dtype=np.intp)
-        nodes = [graph.nodes[i] for i in ids.tolist()]
-        edges = list(graph.edges.values())
-        ends = np.array([(e.src, e.dst) for e in edges], dtype=np.intp).reshape(-1, 2)
-        a, b = np.searchsorted(ids, ends[:, 0]), np.searchsorted(ids, ends[:, 1])
-        lengths = np.array([e.length for e in edges], dtype=np.float64)
-        risks = np.array([e.risk for e in edges], dtype=np.float64)
-        back = a != b  # a self-loop is one move
-        src, dst = np.concatenate([a, b[back]]), np.concatenate([b, a[back]])
-        order = np.lexsort((dst, src))
+        ids = sorted(graph.nodes)
+        position = {node_id: i for i, node_id in enumerate(ids)}
+        nodes = [graph.nodes[i] for i in ids]
+        near = [graph.adjacency[i] for i in ids]
+        # (target position, edge) of each node's moves, in ascending id order
+        moves = [(position[v], edge) for adj in near for v, edge in sorted(adj.items())]
         return cls(
-            scope=graph.scope, horizon=graph.horizon, nodes=ids,
+            scope=graph.scope, horizon=graph.horizon, nodes=np.array(ids, dtype=np.intp),
             poses=np.array([n.pose for n in nodes], dtype=np.intp).reshape(-1, 2),
             gains=np.array([n.info_gain for n in nodes], dtype=np.float64),
-            robot=int(np.searchsorted(ids, robot.id)),
-            indptr=np.searchsorted(src[order], np.arange(len(ids) + 1)),
-            targets=dst[order],
-            lengths=np.concatenate([lengths, lengths[back]])[order],
-            risks=np.concatenate([risks, risks[back]])[order],
+            robot=position[robot.id],
+            indptr=np.cumsum([0] + [len(adj) for adj in near], dtype=np.intp),
+            targets=np.array([m for m, _ in moves], dtype=np.intp),
+            lengths=np.array([e.length for _, e in moves], dtype=np.float64),
+            risks=np.array([e.risk for _, e in moves], dtype=np.float64),
         )
 
 
@@ -336,11 +335,10 @@ def _crumb_mesh(
     if (mesh is not None and mesh.belief is belief and mesh.risk_field is risk_field
             and mesh.radius == radius and tuple(crumbs[:len(mesh.crumbs)]) == mesh.crumbs):
         known = len(mesh.crumbs)
-        edges = dict(mesh.edges)
-        adjacency = {i: adj.copy() for i, adj in mesh.adjacency.items()}
+        adjacency = {i: near.copy() for i, near in mesh.adjacency.items()}
         pending = list(mesh.waiting)
     else:
-        known, edges, adjacency, pending = 0, {}, {}, []
+        known, adjacency, pending = 0, {}, []
     waiting: list[tuple[int, int, tuple[Cell, ...]]] = []
 
     def classify(i: int, j: int, cells) -> None:
@@ -350,24 +348,21 @@ def _crumb_mesh(
         cells = tuple(cell for cell in cells if state[cell] != gw.KNOWN_FREE)
         if not cells:
             a, b = crumbs[i], crumbs[j]
-            edges[(i, j)] = RoadmapEdge(i, j, math.hypot(a[0] - b[0], a[1] - b[1]) * cs,
-                                        edge_risk(risk_field, a, b))
-            bisect.insort(adjacency[i], j)
-            bisect.insort(adjacency[j], i)
+            adjacency[i][j] = adjacency[j][i] = RoadmapEdge(
+                i, j, math.hypot(a[0] - b[0], a[1] - b[1]) * cs, edge_risk(risk_field, a, b))
         elif all(state[cell] == gw.UNKNOWN for cell in cells):
             waiting.append((i, j, cells))
 
     for i, j, cells in pending:
         classify(i, j, cells)
     for j in range(known, len(crumbs)):
-        adjacency[j] = []
+        adjacency[j] = {}
         b = crumbs[j]
         for i, a in enumerate(crumbs[:j]):
             d = math.hypot(a[0] - b[0], a[1] - b[1])
             if d > 0 and (j == i + 1 or d <= radius):
                 classify(i, j, () if j == i + 1 else gw.bresenham_line(a[0], a[1], b[0], b[1]))
-    return CrumbMesh(belief, risk_field, radius, tuple(crumbs), edges, adjacency,
-                     tuple(waiting))
+    return CrumbMesh(belief, risk_field, radius, tuple(crumbs), adjacency, tuple(waiting))
 
 
 def update_global_irm(
@@ -409,8 +404,8 @@ def update_global_irm(
     # that hop distances reflect the metric layout rather than the walk order
     mesh = _crumb_mesh(graph.mesh if graph is not None else None, crumbs, belief,
                        risk_field, 2.0 * breadcrumb_spacing / cs)
-    out = RoadmapGraph(scope=GLOBAL, horizon=horizon, edges=dict(mesh.edges),
-                       adjacency={i: adj.copy() for i, adj in mesh.adjacency.items()},
+    out = RoadmapGraph(scope=GLOBAL, horizon=horizon,
+                       adjacency={i: near.copy() for i, near in mesh.adjacency.items()},
                        mesh=mesh)
     for i, pose in enumerate(crumbs):
         out.add_node(RoadmapNode(id=i, pose=pose, kind=BREADCRUMB))

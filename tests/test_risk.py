@@ -124,6 +124,8 @@ def test_risk_field_rejects_bad_shape_or_sample_count_at_construction(params):
     here, not deep inside the fill or at first use."""
     with pytest.raises(ValueError, match="2-D|integer"):
         RiskField(**{"mu": np.ones((4, 4)), "sigma": np.ones((4, 4)), **params})
+    assert RiskField(mu=np.ones((4, 4)), sigma=np.ones((4, 4)),
+                     sample_count=np.int64(8))._rows.shape == (2, 8)
 
 
 # --- edge_risk -------------------------------------------------------------------
