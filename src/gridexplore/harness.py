@@ -325,6 +325,11 @@ class _EpisodeState:
         covered_free = int(np.sum(self.belief.covered))
         return covered_free >= self.config.coverage_done_fraction * self.reachable_free
 
+    def step_event(self, collided: bool) -> dict:
+        return {"type": "step", "step": self.steps, "pose": list(self.pose),
+                "covered_m2": self.coverage_m2(), "distance_m": self.distance_m,
+                "collision": collided}
+
     def snapshot_interval(self) -> None:
         self.intervals.append({
             "step": self.steps,
@@ -549,10 +554,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
         "reachable_free_cells": state.reachable_free,
     })
     gw.sense(state.world, state.belief, state.pose, config.sensor)
-    state.events.append({
-        "type": "step", "step": 0, "pose": list(state.pose),
-        "covered_m2": state.coverage_m2(), "distance_m": 0.0, "collision": False,
-    })
+    state.events.append(state.step_event(False))
     state.snapshot_interval()
 
     termination = "budget"
@@ -591,11 +593,7 @@ def run_episode(config: RunConfig, out_dir: str | None = None) -> RunRecord:
             ) * state.world.cell_size
             if collided:
                 state.collisions += 1
-            state.events.append({
-                "type": "step", "step": state.steps, "pose": list(state.pose),
-                "covered_m2": state.coverage_m2(),
-                "distance_m": state.distance_m, "collision": collided,
-            })
+            state.events.append(state.step_event(collided))
             if state.steps % config.metrics_interval == 0:
                 state.snapshot_interval()
             moved += 1

@@ -18,7 +18,9 @@ import numpy as np
 from .motion import astar, path_length, path_length_lower_bound
 from .risk import RiskField, edge_risk, policy_risk
 from .roadmap import FRONTIER, GLOBAL, LOCAL, LocalLattice, RoadmapGraph
-from .world import BeliefGrid, InvalidPoseError, SensorSpec, sum_left, visible_unknown_counts
+from .world import (
+    KNOWN_FREE, BeliefGrid, InvalidPoseError, SensorSpec, sum_left, visible_unknown_counts,
+)
 # not called here; kept as a module attribute because
 # benchmark/layer_trace.py wraps planners.visible_unknown_count
 from .world import visible_unknown_count  # noqa: F401
@@ -328,7 +330,7 @@ def plan_nbv(
     rng = rng or np.random.default_rng(0)
     robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
     radius_cells = radius / belief.cell_size
-    free = np.argwhere(belief.state == 1)  # KNOWN_FREE
+    free = np.argwhere(belief.state == KNOWN_FREE)
     if len(free) == 0:
         return None
     d = np.hypot(free[:, 0] - robot_pose[0], free[:, 1] - robot_pose[1])

@@ -421,11 +421,11 @@ def update_global_irm(
         if hit is None:
             continue
         crumb_id, hops = hit
-        fid = next_id
+        node.id = next_id
         next_id += 1
-        out.add_node(RoadmapNode(id=fid, pose=node.pose, kind=FRONTIER, info_gain=node.info_gain))
+        out.add_node(node)
         length = max(hops, 1) * cs
-        out.add_edge(fid, crumb_id, length=length,
+        out.add_edge(node.id, crumb_id, length=length,
                      risk=edge_risk(risk_field, node.pose, crumbs[crumb_id]))
 
     hit = _nearest_crumb(passable, wp, crumb_at, robot_pose)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import world as gw
 from .harness import RunConfig, RunRecord, SwitchSettings, WorldSpec, run_episode
 
 Cell = tuple[int, int]
@@ -85,7 +86,7 @@ def riskpocket_config(planner: str) -> RunConfig:
 def run_switchback() -> ScenarioResult:
     mldm = run_episode(switchback_config("MLDM"))
     hcp = run_episode(switchback_config("HCP"))
-    commit_cells = switchback_config("MLDM").hcp_commit_distance / 0.5
+    commit_cells = switchback_config("MLDM").hcp_commit_distance / gw.DEFAULT_CELL_SIZE
     mldm_switches = count_local_switches_before_arrival(mldm, commit_cells)
     hcp_switches = count_local_switches_before_arrival(hcp, commit_cells)
     passed = mldm_switches >= 1 and hcp_switches == 0

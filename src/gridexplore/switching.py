@@ -68,7 +68,6 @@ class HistoryWindow:
     def __init__(self, window: int = 10):
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.window = window
         self._buffers: dict[str, deque[bool]] = {
             scope: deque(maxlen=window) for scope in SCOPES
         }

@@ -86,6 +86,10 @@ class WorldModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the square is the cell area behind every m^2 figure
+        if not (0 < self.cell_size < math.inf and 0 < self.cell_area < math.inf):
+            raise ValueError(f"cell_size and its square must be finite and > 0, "
+                             f"got {self.cell_size!r}")
         shape = (self.height, self.width)
         for name in ("occupancy", "risk_mu", "risk_sigma"):
             arr = getattr(self, name)
@@ -205,9 +209,7 @@ def bresenham_line(r0: int, c0: int, r1: int, c1: int) -> list[Cell]:
     return cells
 
 
-_RAY_TABLES: dict[float, dict] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _ray_table(range_cells: float, height: int, width: int) -> dict:
     """Precomputed rays from a pose of a height x width grid: every target
     offset within range ("targets") and the chain table of their occlusion
@@ -218,10 +220,6 @@ def _ray_table(range_cells: float, height: int, width: int) -> dict:
     ("chained_starts"). No two cells of the grid lie farther apart than its
     diagonal, so the range is cut there: every on-grid ray stays."""
     range_cells = min(range_cells, math.hypot(height, width))
-    key = round(range_cells, 9)
-    tab = _RAY_TABLES.get(key)
-    if tab is not None:
-        return tab
     rmax = int(math.floor(range_cells + 1e-9))
     targets: list[Cell] = []
     for dr in range(-rmax, rmax + 1):
@@ -241,15 +239,13 @@ def _ray_table(range_cells: float, height: int, width: int) -> dict:
             chain_cells.extend(interior)
     distinct, row = np.unique(np.asarray(chain_cells, dtype=np.int64).reshape(-1, 2),
                               axis=0, return_inverse=True)
-    tab = {
+    return {
         "targets": np.asarray(targets, dtype=np.int64).reshape(-1, 2),
         "chain_cells": distinct,
         "chain_row": row.reshape(-1),
         "chained": np.asarray(chained, dtype=np.int64),
         "chained_starts": np.asarray(starts, dtype=np.int64),
     }
-    _RAY_TABLES[key] = tab
-    return tab
 
 
 def _blocked(blocking: np.ndarray, tab: dict) -> np.ndarray:
@@ -466,14 +462,14 @@ def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Generators: every world is made at DEFAULT_CELL_SIZE; one at another cell
+# size comes from make_world or a world file
 # ---------------------------------------------------------------------------
 
 def generate_subway(
     seed: int,
     rooms: int = 5,
     room_size_range: tuple[float, float] = (6.0, 10.0),
-    cell_size: float = DEFAULT_CELL_SIZE,
 ) -> WorldModel:
     """Interconnected rectangular rooms joined by corridors, zero terrain risk."""
     if rooms < 1:
@@ -481,8 +477,8 @@ def generate_subway(
     lo_m, hi_m = room_size_range
     if not 0 < lo_m <= hi_m < math.inf:
         raise ValueError("room_size_range must be finite with 0 < min <= max")
-    lo = max(3, int(round(lo_m / cell_size)))
-    hi = max(lo, int(round(hi_m / cell_size)))
+    lo = max(3, int(round(lo_m / DEFAULT_CELL_SIZE)))
+    hi = max(lo, int(round(hi_m / DEFAULT_CELL_SIZE)))
 
     k = int(math.ceil(math.sqrt(rooms)))
     slot = hi + 6
@@ -527,8 +523,7 @@ def generate_subway(
         reach = flood_fill_free(occ, spawn)
         if int(reach.sum()) == int(np.sum(occ == FREE)):
             return make_world(
-                occ, spawn, cell_size=cell_size, rng_seed=seed,
-                generator="subway",
+                occ, spawn, rng_seed=seed, generator="subway",
                 params={"rooms": rooms, "room_size_range": [lo_m, hi_m],
                         "corridor_width": SUBWAY_CORRIDOR_WIDTH},
             )
@@ -547,14 +542,13 @@ def _free_degree_grid(occ: np.ndarray) -> np.ndarray:
     return deg
 
 
-def deadend_corridor_lengths(occ: np.ndarray) -> list[int]:
-    """Length in cells of each dead-end corridor (from a degree-1 tip through
-    degree-2 cells until the first junction)."""
+def _deadend_corridors(occ: np.ndarray) -> list[tuple[Cell, int]]:
+    """(tip, length) of each dead-end corridor (see deadend_corridor_lengths),
+    tips in raster order."""
     deg = _free_degree_grid(occ)
     free = occ == FREE
-    tips = [tuple(x) for x in np.argwhere(free & (deg == 1))]
-    lengths = []
-    for tip in tips:
+    corridors = []
+    for tip in (tuple(x) for x in np.argwhere(free & (deg == 1))):
         prev = None
         cur = tip
         n = 0
@@ -573,8 +567,14 @@ def deadend_corridor_lengths(occ: np.ndarray) -> list[int]:
             if nxt is None:
                 break
             prev, cur = cur, nxt
-        lengths.append(n)
-    return lengths
+        corridors.append((tip, n))
+    return corridors
+
+
+def deadend_corridor_lengths(occ: np.ndarray) -> list[int]:
+    """Length in cells of each dead-end corridor (from a degree-1 tip through
+    degree-2 cells until the first junction)."""
+    return [n for _, n in _deadend_corridors(occ)]
 
 
 def _generate_maze_once(
@@ -628,12 +628,10 @@ def _generate_maze_once(
     target_keep = 0 if deadend_fraction == 0 else max(1, round(deadend_fraction * n0))
 
     protected: Cell | None = None
-    if deadend_fraction > 0 and deadends:
-        lengths = deadend_corridor_lengths(occ)
-        tips = [tuple(x) for x in np.argwhere((occ == FREE) & (_free_degree_grid(occ) == 1))]
-        if lengths:
-            best = max(range(len(lengths)), key=lambda i: (lengths[i], -tips[i][0], -tips[i][1]))
-            protected = tips[best]
+    corridors = _deadend_corridors(occ) if deadend_fraction > 0 and deadends else []
+    if corridors:
+        # the longest corridor's tip, the first in raster order on a tie
+        protected = max(corridors, key=lambda tip_n: (tip_n[1], -tip_n[0][0], -tip_n[0][1]))[0]
 
     order = rng.permutation(len(deadends))
     remaining = n0
@@ -660,7 +658,6 @@ def generate_maze(
     width: int = 51,
     height: int = 51,
     deadend_fraction: float = 1.0,
-    cell_size: float = DEFAULT_CELL_SIZE,
 ) -> WorldModel:
     """Perfect-maze backbone with braiding; deadend_fraction is the share of
     dead-ends retained (0 gives a fully braided maze with no degree-1 cells)."""
@@ -668,23 +665,19 @@ def generate_maze(
         raise ValueError("maze width and height must be >= 5 cells")
     if not (0.0 <= deadend_fraction <= 1.0):
         raise ValueError("deadend_fraction must be in [0, 1]")
-    occ = None
     for attempt in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, attempt]))
-        cand = _generate_maze_once(rng, width, height, deadend_fraction)
-        occ = cand if occ is None else occ
-        if deadend_fraction == 0:
-            occ = cand
+        occ = _generate_maze_once(rng, width, height, deadend_fraction)
+        if attempt == 0:
+            first = occ
+        if deadend_fraction == 0 or max(deadend_corridor_lengths(occ), default=0) >= 5:
             break
-        lengths = deadend_corridor_lengths(cand)
-        if lengths and max(lengths) >= 5:
-            occ = cand
-            break
+    else:
         # tiny mazes may be geometrically unable to host a 5-cell dead end;
         # keep the first attempt in that case
+        occ = first
     return make_world(
-        occ, (1, 1), cell_size=cell_size, rng_seed=seed,
-        generator="maze",
+        occ, (1, 1), rng_seed=seed, generator="maze",
         params={"width": width, "height": height, "deadend_fraction": deadend_fraction},
     )
 
@@ -694,7 +687,6 @@ def generate_cave(
     width: int = 51,
     height: int = 51,
     risk_intensity: float = 0.5,
-    cell_size: float = DEFAULT_CELL_SIZE,
 ) -> WorldModel:
     """Cellular-automaton cavern with a spatially correlated terrain-risk field.
 
@@ -736,7 +728,7 @@ def generate_cave(
         mu = risk_intensity * base
         sigma = 0.5 * mu
         return make_world(
-            occ, spawn, cell_size=cell_size, risk_mu=mu, risk_sigma=sigma,
+            occ, spawn, risk_mu=mu, risk_sigma=sigma,
             rng_seed=seed, generator="cave",
             params={"width": width, "height": height, "risk_intensity": risk_intensity,
                     "fill_probability": CAVE_FILL_PROBABILITY,

@@ -127,6 +127,21 @@ CAVE_SHA256 = {
                   "13e70faf7e92964e52f64c2d10a00b3fd9bb1d0de94a4007cd2698680289fe20"),
 }
 
+# (seed, width, height, deadend_fraction) -> sha256 of occupancy bytes. A 5 x 5
+# maze never has a 5-cell dead end, so (2, 5, 5, 0.3) is the first attempt
+# after the retries run out; deadend_fraction 0 keeps the first attempt at once.
+MAZE_SHA256 = {
+    (0, 51, 51, 1.0): "a01881a1a4972be36357f60395053c1090c6bfa3aebb6b884f9037eca3e9c5d6",
+    (1, 21, 31, 0.0): "921e1fa0f424a2d5ac37fcb2d396ef2af00b2e878f4021b3bba3ca2ed093bdb5",
+    (2, 5, 5, 0.3): "e5c44e12f7ba6f9360dcd7c35a62833918c2e50a1ef8b2cb1a63f6ba875da2e7",
+}
+
+# (seed, rooms, room_size_range) -> sha256 of occupancy bytes
+SUBWAY_SHA256 = {
+    (0, 5, (6.0, 10.0)): "84853c3acee458ea6bbabafdfc33833d079addfde116b27af748211102809f11",
+    (3, 2, (2.0, 5.0)): "ecbd4c4e1042ef21fa1bc99515cfed46cecc5cc6b6530e17d6ee923ba536012c",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -175,6 +190,18 @@ def test_cave_world_matches_golden_hash(seed, width, height):
     occupancy, risk_mu = CAVE_SHA256[(seed, width, height)]
     assert sha256(world.occupancy.tobytes()) == occupancy
     assert sha256(world.risk_mu.tobytes()) == risk_mu
+
+
+@pytest.mark.parametrize("seed,width,height,deadend_fraction", sorted(MAZE_SHA256))
+def test_maze_world_matches_golden_hash(seed, width, height, deadend_fraction):
+    world = gw.generate_maze(seed, width=width, height=height, deadend_fraction=deadend_fraction)
+    assert sha256(world.occupancy.tobytes()) == MAZE_SHA256[(seed, width, height, deadend_fraction)]
+
+
+@pytest.mark.parametrize("seed,rooms,room_size_range", sorted(SUBWAY_SHA256))
+def test_subway_world_matches_golden_hash(seed, rooms, room_size_range):
+    world = gw.generate_subway(seed, rooms=rooms, room_size_range=room_size_range)
+    assert sha256(world.occupancy.tobytes()) == SUBWAY_SHA256[(seed, rooms, room_size_range)]
 
 
 def _neumaier_sum(iterable, start=0):

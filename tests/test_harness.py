@@ -542,9 +542,9 @@ def test_generator_registry_params_are_pinned():
     # added here on purpose. repr pins each default's type as well.
     registry = {name: defaults for name, (_, defaults) in harness.GENERATORS.items()}
     assert repr(registry) == repr({
-        "subway": {"rooms": 5, "room_size_range": (6.0, 10.0), "cell_size": 0.5},
-        "maze": {"width": 51, "height": 51, "deadend_fraction": 1.0, "cell_size": 0.5},
-        "cave": {"width": 51, "height": 51, "risk_intensity": 0.5, "cell_size": 0.5},
+        "subway": {"rooms": 5, "room_size_range": (6.0, 10.0)},
+        "maze": {"width": 51, "height": 51, "deadend_fraction": 1.0},
+        "cave": {"width": 51, "height": 51, "risk_intensity": 0.5},
         "scenario_switchback": {},
         "scenario_riskpocket": {},
     })
@@ -582,16 +582,23 @@ def test_cli_unknown_generator_param_exits_2(tmp_path):
     {"metrics_interval": 2.5},
     {"sensor": {"occlusion": 1}},
     {"planner": 5},
+    # generators take no cell_size: any value is a param they do not take
+    *({"world": {"generator": generator, "params": {"cell_size": size}}}
+      for generator in ("maze", "subway", "cave") for size in (0, 0.5, 1e300)),
 ], ids=["world_not_object", "reward_not_object", "maze_width_str", "subway_rooms_float",
         "maze_width_bool", "subway_range_short", "seed_str", "switch_window_float",
         "step_budget_float", "replan_interval_float", "metrics_interval_float",
-        "sensor_occlusion_int", "planner_int"])
-def test_cli_wrong_type_exits_2(tmp_path, doc):
+        "sensor_occlusion_int", "planner_int",
+        *(f"{generator}_cell_size_{size}"
+          for generator in ("maze", "subway", "cave") for size in (0, 0.5, 1e300))])
+def test_cli_wrong_type_exits_2(tmp_path, doc, capsys):
     with pytest.raises(ConfigError):
         config_from_dict(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
 
 
 def test_config_accepts_int_for_float_param_without_converting():

@@ -199,22 +199,23 @@ def test_cut_lattice_is_the_whole_one_within_reach(seed, radius, horizon, open_r
 # --- sensing ----------------------------------------------------------------------
 
 def random_world(rng, kind, seed, cell_size):
-    """A small world of the given kind: random obstacles at a random density,
-    or one of the generators at a small size."""
+    """A small world of the given kind at cell_size: random obstacles at a
+    random density, or the grid of one of the generators at a small size."""
     if kind == "maze":
-        return gw.generate_maze(seed, int(rng.integers(5, 22)), int(rng.integers(5, 22)),
-                                cell_size=cell_size)
-    if kind == "cave":
-        return gw.generate_cave(seed, width=int(rng.integers(9, 26)),
-                                height=int(rng.integers(9, 26)), cell_size=cell_size)
-    if kind == "subway":
-        return gw.generate_subway(seed, rooms=int(rng.integers(1, 4)),
-                                  room_size_range=(2.0, 5.0), cell_size=cell_size)
-    shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
-    occ = (rng.random(shape) < rng.uniform(0.0, 0.6)).astype(np.uint8)
-    spawn = tuple(int(rng.integers(0, n)) for n in shape)
-    occ[spawn] = gw.FREE
-    return gw.make_world(occ, spawn, cell_size=cell_size)
+        world = gw.generate_maze(seed, int(rng.integers(5, 22)), int(rng.integers(5, 22)))
+    elif kind == "cave":
+        world = gw.generate_cave(seed, width=int(rng.integers(9, 26)),
+                                 height=int(rng.integers(9, 26)))
+    elif kind == "subway":
+        world = gw.generate_subway(seed, rooms=int(rng.integers(1, 4)),
+                                   room_size_range=(2.0, 5.0))
+    else:
+        shape = (int(rng.integers(1, 25)), int(rng.integers(1, 25)))
+        occ = (rng.random(shape) < rng.uniform(0.0, 0.6)).astype(np.uint8)
+        spawn = tuple(int(rng.integers(0, n)) for n in shape)
+        occ[spawn] = gw.FREE
+        return gw.make_world(occ, spawn, cell_size=cell_size)
+    return gw.make_world(world.occupancy, world.spawn, cell_size=cell_size)
 
 
 @given(seed=seeds, kind=st.sampled_from(["random", "maze", "cave", "subway"]),

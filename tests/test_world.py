@@ -385,6 +385,28 @@ def test_world_rejects_non_finite_terrain_risk(name, value):
         gw.WorldModel(**{**fields, name: arr})
 
 
+@pytest.mark.parametrize("cell_size", [0, -0.5, math.nan, math.inf, -math.inf, 1e300, 1e-200])
+def test_world_rejects_a_bad_cell_size(cell_size):
+    """A cell size must be finite and > 0, and so must its square, the cell
+    area behind every m^2 figure: 1e300 squares to inf, 1e-200 to 0."""
+    w = gw.generate_maze(1, 11, 11)
+    with pytest.raises(ValueError, match="cell_size"):
+        gw.make_world(w.occupancy, w.spawn, cell_size=cell_size)
+    doc = gw.world_to_dict(w)
+    doc["cell_size"] = cell_size
+    with pytest.raises(ValueError, match="cell_size"):
+        gw.world_from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("cell_size", [0.5, 1.0])
+def test_world_accepts_a_good_cell_size(cell_size):
+    w = gw.generate_maze(1, 11, 11)
+    world = gw.make_world(w.occupancy, w.spawn, cell_size=cell_size)
+    assert world.cell_area == cell_size * cell_size
+    doc = gw.world_to_dict(world)
+    assert gw.world_from_dict(json.loads(json.dumps(doc))).cell_size == cell_size
+
+
 @pytest.mark.parametrize("pose", [(0, -3), (2, 40), (-1, 0), (6, 0), (0, 6), (-7, 9)])
 def test_visible_unknown_counts_reject_off_grid_poses(pose):
     b = gw.BeliefGrid(state=np.full((6, 6), gw.UNKNOWN, dtype=np.uint8),
