@@ -1,27 +1,25 @@
-"""Golden pins: event-log hashes of short episodes and the bytes of generated
-cave worlds. A change that moves one cave cell, one risk draw or one planner
-choice changes a hash here. The values were recorded before the local layer
-and the generators were rewritten for speed, so these tests prove that the
-rewrites changed no behaviour. SHAPE_SHA256 was recorded before the planners
-became one table and the grid searches one BFS, and pins the cycle-event
-shapes the first pins do not reach. TIE_SHA256 was recorded before NBV's
-argmax became a branch-and-bound and A* a flat-index search, and pins
-episodes whose NBV and A* choices are decided by ties. Every pin was
-re-recorded when the header gained its "behaviour" key; with that key
-removed, each new log hashed to the pin it replaced. When edge risk moved
-to common random numbers (behaviour 2), the pins of episodes with a
-nonzero risk field were re-recorded: the cave episodes, mldm_j_exceeded and
-the three cave ties. When the local search became exact (behaviour 3),
-every pin was re-recorded for the header; with the header's behaviour set
-back to 2, each new log hashed to its old pin except the MLDM and HCP cave
-episodes and five shape pins. Four of those had lost their shape and moved
-to a seed that shows it; each shape test now checks its shape as well."""
+"""Golden pins: hashes of short episodes' event logs and the bytes of
+generated worlds. A change that moves one cave cell, one risk draw or one
+planner choice changes a hash here.
+
+An episode pin is log_sha256 of its log. That hashes the header's
+world-derived j_max and reachable_free_cells, then every event after the
+header; the rest of the header is what the test's config and the code fix,
+and log_sha256 checks it apart, by exact equality. So a pin moves only where
+its episode moves. A refactor or a speed-up moves no pin. A behaviour change
+bumps harness.BEHAVIOUR_VERSION and re-records only the pins of the episodes
+it moved, which its diff of this file then names.
+
+SHAPE_SHA256 pins cycle-event shapes the episode pins do not reach, and each
+shape test checks its shape as well, so that a re-recorded pin keeps it.
+TIE_SHA256 pins episodes whose NBV and A* choices are decided by ties."""
 import hashlib
 import math
+from dataclasses import asdict
 
 import pytest
 
-from gridexplore import motion, planners, roadmap
+from gridexplore import harness, motion, planners, roadmap
 from gridexplore import world as gw
 from gridexplore.harness import RunConfig, WorldSpec, events_to_ndjson, run_episode
 from gridexplore.planners import RewardModel
@@ -32,47 +30,47 @@ PARAMS = {
     "cave": {"width": 51, "height": 51},
 }
 
-# (generator, planner, world seed) -> sha256 of events_to_ndjson. The last
+# (generator, planner, world seed) -> log_sha256 of its log. The last
 # seed is >= 2**32, so the field's rows of draws are seeded with a two-word seed.
 EPISODE_SHA256 = {
-    ("maze", "MLDM", 3): "da3b9185be2f9f0a03e75f3f9fbb3e35478eb1b1db19d13aaac21d1c772a56c3",
-    ("maze", "HCP", 3): "586a02b4e2e1d017f24ddf5c5dc6b3ca30c489a1b0d1faaaa0cd2ea09cd04c06",
-    ("maze", "NBV", 3): "e9c52fdb523db4e881a7f21034715f6404a62e35ada93a842aaddc7b563be6ba",
-    ("maze", "HFE", 3): "733b20a1e3e452353e27f5aeda50b4eccb66ec18c149784460091035e3b6bf49",
-    ("subway", "MLDM", 4): "ef9406bba75c0640c75fb2bdd1dc9b32cab3830069336aae24e71f0e181b0f72",
-    ("subway", "HCP", 4): "1e5e125eeb48d90eadbea26faa875e88c82db7781929730167b6936f53a3931c",
-    ("subway", "NBV", 4): "cecd40842b9060c569b307be3bcea709f2ab3b8aef603489109f764c4dd860c6",
-    ("subway", "HFE", 4): "14f5621ed9e7778c5a836945a21c3c1b873924349c6e0c784e4a296949781f96",
-    ("cave", "MLDM", 5): "3271bdbcd7537a058037a4173a93099f9b3fdb59895c3bd27e29dc52c23e577d",
-    ("cave", "HCP", 5): "03d94f33971064cd128e29f7a53312e08ecdfafebc0b359a7393957ba7e1e9f2",
-    ("cave", "NBV", 5): "326593d4ae1d0ed455272845036c476646379b1dc6013652eecc3622b78b9c16",
-    ("cave", "HFE", 5): "49336c06f24ed3d6e716c27d036d98096cb98fe8003c5e60f63058441909fbae",
-    ("cave", "MLDM", 2**32 + 5): "7d742ededf550d9a557574e34b91e33c559012795b2515784a3c896b05fb9c48",
+    ("maze", "MLDM", 3): "ce1689f445261e0b0a130290199a21e991f47751a94da593f3739c1f45083f73",
+    ("maze", "HCP", 3): "1bccd34dd9b4b58835ac11f5d94c85e49b6d405e178906a1271f9f541af45b7b",
+    ("maze", "NBV", 3): "5c2bb2244b357ca5ba866c6918152e8eb134c3740a8601411ffc95e0336cf502",
+    ("maze", "HFE", 3): "7bb05afcd6944a5eaa84abcaac7fbef38af5dd5e8d5a3e46a994675ed1940102",
+    ("subway", "MLDM", 4): "146d9e7272dace3c6878485d00db1020647add9532e4693ebb1b3ba5fb8daece",
+    ("subway", "HCP", 4): "a202f49cf1ca68e79fdc4a253e95e40a8c65a2da5ce55bd3e97bcdad1838cf1c",
+    ("subway", "NBV", 4): "4c1a8c18368b5bcecb9ff43a9992cdb4c898050467b9dc90e8af74ae7ffd5e8d",
+    ("subway", "HFE", 4): "2f12f107b5e5571698158d49e65bf40b824e7e11154fe1d8ec42f5c687132a42",
+    ("cave", "MLDM", 5): "cbda7b079ff49664c35810d35127795e654f15d333e207d857d698b27f3fbbcb",
+    ("cave", "HCP", 5): "5001f37167f581bb8ee9f6cd5d82b64d7e66d3ef4b3eeefdd6673a8a1d8b888f",
+    ("cave", "NBV", 5): "b28862c4b3c23b387ce6a4d1e342e0abd1c9673f0d503b4b5c3082838bee733f",
+    ("cave", "HFE", 5): "bb54a721065da5f933203878fd401ac27799f1056c8dc1656494f7c1139a347f",
+    ("cave", "MLDM", 2**32 + 5): "2961229a9f532a6b03dbbc77f2c0467c2b49997de0613cdf9415c4774282d68c",
 }
 
 # Cycle-event shapes the pins above do not reach: (label, generator, planner,
-# world seed, step budget, golden settings) -> sha256 of events_to_ndjson.
+# world seed, step budget, golden settings) -> log_sha256 of its log.
 # "Golden settings" are the settings of the pins above; without them the
 # episode runs on RunConfig defaults.
 SHAPE_SHA256 = {
     # an MLDM cycle with no candidate at all; ends no_policy at step 145
     ("mldm_no_candidate", "subway", "MLDM", 17, 160, False):
-        "7c8932de0cbf4cfe6ec5ceecdcf4f41c7e1aca8d543e65b44f7f4ffe24bf1fab",
+        "c89336ea9d0b0f87a30e7bf44f7449c9883e604af158c49023e9ba3cf841880a",
     # HCP with no policy; ends no_policy at step 145
     ("hcp_no_policy", "subway", "HCP", 17, 160, False):
-        "d27a6adca506a52dc57b8553a79deba6f4fe91be4d753afc0eab96101d65f5a4",
+        "d6c20275d2a1a7cd47c35b25a564a56b922b788e40827f0c6b9fbe79bf7335ed",
     # HCP gives up its committed goal and calls plan_global (global_found)
     ("hcp_global_fallback", "subway", "HCP", 8, 120, True):
-        "b098805cf07a32793e9478c73bf9102e72d97777034e17bb974b94fa42cfeb03",
+        "10898656aa85997a59a046ab79b4817de7021bf37599692b5f4f2f986401b1db",
     # HFE with no policy (chosen: null)
     ("hfe_no_policy", "maze", "HFE", 3, 120, True):
-        "37062aaa4dd350ce16662036d76d75a7795600cc1e5ffb1fd63b685516d304fb",
+        "2d813a9af62663f40d3ac50b04afe96586d8e4063880ecf12f5042c6e1db2312",
     # MLDM discrepancy override
     ("mldm_d_exceeded", "subway", "MLDM", 8, 120, True):
-        "a9531cb0a70760f674d1317710893c5adb2178b9a273c81900b4a881a5c49103",
+        "4628ecd8042f52e987edc18e80d4543aca19619640062ac84933b711f8e98228",
     # MLDM risk override
     ("mldm_j_exceeded", "cave", "MLDM", 0, 60, True):
-        "e149e103343fc247978de2f430b960f864b86c0e3d3d9ba7d448702c14f36d4a",
+        "e2254d439ff64a2b37fbeccfe85bdde8a61a6eb2f788ecf63c14b91082200085",
 }
 
 
@@ -102,19 +100,19 @@ GOLDEN_SETTINGS = {"nbv_samples": 20, "min_frontier_cluster": 1, "horizon_global
 
 # Tie-heavy NBV and A* episodes, run with golden settings, the overrides
 # below and step budget 120: label -> (generator, planner, world seed,
-# overrides, sha256 of events_to_ndjson).
+# overrides, log_sha256 of its log).
 TIE_SHA256 = {
     # risk-free A*: equal-cost paths are told apart only by heap order
     "nbv_risk_free": ("cave", "NBV", 5, {"astar_risk_weight": 0.0},
-                      "4b7a5573f84e1f792f8c99312c01f6f42ecb297a2c0897294cec3405f3f73c69"),
+                      "aa4924803c96001dadabc03f000aab6b1517edeba291e8f5a6ff6b58e2757854"),
     "hfe_risk_free": ("cave", "HFE", 5, {"astar_risk_weight": 0.0},
-                      "743eb5cfd4b07355fef14f9d9e9f5768dfd6527492d598f6b1bbde1c0c465dcc"),
+                      "cdb5d247a1171aa4744ea16553a032c44c9e0cac84b0bb81ef896d68819f7cc3"),
     # free travel: every NBV score equals its bound, so the tie rule decides
     "nbv_free_travel": ("cave", "NBV", 5, {"reward": RewardModel(distance_cost=0.0)},
-                        "34629e896ef8afbd8f375e642da99a47b9000394ffb70c4fe7f99e70d6fc0edb"),
+                        "73031f4607ac269c0a57d6c2edad58e8f88b76befa242a1ba55156fb7c4b84ac"),
     # many viewpoints per cycle
     "nbv_200_samples": ("subway", "NBV", 4, {"nbv_samples": 200},
-                        "066f771d8afb0bce89cff5d4e450ae98a31e9db30e575a79f9c2b5237bd02279"),
+                        "01964c2351d785667aac4cf0dec72363ea05bcea35377c8b8f8c6e15945ee463"),
 }
 
 # (seed, width, height) -> (sha256 of occupancy bytes, sha256 of risk_mu bytes)
@@ -147,6 +145,27 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# header keys that the world and its risk draws set; the rest the config fixes
+WORLD_KEYS = ("j_max", "reachable_free_cells")
+
+
+def log_sha256(config: RunConfig, events: list[dict]) -> str:
+    """The pin of an episode's log. Asserts that the header holds exactly the
+    event type, schema and behaviour versions, config and config hash that
+    config and this build give, then hashes the header's WORLD_KEYS and
+    every event after the header."""
+    header, *body = events
+    assert {key: value for key, value in header.items() if key not in WORLD_KEYS} == {
+        "type": "header",
+        "version": harness.EVENT_SCHEMA_VERSION,
+        "behaviour": harness.BEHAVIOUR_VERSION,
+        "config": asdict(config),
+        "config_hash": harness.config_hash(config),
+    }
+    world = {key: header[key] for key in WORLD_KEYS}
+    return sha256(events_to_ndjson([world, *body]).encode("utf-8"))
+
+
 @pytest.mark.parametrize("generator,planner,seed", sorted(EPISODE_SHA256))
 def test_episode_log_matches_golden_hash(generator, planner, seed):
     config = RunConfig(
@@ -154,9 +173,8 @@ def test_episode_log_matches_golden_hash(generator, planner, seed):
         planner=planner, step_budget=60, nbv_samples=20, min_frontier_cluster=1,
         horizon_global=40,
     )
-    record = run_episode(config)
-    text = events_to_ndjson(record.events)
-    assert sha256(text.encode("utf-8")) == EPISODE_SHA256[(generator, planner, seed)]
+    assert log_sha256(config, run_episode(config).events) == \
+        EPISODE_SHA256[(generator, planner, seed)]
 
 
 @pytest.mark.parametrize("label,generator,planner,seed,budget,golden", sorted(SHAPE_SHA256))
@@ -165,11 +183,10 @@ def test_event_shape_log_matches_golden_hash(label, generator, planner, seed, bu
         world=WorldSpec(generator=generator, seed=seed, params=dict(PARAMS[generator])),
         planner=planner, step_budget=budget, **(GOLDEN_SETTINGS if golden else {}),
     )
-    record = run_episode(config)
-    assert SHAPES[label](record.events)
-    text = events_to_ndjson(record.events)
+    events = run_episode(config).events
+    assert SHAPES[label](events)
     key = (label, generator, planner, seed, budget, golden)
-    assert sha256(text.encode("utf-8")) == SHAPE_SHA256[key]
+    assert log_sha256(config, events) == SHAPE_SHA256[key]
 
 
 @pytest.mark.parametrize("label", sorted(TIE_SHA256))
@@ -179,9 +196,29 @@ def test_tie_heavy_log_matches_golden_hash(label):
         world=WorldSpec(generator=generator, seed=seed, params=dict(PARAMS[generator])),
         planner=planner, step_budget=120, **{**GOLDEN_SETTINGS, **overrides},
     )
-    record = run_episode(config)
-    text = events_to_ndjson(record.events)
-    assert sha256(text.encode("utf-8")) == expected
+    assert log_sha256(config, run_episode(config).events) == expected
+
+
+def _short_cave_log():
+    config = RunConfig(world=WorldSpec(generator="cave", seed=5, params=dict(PARAMS["cave"])),
+                       planner="MLDM", step_budget=5)
+    return config, run_episode(config).events
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: {**header, "behaviour": 2},
+    lambda header: {**header, "config": {**header["config"], "step_budget": 6}},
+], ids=["behaviour_2", "config_value"])
+def test_log_sha256_checks_the_header(edit):
+    config, events = _short_cave_log()
+    with pytest.raises(AssertionError):
+        log_sha256(config, [edit(events[0]), *events[1:]])
+
+
+def test_log_sha256_hashes_j_max():
+    config, events = _short_cave_log()
+    moved = {**events[0], "j_max": events[0]["j_max"] * 2}
+    assert log_sha256(config, [moved, *events[1:]]) != log_sha256(config, events)
 
 
 @pytest.mark.parametrize("seed,width,height", sorted(CAVE_SHA256))
