@@ -14,7 +14,7 @@ from gridexplore import (
     plan_global, plan_local, sense, update_global_irm,
 )
 from gridexplore.motion import KinodynamicSpec, astar, cells_to_waypoints
-from gridexplore.roadmap import GLOBAL, LOCAL, ROBOT_NODE_ID
+from gridexplore.roadmap import GLOBAL, LOCAL
 
 world = generate_maze(seed=3, width=31, height=31)
 belief = BeliefGrid.for_world(world)
@@ -27,7 +27,7 @@ local_graph = build_local_irm(belief, risk, world.spawn)
 global_graph = update_global_irm(None, belief, risk, world.spawn, min_cluster=1)
 
 local_policy = plan_local(local_graph, reward, horizon=10)
-global_policy = plan_global(global_graph, reward, ROBOT_NODE_ID, horizon=40)
+global_policy = plan_global(global_graph, reward, horizon=40)
 print(f"local policy: {'found' if local_policy else 'none'}"
       + (f", U={local_policy.utility:.2f}, {len(local_policy.node_sequence)} nodes"
          if local_policy else ""))

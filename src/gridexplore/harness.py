@@ -25,10 +25,7 @@ from .planners import (
     Policy, RewardModel, plan_global, plan_hfe, plan_local, plan_nbv,
 )
 from .risk import RiskField
-from .roadmap import (
-    GLOBAL, LOCAL, ROBOT_NODE_ID, RoadmapGraph, build_local_irm,
-    update_global_irm,
-)
+from .roadmap import GLOBAL, LOCAL, RoadmapGraph, build_local_irm, update_global_irm
 from .switching import (
     Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, decide, execution_score, explain,
 )
@@ -425,7 +422,7 @@ def _plan_local_policy(state: _EpisodeState) -> Policy | None:
 def _plan_global_policy(state: _EpisodeState) -> Policy | None:
     config = state.config
     return plan_global(
-        state.global_graph, config.reward, ROBOT_NODE_ID,
+        state.global_graph, config.reward,
         horizon=config.horizon_global, created_at=state.cycle,
     )
 
@@ -516,7 +513,7 @@ def _plan_nbv(state: _EpisodeState) -> PlanOutcome:
 def _plan_hfe(state: _EpisodeState) -> PlanOutcome:
     """Greedy frontier baseline over the global roadmap."""
     graph = _update_global_graph(state)
-    policy = plan_hfe(graph, state.config.reward, ROBOT_NODE_ID, created_at=state.cycle)
+    policy = plan_hfe(graph, state.config.reward, created_at=state.cycle)
     return _baseline_outcome(state, policy)
 
 

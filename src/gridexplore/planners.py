@@ -17,7 +17,7 @@ import numpy as np
 
 from .motion import astar, path_length, path_length_lower_bound
 from .risk import RiskField, edge_risk, policy_risk
-from .roadmap import FRONTIER, GLOBAL, LOCAL, LocalLattice, RoadmapGraph
+from .roadmap import FRONTIER, GLOBAL, LOCAL, ROBOT_NODE_ID, LocalLattice, RoadmapGraph
 from .world import (
     KNOWN_FREE, BeliefGrid, InvalidPoseError, SensorSpec, sum_left, visible_unknown_counts,
 )
@@ -249,24 +249,24 @@ def _path_from_parents(parent: dict[int, int], source: int, target: int) -> list
 def _best_frontier(
     global_graph: RoadmapGraph,
     reward_model: RewardModel,
-    robot_node: int,
     gamma: float,
     horizon: float,
     created_at: int,
 ) -> Policy | None:
-    """Shortest-path policy to the frontier with the highest gamma^hops *
-    coverage_weight * gain minus distance_cost times its shortest-path
-    distance. Frontiers more than horizon hops away, or disconnected, are
-    skipped; ties go to the lowest node id. None when no frontier qualifies."""
-    if robot_node not in global_graph.nodes:
-        raise ValueError(f"robot node {robot_node} not in global graph")
+    """Shortest-path policy from the robot node (ROBOT_NODE_ID) to the
+    frontier with the highest gamma^hops * coverage_weight * gain minus
+    distance_cost times its shortest-path distance. Frontiers more than
+    horizon hops away, or disconnected, are skipped; ties go to the lowest
+    node id. None when no frontier qualifies."""
+    if ROBOT_NODE_ID not in global_graph.nodes:
+        raise ValueError(f"robot node {ROBOT_NODE_ID} not in global graph")
     frontiers = global_graph.nodes_of_kind(FRONTIER)
     if not frontiers:
         return None
-    dist, parent, hops = _shortest_paths(global_graph, robot_node)
+    dist, parent, hops = _shortest_paths(global_graph, ROBOT_NODE_ID)
     best: tuple[float, int] | None = None
     for node in frontiers:
-        if node.id not in dist or node.id == robot_node:
+        if node.id not in dist or node.id == ROBOT_NODE_ID:
             continue
         if hops[node.id] > horizon:
             continue
@@ -279,7 +279,7 @@ def _best_frontier(
     if best is None:
         return None
     utility, target = best
-    nodes = _path_from_parents(parent, robot_node, target)
+    nodes = _path_from_parents(parent, ROBOT_NODE_ID, target)
     policy = Policy(
         scope=GLOBAL, node_sequence=nodes, edge_sequence=list(zip(nodes, nodes[1:])),
         utility=utility, risk=0.0, created_at=created_at,
@@ -292,14 +292,13 @@ def _best_frontier(
 def plan_global(
     global_graph: RoadmapGraph,
     reward_model: RewardModel,
-    robot_node: int,
     horizon: int = 20,
     created_at: int = 0,
 ) -> Policy | None:
     """Pick the best frontier by discounted gain minus travel cost: the
     frontier search with gamma_global and a hop horizon."""
     return _best_frontier(
-        global_graph, reward_model, robot_node,
+        global_graph, reward_model,
         gamma=reward_model.gamma_for(GLOBAL), horizon=horizon, created_at=created_at,
     )
 
@@ -389,7 +388,6 @@ def plan_nbv(
 def plan_hfe(
     global_graph: RoadmapGraph,
     reward_model: RewardModel,
-    robot_node: int,
     created_at: int = 0,
 ) -> Policy | None:
     """Greedy frontier baseline: one-step look-ahead score gain minus travel
@@ -397,6 +395,5 @@ def plan_hfe(
     with gamma 1 (1.0 ** hops * w * gain is w * gain to the bit) and no hop
     horizon."""
     return _best_frontier(
-        global_graph, reward_model, robot_node,
-        gamma=1.0, horizon=math.inf, created_at=created_at,
+        global_graph, reward_model, gamma=1.0, horizon=math.inf, created_at=created_at,
     )

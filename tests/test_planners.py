@@ -208,7 +208,7 @@ def global_graph_with_frontiers(frontiers, chain_len=3, spacing=1.0):
 
 def test_plan_global_none_without_frontiers():
     g = global_graph_with_frontiers({})
-    assert plan_global(g, RewardModel(), -1) is None
+    assert plan_global(g, RewardModel()) is None
 
 
 def test_plan_global_prefers_nearer_equal_gain():
@@ -216,7 +216,7 @@ def test_plan_global_prefers_nearer_equal_gain():
         10: (0, 4.0, 5.0),   # near frontier
         11: (2, 4.0, 10.0),  # far frontier, same gain
     })
-    policy = plan_global(g, RewardModel(), -1)
+    policy = plan_global(g, RewardModel())
     assert policy.node_sequence[-1] == 10
 
 
@@ -229,7 +229,7 @@ def test_plan_global_matches_exhaustive_evaluation():
             frontiers[fid] = (int(rng.integers(0, 3)), float(rng.uniform(0, 5)),
                               float(rng.uniform(0.5, 8)))
         g = global_graph_with_frontiers(frontiers)
-        policy = plan_global(g, rm, -1, horizon=20)
+        policy = plan_global(g, rm, horizon=20)
 
         # oracle: evaluate every frontier by definition
         dist = {-1: 0.0, 0: 1e-6, 1: 1e-6 + 1.0, 2: 1e-6 + 2.0}
@@ -249,15 +249,23 @@ def test_plan_global_matches_exhaustive_evaluation():
 def test_plan_global_skips_disconnected_frontier():
     g = global_graph_with_frontiers({10: (0, 4.0, 5.0)})
     g.add_node(RoadmapNode(id=99, pose=(9, 9), kind=FRONTIER, info_gain=100.0))
-    policy = plan_global(g, RewardModel(), -1)
+    policy = plan_global(g, RewardModel())
     assert policy.node_sequence[-1] == 10
 
 
 def test_plan_global_respects_hop_horizon():
     g = global_graph_with_frontiers({10: (2, 100.0, 1.0), 11: (0, 1.0, 1.0)})
-    policy = plan_global(g, RewardModel(), -1, horizon=2)
+    policy = plan_global(g, RewardModel(), horizon=2)
     assert policy.node_sequence[-1] == 11  # the rich frontier is 4 hops away
 
+
+
+@pytest.mark.parametrize("plan", [plan_global, plan_hfe])
+def test_frontier_search_needs_the_robot_node(plan):
+    g = make_graph(GLOBAL, {0: ((0, 0), BREADCRUMB, 0.0), 10: ((1, 0), FRONTIER, 4.0)},
+                   [(0, 10, 1.0, 0.0)], horizon=20)
+    with pytest.raises(ValueError, match="robot node -1"):
+        plan(g, RewardModel())
 
 # --- plan_nbv ------------------------------------------------------------------------
 
@@ -329,7 +337,7 @@ def test_plan_nbv_deterministic_given_rng_seed():
 
 def test_plan_hfe_none_without_frontiers():
     g = global_graph_with_frontiers({})
-    assert plan_hfe(g, RewardModel(), -1) is None
+    assert plan_hfe(g, RewardModel()) is None
 
 
 def test_plan_hfe_greedy_dominance():
@@ -337,7 +345,7 @@ def test_plan_hfe_greedy_dominance():
         10: (0, 4.0, 5.0),
         11: (2, 4.0, 10.0),
     })
-    policy = plan_hfe(g, RewardModel(), -1)
+    policy = plan_hfe(g, RewardModel())
     assert policy.node_sequence[-1] == 10
 
 
@@ -349,7 +357,7 @@ def test_plan_hfe_matches_one_step_score_oracle():
         frontiers[fid] = (int(rng.integers(0, 3)), float(rng.uniform(0, 5)),
                           float(rng.uniform(0.5, 8)))
     g = global_graph_with_frontiers(frontiers)
-    policy = plan_hfe(g, rm, -1)
+    policy = plan_hfe(g, rm)
     dist = {0: 1e-6, 1: 1e-6 + 1.0, 2: 1e-6 + 2.0}
     scores = {
         fid: rm.coverage_weight * gain - rm.distance_cost * (dist[crumb] + length)
