@@ -36,9 +36,6 @@ EVENT_SCHEMA_VERSION = 1
 # the "behaviour" key was written under behaviour 1
 BEHAVIOUR_VERSION = 3
 
-# largest gap replay accepts between a logged score and its recomputation
-SCORE_TOLERANCE = 1e-9
-
 Cell = tuple[int, int]
 
 
@@ -801,15 +798,17 @@ class ReplayResult:
 def replay(log_path: str, verify: bool = False) -> ReplayResult:
     """Reconstruct an episode from its event log.
 
-    Checks the schema version, recomputes every logged decision score from its
-    factor values, and verifies coverage monotonicity. A truncated log (no end
-    event) replays partially with a warning, and an event of the wrong shape
-    is a mismatch with a warning that names its line. A log that cannot be
-    read, or whose header is bad, raises ReplayError. With verify=True the
-    episode is re-run from the embedded config and the regenerated event
-    stream must match byte for byte: the whole stream for a complete log,
-    its first bytes for a truncated one. A log recorded under another
-    behaviour version is not re-run, and fails verification.
+    Checks the schema version, recomputes every logged decision entry's
+    execution score and score from its factor values (each must equal the
+    logged value exactly: logged floats round-trip through JSON), and
+    verifies coverage monotonicity. A truncated log (no end event) replays
+    partially with a warning, and an event of the wrong shape is a mismatch
+    with a warning that names its line. A log that cannot be read, or whose
+    header is bad, raises ReplayError. With verify=True the episode is re-run
+    from the embedded config and the regenerated event stream must match
+    byte for byte: the whole stream for a complete log, its first bytes for
+    a truncated one. A log recorded under another behaviour version is not
+    re-run, and fails verification.
     """
     try:
         original = Path(log_path).read_text(encoding="utf-8")
@@ -859,7 +858,8 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
                             p = execution_score(
                                 info["found_count"], info["risk"], info["discrepancy"], switch,
                             )
-                            matches = abs(p * info["utility"] - info["score"]) <= SCORE_TOLERANCE
+                            matches = (info["execution_score"] == p
+                                       and info["score"] == p * info["utility"])
                         except ValueError:  # a negative factor
                             matches = False
                         if not matches:

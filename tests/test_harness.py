@@ -415,6 +415,31 @@ def test_replay_counts_negative_risk_as_score_mismatch(tmp_path):
     assert sum("score mismatch" in w for w in result.warnings) == poisoned
 
 
+@pytest.mark.parametrize("edit", [
+    lambda entry: entry.update(execution_score=2 * entry["execution_score"]),
+    lambda entry: entry.update(score=math.nextafter(entry["score"], math.inf)),
+], ids=["execution_score_doubled", "score_one_ulp_up"])
+def test_replay_checks_each_decision_entry_exactly(tmp_path, edit):
+    run_episode(small_maze_config(budget=80), out_dir=str(tmp_path))
+    lines = (tmp_path / "events.ndjson").read_text().splitlines()
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        entries = (event.get("decision") or {}).get("candidates", {}).values()
+        entry = next((entry for entry in entries if entry["execution_score"] != 0), None)
+        if entry is not None:
+            edit(entry)
+            lines[i] = json.dumps(event, sort_keys=True, separators=(",", ":"))
+            break
+    else:
+        raise AssertionError("expected a decision entry with a nonzero execution score")
+    bad = tmp_path / "tampered.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    result = replay(str(bad))
+    assert not result.ok
+    assert result.score_mismatches == 1
+    assert sum("score mismatch" in w for w in result.warnings) == 1
+
+
 def drop_found_count(lines):
     """lines with found_count removed from the first decision candidate."""
     for i, line in enumerate(lines):
