@@ -259,13 +259,13 @@ def test_plan_global_respects_hop_horizon():
     assert policy.node_sequence[-1] == 11  # the rich frontier is 4 hops away
 
 
-
 @pytest.mark.parametrize("plan", [plan_global, plan_hfe])
 def test_frontier_search_needs_the_robot_node(plan):
     g = make_graph(GLOBAL, {0: ((0, 0), BREADCRUMB, 0.0), 10: ((1, 0), FRONTIER, 4.0)},
                    [(0, 10, 1.0, 0.0)], horizon=20)
     with pytest.raises(ValueError, match="robot node -1"):
         plan(g, RewardModel())
+
 
 # --- plan_nbv ------------------------------------------------------------------------
 
