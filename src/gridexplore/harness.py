@@ -27,7 +27,7 @@ from .planners import (
 from .risk import RiskField
 from .roadmap import GLOBAL, LOCAL, RoadmapGraph, build_local_irm, update_global_irm
 from .switching import (
-    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, decide, execution_score, explain,
+    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, choose, decide, explain, score_entry,
 )
 from .world import BeliefGrid, SensorSpec, WorldModel
 
@@ -798,12 +798,13 @@ class ReplayResult:
 def replay(log_path: str, verify: bool = False) -> ReplayResult:
     """Reconstruct an episode from its event log.
 
-    Checks the schema version, recomputes every logged decision entry's
-    execution score and score from its factor values (each must equal the
-    logged value exactly: logged floats round-trip through JSON), and
-    verifies coverage monotonicity. A truncated log (no end event) replays
-    partially with a warning, and an event of the wrong shape is a mismatch
-    with a warning that names its line. A log that cannot be read, or whose
+    Checks the schema version and re-derives every logged decision through
+    switching: each entry must equal score_entry of its factors exactly
+    (logged floats round-trip through JSON) and, when all do, choose over
+    them must give the logged choice and override, and the cycle event the
+    same cycle and choice. Verifies coverage monotonicity. Every warning is a
+    mismatch, save the notes on truncation: a truncated log (no end event)
+    replays partially, and an event of the wrong shape names its line. A log that cannot be read, or whose
     header is bad, raises ReplayError. With verify=True the episode is re-run
     from the embedded config and the regenerated event stream must match
     byte for byte: the whole stream for a complete log, its first bytes for
@@ -834,9 +835,9 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
         raise ReplayError(f"header holds no valid config: {exc}") from exc
 
     warnings: list[str] = []
+    notes = 0  # the warnings on truncation; every other one is a mismatch
     cycles = 0
     steps = 0
-    mismatches = 0
     last_coverage = -1.0
     saw_end = False
     for lineno, line in enumerate(lines[1:], start=2):
@@ -846,6 +847,7 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
             event = json.loads(line)
         except json.JSONDecodeError:
             warnings.append(f"line {lineno}: truncated or corrupt event, stopping")
+            notes += 1
             break
         try:
             etype = event.get("type")
@@ -853,45 +855,45 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
                 cycles += 1
                 decision = event.get("decision")
                 if decision:
-                    for scope, info in decision.get("candidates", {}).items():
+                    scored = {}
+                    for scope, entry in decision["candidates"].items():
                         try:
-                            p = execution_score(
-                                info["found_count"], info["risk"], info["discrepancy"], switch,
-                            )
-                            matches = (info["execution_score"] == p
-                                       and info["score"] == p * info["utility"])
+                            scored[scope] = score_entry(entry, switch)
                         except ValueError:  # a negative factor
-                            matches = False
-                        if not matches:
-                            mismatches += 1
+                            scored[scope] = None
+                        if scored[scope] != entry:
                             warnings.append(f"line {lineno}: {scope} score mismatch")
+                    logged = (decision["chosen"], decision["override_fired"], decision["override_reason"])
+                    if scored == decision["candidates"] and (
+                        choose(scored, switch) != logged
+                        or (decision["cycle"], decision["chosen"]) != (event["cycle"], event["chosen"])
+                    ):
+                        warnings.append(f"line {lineno}: decision mismatch")
             elif etype == "step":
                 steps += 1
                 cov = event.get("covered_m2", 0.0)
                 if cov + 1e-12 < last_coverage:
-                    mismatches += 1
                     warnings.append(f"line {lineno}: coverage decreased")
                 last_coverage = max(last_coverage, cov)
             elif etype == "end":
                 saw_end = True
         except (AttributeError, KeyError, TypeError) as exc:
-            mismatches += 1
             warnings.append(f"line {lineno}: malformed event ({type(exc).__name__}: {exc})")
     if not saw_end:
         warnings.append("log is truncated: no end event")
+        notes += 1
 
     behaviour = header.get("behaviour", 1)
     if verify and behaviour != BEHAVIOUR_VERSION:
-        mismatches += 1
         warnings.append(f"recorded under behaviour {behaviour}; "
                         f"this build runs behaviour {BEHAVIOUR_VERSION}")
     elif verify:
         regenerated = events_to_ndjson(run_episode(config).events)
         matches = regenerated == original if saw_end else regenerated.startswith(original)
         if not matches:
-            mismatches += 1
             warnings.append("verify: regenerated event stream differs")
 
+    mismatches = len(warnings) - notes
     return ReplayResult(
         ok=mismatches == 0,
         truncated=not saw_end,

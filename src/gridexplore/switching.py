@@ -128,6 +128,32 @@ class SwitchDecision:
     override_reason: str = OVERRIDE_NONE
 
 
+def score_entry(factors: dict, config: SwitchConfig) -> dict:
+    """One candidate's decision entry, the one home of its format: the
+    factors utility, found_count, risk and discrepancy, plus execution_score
+    and score = execution_score * utility. ValueError on a negative factor."""
+    entry = {name: factors[name] for name in ("utility", "found_count", "risk", "discrepancy")}
+    p = execution_score(entry["found_count"], entry["risk"], entry["discrepancy"], config)
+    return {**entry, "execution_score": p, "score": p * entry["utility"]}
+
+
+def choose(entries: dict[str, dict], config: SwitchConfig) -> tuple[str, bool, str]:
+    """(chosen, override_fired, override_reason) by the switching rule over
+    score_entry entries by scope: the argmax of their scores (ties prefer
+    local), then the threshold overrides: a winner whose risk exceeds j_max or
+    whose discrepancy exceeds d_max is swapped for the opposite scope. When
+    the opposite scope has no entry the violating winner is kept but flagged,
+    since halting exploration is worse than executing a flagged policy."""
+    local, glob = (entries[scope]["score"] if scope in entries else -math.inf for scope in SCOPES)
+    selected = LOCAL if local >= glob else GLOBAL
+    info = entries[selected]
+    if info["risk"] > config.j_max or info["discrepancy"] > config.d_max:
+        reason = OVERRIDE_RISK if info["risk"] > config.j_max else OVERRIDE_DISCREPANCY
+        opposite = GLOBAL if selected == LOCAL else LOCAL
+        return (opposite if opposite in entries else selected), True, reason
+    return selected, False, OVERRIDE_NONE
+
+
 def decide(
     local_candidate: Candidate | None,
     global_candidate: Candidate | None,
@@ -135,47 +161,18 @@ def decide(
     config: SwitchConfig,
     cycle: int = 0,
 ) -> SwitchDecision:
-    """Select the policy scope for this cycle.
-
-    Scores every present candidate, takes the argmax (ties prefer local),
-    then applies the threshold overrides: a winner whose risk exceeds j_max or
-    whose discrepancy exceeds d_max is swapped for the opposite scope. When
-    the opposite scope has no candidate the violating winner is kept but
-    flagged, since halting exploration is worse than executing a flagged
-    policy.
-    """
+    """Select the policy scope for this cycle: score_entry for each present
+    candidate, with its history h read from the window, then choose."""
     if local_candidate is None and global_candidate is None:
         raise NoPolicyError("no candidate policy in either scope")
 
-    entries: dict[str, dict] = {}
+    entries = {}
     for cand in (local_candidate, global_candidate):
-        if cand is None:
-            continue
-        h = window.found_count(cand.scope)
-        p = execution_score(h, cand.risk, cand.discrepancy, config)
-        entries[cand.scope] = {
-            "utility": cand.utility,
-            "found_count": h,
-            "risk": cand.risk,
-            "discrepancy": cand.discrepancy,
-            "execution_score": p,
-            "score": p * cand.utility,
-        }
-
-    def score_of(scope: str) -> float:
-        return entries[scope]["score"] if scope in entries else -math.inf
-
-    selected = LOCAL if score_of(LOCAL) >= score_of(GLOBAL) else GLOBAL
-    chosen = selected
-    fired = False
-    reason = OVERRIDE_NONE
-    info = entries[selected]
-    if info["risk"] > config.j_max or info["discrepancy"] > config.d_max:
-        fired = True
-        reason = OVERRIDE_RISK if info["risk"] > config.j_max else OVERRIDE_DISCREPANCY
-        opposite = GLOBAL if selected == LOCAL else LOCAL
-        if opposite in entries:
-            chosen = opposite
+        if cand is not None:
+            factors = {"utility": cand.utility, "found_count": window.found_count(cand.scope),
+                       "risk": cand.risk, "discrepancy": cand.discrepancy}
+            entries[cand.scope] = score_entry(factors, config)
+    chosen, fired, reason = choose(entries, config)
     return SwitchDecision(
         cycle=cycle,
         chosen=chosen,

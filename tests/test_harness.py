@@ -440,6 +440,62 @@ def test_replay_checks_each_decision_entry_exactly(tmp_path, edit):
     assert sum("score mismatch" in w for w in result.warnings) == 1
 
 
+def tamper_first(tmp_path, etype, edit):
+    """The path of a copy of an 80-step maze MLDM log whose first event of
+    type etype (a cycle event: the first with a decision) edit changed, and
+    the number of that event's line."""
+    run_episode(small_maze_config(budget=80), out_dir=str(tmp_path))
+    lines = (tmp_path / "events.ndjson").read_text().splitlines()
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        if event["type"] == etype and (etype != "cycle" or event.get("decision")):
+            edit(event)
+            lines[i] = json.dumps(event, sort_keys=True, separators=(",", ":"))
+            break
+    else:
+        raise AssertionError(f"expected a {etype} event to tamper")
+    bad = tmp_path / "tampered.ndjson"
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad), i + 1
+
+
+def other_scope(scope):
+    return "global" if scope == "local" else "local"
+
+
+def flip_chosen(event):
+    event["chosen"] = event["decision"]["chosen"] = other_scope(event["chosen"])
+
+
+def flip_override_fired(event):
+    event["decision"]["override_fired"] = not event["decision"]["override_fired"]
+
+
+def change_override_reason(event):
+    assert event["decision"]["override_reason"] == "none"
+    event["decision"]["override_reason"] = "D_exceeded"
+
+
+def flip_event_chosen(event):
+    event["chosen"] = other_scope(event["chosen"])
+
+
+@pytest.mark.parametrize("edit", [
+    flip_chosen, flip_override_fired, change_override_reason, flip_event_chosen,
+])
+def test_replay_rederives_each_logged_choice(tmp_path, edit, capsys):
+    """Entries that recompute must still give the logged choice and override
+    through switching.choose, and the cycle event must carry that choice."""
+    bad, lineno = tamper_first(tmp_path, "cycle", edit)
+    result = replay(bad)
+    assert not result.ok
+    assert result.score_mismatches == 1
+    assert result.warnings == [f"line {lineno}: decision mismatch"]
+    capsys.readouterr()
+    assert cli_main(["replay", "--log", bad]) == 1
+    assert f"warning: line {lineno}: decision mismatch" in capsys.readouterr().err
+
+
 def drop_found_count(lines):
     """lines with found_count removed from the first decision candidate."""
     for i, line in enumerate(lines):
