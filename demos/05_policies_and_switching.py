@@ -7,10 +7,11 @@ edge risk, D is the reference-vs-executed path discrepancy, and U is the
 discounted utility.
 """
 import json
+from dataclasses import asdict
 
 from gridexplore import (
     BeliefGrid, Candidate, HistoryWindow, RewardModel, RiskField, SwitchConfig,
-    build_local_irm, decide, explain, generate_maze, make_path_pair,
+    build_local_irm, decide, generate_maze, make_path_pair,
     plan_global, plan_local, sense, update_global_irm,
 )
 from gridexplore.motion import KinodynamicSpec, astar, cells_to_waypoints
@@ -54,4 +55,4 @@ print(f"\ndecision: execute the {decision.chosen} policy"
       + (" (threshold override fired: "
          f"{decision.override_reason})" if decision.override_fired else ""))
 print("\nfull factor breakdown:")
-print(json.dumps(explain(decision), indent=2, sort_keys=True))
+print(json.dumps(asdict(decision), indent=2, sort_keys=True))

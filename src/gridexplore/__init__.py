@@ -26,7 +26,7 @@ from .motion import (
 )
 from .switching import (
     Candidate, HistoryWindow, NoPolicyError, SwitchConfig, SwitchDecision,
-    calibrate_j_max, decide, execution_score, explain,
+    calibrate_j_max, choose, decide, execution_score, score_entry,
 )
 from .harness import (
     ReplayError, RunConfig, RunRecord, SwitchSettings, WorldSpec,
@@ -42,14 +42,14 @@ __all__ = [
     "Policy", "ReplayError", "RewardModel", "RiskField", "RoadmapEdge",
     "RoadmapGraph", "RoadmapNode", "RunConfig", "RunRecord", "ScenarioResult",
     "SensorSpec", "SwitchConfig", "SwitchDecision", "SwitchSettings",
-    "WorldModel", "WorldSpec", "astar", "build_local_irm", "calibrate_j_max",
+    "WorldModel", "WorldSpec", "astar", "build_local_irm", "calibrate_j_max", "choose",
     "config_from_dict", "covered_area", "cvar", "decide",
     "detect_frontiers", "discrepancy", "edge_risk",
-    "execute_step", "execution_score", "explain", "generate_cave",
+    "execute_step", "execution_score", "generate_cave",
     "generate_maze", "generate_subway", "graph_to_dict", "load_config",
     "load_world", "make_path_pair", "plan_global", "plan_hfe", "plan_local",
     "plan_nbv", "policy_risk", "replay", "run_batch",
-    "run_episode", "save_world", "scenario_regressions", "sense",
+    "run_episode", "save_world", "scenario_regressions", "score_entry", "sense",
     "smooth_kinodynamic", "update_global_irm",
     "visible_unknown_count",
 ]

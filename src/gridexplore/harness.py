@@ -27,7 +27,7 @@ from .planners import (
 from .risk import RiskField
 from .roadmap import GLOBAL, LOCAL, RoadmapGraph, build_local_irm, update_global_irm
 from .switching import (
-    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, choose, decide, explain, score_entry,
+    Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, choose, decide, score_entry,
 )
 from .world import BeliefGrid, SensorSpec, WorldModel
 
@@ -442,7 +442,7 @@ def _plan_mldm(state: _EpisodeState) -> PlanOutcome:
     )
     if decision.override_fired:
         state.counts["overrides"] += 1
-    fields["decision"] = explain(decision)
+    fields["decision"] = asdict(decision)
     return (local_cand if decision.chosen == LOCAL else global_cand), logged, fields
 
 
@@ -802,14 +802,16 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
     switching: each entry must equal score_entry of its factors exactly
     (logged floats round-trip through JSON) and, when all do, choose over
     them must give the logged choice and override, and the cycle event the
-    same cycle and choice. Verifies coverage monotonicity. Every warning is a
-    mismatch, save the notes on truncation: a truncated log (no end event)
-    replays partially, and an event of the wrong shape names its line. A log that cannot be read, or whose
-    header is bad, raises ReplayError. With verify=True the episode is re-run
-    from the embedded config and the regenerated event stream must match
-    byte for byte: the whole stream for a complete log, its first bytes for
-    a truncated one. A log recorded under another behaviour version is not
-    re-run, and fails verification.
+    same cycle and choice. Coverage must never decrease, and the end event's
+    steps, collisions and final coverage must be those of the step events
+    before it. Each miss, and each event of the wrong shape, is a mismatch
+    with a warning that names its line. A truncated log (no end event)
+    replays partially with a warning that is no mismatch. A log that cannot
+    be read, or whose header is bad, raises ReplayError. With verify=True the
+    episode is re-run from the embedded config and the regenerated event
+    stream must match byte for byte: the whole stream for a complete log, its
+    first bytes for a truncated one. A log recorded under another behaviour
+    version is not re-run, and fails verification.
     """
     try:
         original = Path(log_path).read_text(encoding="utf-8")
@@ -839,6 +841,8 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
     cycles = 0
     steps = 0
     last_coverage = -1.0
+    last_step = None
+    collisions = 0
     saw_end = False
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -872,11 +876,21 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
             elif etype == "step":
                 steps += 1
                 cov = event.get("covered_m2", 0.0)
-                if cov + 1e-12 < last_coverage:
+                # covered area is a cell count times one positive constant,
+                # so it never decreases, in floats too
+                if cov < last_coverage:
                     warnings.append(f"line {lineno}: coverage decreased")
                 last_coverage = max(last_coverage, cov)
+                last_step = event
+                if event.get("collision"):
+                    collisions += 1
             elif etype == "end":
                 saw_end = True
+                # no check on cycles: run_episode counts the cycle whose
+                # max_cycles stall test ends the episode, but logs no event for it
+                claimed = (event["steps"], event["collisions"], event["final_coverage_m2"])
+                if claimed != (last_step["step"], collisions, last_step["covered_m2"]):
+                    warnings.append(f"line {lineno}: end event disagrees with the step events")
         except (AttributeError, KeyError, TypeError) as exc:
             warnings.append(f"line {lineno}: malformed event ({type(exc).__name__}: {exc})")
     if not saw_end:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,11 +180,6 @@ def decide(
         override_fired=fired,
         override_reason=reason,
     )
-
-
-def explain(decision: SwitchDecision) -> dict:
-    """Full factor breakdown as a JSON-ready record."""
-    return asdict(decision)
 
 
 def calibrate_j_max(

@@ -496,6 +496,17 @@ def test_replay_rederives_each_logged_choice(tmp_path, edit, capsys):
     assert f"warning: line {lineno}: decision mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", 999), ("collisions", 7), ("final_coverage_m2", 1e6),
+])
+def test_replay_checks_the_end_event_against_the_steps(tmp_path, field, value):
+    bad, lineno = tamper_first(tmp_path, "end", lambda event: event.update({field: value}))
+    result = replay(bad)
+    assert not result.ok and not result.truncated
+    assert result.score_mismatches == 1
+    assert result.warnings == [f"line {lineno}: end event disagrees with the step events"]
+
+
 def drop_found_count(lines):
     """lines with found_count removed from the first decision candidate."""
     for i, line in enumerate(lines):

@@ -1,5 +1,6 @@
 import json
 from collections import deque
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from gridexplore.risk import RiskField
 from gridexplore.roadmap import GLOBAL, LOCAL
 from gridexplore.switching import (
     Candidate, HistoryWindow, NoPolicyError, SwitchConfig, calibrate_j_max,
-    decide, execution_score, explain,
+    decide, execution_score,
 )
 
 
@@ -218,7 +219,7 @@ def test_argmax_scale_invariance():
         assert d1.chosen == d2.chosen
 
 
-# --- explain ------------------------------------------------------------------------
+# --- the decision as a record -------------------------------------------------------
 
 def test_explain_round_trips_and_recomputes():
     w = window_with([True] * 4, [True] * 2, window=5)
@@ -226,7 +227,7 @@ def test_explain_round_trips_and_recomputes():
     glob = make_candidate(GLOBAL, 4.0, 1.0, 1.0)
     cfg = SwitchConfig(j_max=10, d_max=10)
     d = decide(local, glob, w, cfg)
-    doc = explain(d)
+    doc = asdict(d)
     assert json.loads(json.dumps(doc)) == doc
     for scope, info in doc["candidates"].items():
         p = execution_score(info["found_count"], info["risk"], info["discrepancy"], cfg)
@@ -239,7 +240,7 @@ def test_explain_reason_populated_iff_fired():
     clean = decide(make_candidate(LOCAL, 1, 0.1, 0.1),
                    make_candidate(GLOBAL, 1, 0.1, 0.1), w,
                    SwitchConfig(j_max=1, d_max=1))
-    doc = explain(clean)
+    doc = asdict(clean)
     assert doc["override_fired"] is False and doc["override_reason"] == "none"
 
 
