@@ -144,8 +144,8 @@ def choose(entries: dict[str, dict], config: SwitchConfig) -> tuple[str, bool, s
     whose discrepancy exceeds d_max is swapped for the opposite scope. When
     the opposite scope has no entry the violating winner is kept but flagged,
     since halting exploration is worse than executing a flagged policy."""
-    local, glob = (entries[scope]["score"] if scope in entries else -math.inf for scope in SCOPES)
-    selected = LOCAL if local >= glob else GLOBAL
+    local_score, global_score = (entries[s]["score"] if s in entries else -math.inf for s in SCOPES)
+    selected = LOCAL if local_score >= global_score else GLOBAL
     info = entries[selected]
     if info["risk"] > config.j_max or info["discrepancy"] > config.d_max:
         reason = OVERRIDE_RISK if info["risk"] > config.j_max else OVERRIDE_DISCREPANCY
@@ -166,7 +166,7 @@ def decide(
     if local_candidate is None and global_candidate is None:
         raise NoPolicyError("no candidate policy in either scope")
 
-    entries = {}
+    entries: dict[str, dict] = {}
     for cand in (local_candidate, global_candidate):
         if cand is not None:
             factors = {"utility": cand.utility, "found_count": window.found_count(cand.scope),
