@@ -10,7 +10,7 @@ from gridexplore import (
     BeliefGrid, RiskField, SensorSpec, astar, covered_area, generate_subway,
     sense,
 )
-from gridexplore.world import KNOWN_FREE, KNOWN_OBSTACLE, UNKNOWN, flood_fill_free
+from gridexplore.world import FREE, KNOWN_FREE, KNOWN_OBSTACLE, UNKNOWN, label_components
 
 world = generate_subway(seed=2, rooms=3)
 belief = BeliefGrid.for_world(world)
@@ -20,7 +20,8 @@ sensor = SensorSpec(range_m=5.0)
 # pick the reachable free cell farthest from the spawn and drive to it,
 # sensing at every cell along the way
 sense(world, belief, world.spawn, sensor)
-reach = flood_fill_free(world.occupancy, world.spawn)
+labels, _ = label_components(world.occupancy == FREE)
+reach = labels == labels[world.spawn]
 cells = np.argwhere(reach)
 far = tuple(int(v) for v in cells[np.argmax(
     np.hypot(cells[:, 0] - world.spawn[0], cells[:, 1] - world.spawn[1]))])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import world as gw
 from .harness import (
-    GENERATORS, ConfigError, ReplayError, WorldSpec, build_world,
+    ConfigError, ReplayError, WorldSpec, build_world,
     config_from_dict, load_config, load_json, replay, run_batch, run_episode,
     write_summary_csv,
 )
@@ -80,7 +80,7 @@ def _cmd_gen_world(args) -> int:
     """A param flag the generator does not take is a ConfigError from
     build_world. A lone room bound takes the other bound from the
     generator's default."""
-    _, defaults = GENERATORS[args.generator]
+    _, defaults = gw.GENERATORS[args.generator]
     rooms = (args.room_min, args.room_max)
     flags = {
         "rooms": args.rooms, "width": args.width, "height": args.height,
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.set_defaults(func=_cmd_scenarios)
 
     p_gen = sub.add_parser("gen-world", help="generate and save a world")
-    p_gen.add_argument("--generator", required=True, choices=tuple(GENERATORS))
+    p_gen.add_argument("--generator", required=True, choices=tuple(gw.GENERATORS))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     # a param flag not given is not passed: the generator's signature holds

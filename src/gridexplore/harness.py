@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import inspect
 import json
 import math
 import numbers
@@ -29,7 +28,7 @@ from .roadmap import GLOBAL, LOCAL, RoadmapGraph, build_local_irm, update_global
 from .switching import (
     Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, choose, decide, score_entry,
 )
-from .world import BeliefGrid, SensorSpec, WorldModel
+from .world import GENERATORS, BeliefGrid, SensorSpec, WorldModel
 
 EVENT_SCHEMA_VERSION = 1
 # bumped by every change that moves what an episode does; a header without
@@ -243,17 +242,6 @@ def build_world(spec: WorldSpec) -> WorldModel:
         raise ConfigError(f"generator {spec.generator!r}: {exc}") from exc
 
 
-def _apply_precover(world: WorldModel, belief: BeliefGrid, rects) -> None:
-    """Mark rectangular regions as already sensed: ground truth copied into the
-    belief, free cells flagged covered. Rects are [r0, c0, r1, c1, ...] with
-    exclusive upper bounds."""
-    for r0, c0, r1, c1 in rects:
-        region = world.occupancy[r0:r1, c0:c1]
-        state = np.where(region == gw.OBSTACLE, gw.KNOWN_OBSTACLE, gw.KNOWN_FREE)
-        belief.state[r0:r1, c0:c1] = state
-        belief.covered[r0:r1, c0:c1] = region == gw.FREE
-
-
 # ---------------------------------------------------------------------------
 # Episode
 # ---------------------------------------------------------------------------
@@ -289,9 +277,6 @@ class _EpisodeState:
             self.world, alpha=config.risk_alpha,
             sample_count=config.risk_samples, seed=self.world.rng_seed,
         )
-        precover = self.world.params.get("precover")
-        if precover:
-            _apply_precover(self.world, self.belief, precover)
         self.pose: Cell = self.world.spawn
         self.global_graph: RoadmapGraph | None = None
         self.window = HistoryWindow(config.switch.window)
@@ -789,7 +774,7 @@ class ReplayResult:
     ok: bool
     truncated: bool
     cycles: int
-    steps: int
+    steps: int  # the moves made: the last step event's step, 0 without one
     score_mismatches: int
     warnings: list[str]
     config: dict
@@ -874,7 +859,7 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
                     ):
                         warnings.append(f"line {lineno}: decision mismatch")
             elif etype == "step":
-                steps += 1
+                steps = event["step"]
                 cov = event.get("covered_m2", 0.0)
                 # covered area is a cell count times one positive constant,
                 # so it never decreases, in floats too
@@ -918,60 +903,3 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
         config=header["config"],
     )
 
-
-# ---------------------------------------------------------------------------
-# Generator registry (read by build_world, config_from_dict and gen-world)
-# ---------------------------------------------------------------------------
-
-def _scenario_switchback_world(seed: int) -> WorldModel:
-    """A long corridor to a distant frontier passing a side pocket that is
-    invisible until the robot gets close: en-route local coverage appears
-    after the robot commits to the far goal. The layout is fixed; seed is
-    ignored."""
-    h, w = 21, 46
-    occ = np.full((h, w), gw.OBSTACLE, dtype=np.uint8)
-    occ[9:12, 1:45] = gw.FREE          # main corridor
-    occ[2:8, 24:33] = gw.FREE          # side pocket
-    occ[8, 28] = gw.FREE               # one-cell shaft into the pocket
-    occ[2:19, 38:45] = gw.FREE         # far room
-    return gw.make_world(
-        occ, spawn=(10, 3), rng_seed=0, generator="scenario_switchback",
-        params={"precover": [[8, 1, 13, 38]]},
-    )
-
-
-def _scenario_riskpocket_world(seed: int) -> WorldModel:
-    """A high-risk cluttered pocket around the robot with uncovered cells,
-    plus a clean distant frontier: the risky local policy wins the score but
-    trips the risk threshold. The layout is fixed; seed is ignored."""
-    h, w = 25, 40
-    occ = np.full((h, w), gw.OBSTACLE, dtype=np.uint8)
-    occ[6:15, 2:13] = gw.FREE          # pocket
-    occ[9:12, 13:31] = gw.FREE         # corridor out
-    occ[4:17, 31:39] = gw.FREE         # far area
-    # clutter inside the pocket
-    for r, c in ((7, 5), (8, 9), (11, 4), (12, 8), (13, 11), (6, 11)):
-        occ[r, c] = gw.OBSTACLE
-    mu = np.zeros((h, w))
-    sigma = np.zeros((h, w))
-    mu[6:15, 2:13] = 1.2
-    sigma[6:15, 2:13] = 0.3
-    return gw.make_world(
-        occ, spawn=(10, 6), risk_mu=mu, risk_sigma=sigma, rng_seed=0,
-        generator="scenario_riskpocket",
-        params={"precover": [[8, 2, 13, 10], [9, 13, 12, 30]]},
-    )
-
-
-# generator name -> (builder, the params it accepts with their defaults); a
-# builder is called as builder(seed, **params), and its signature is the one
-# home of those params: every param after the seed, each with a default
-GENERATORS = {
-    name: (builder, {param.name: param.default
-                     for param in list(inspect.signature(builder).parameters.values())[1:]})
-    for name, builder in (
-        ("subway", gw.generate_subway), ("maze", gw.generate_maze), ("cave", gw.generate_cave),
-        ("scenario_switchback", _scenario_switchback_world),
-        ("scenario_riskpocket", _scenario_riskpocket_world),
-    )
-}

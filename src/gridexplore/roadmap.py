@@ -40,10 +40,6 @@ DEFAULT_BREADCRUMB_SPACING = 2.0
 DEFAULT_MIN_CLUSTER = 3
 
 
-class InvalidStateError(ValueError):
-    """Roadmap construction asked for an impossible robot state."""
-
-
 @dataclass
 class RoadmapNode:
     id: int
@@ -206,7 +202,7 @@ def build_local_irm(
     sensor = sensor or SensorSpec()
     r0, c0 = int(robot_pose[0]), int(robot_pose[1])
     if not belief.is_known_free(r0, c0):
-        raise InvalidStateError(f"robot pose {robot_pose!r} is not believed free")
+        raise gw.InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
     radius_cells = radius / belief.cell_size
 
     # connected component of believed-free cells within the radius disk
@@ -383,11 +379,11 @@ def update_global_irm(
     share a cell, other pairs when within twice the spacing and in line of
     sight. The crumb layer is carried on graph.mesh and extended (see
     CrumbMesh), which gives the graph a from-scratch build would, as long as
-    the belief only ever learns cells. Raises InvalidStateError for a robot
+    the belief only ever learns cells. Raises InvalidPoseError for a robot
     pose that is not believed free."""
     robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
     if not belief.is_known_free(*robot_pose):
-        raise InvalidStateError(f"robot pose {robot_pose!r} is not believed free")
+        raise gw.InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
     cs = belief.cell_size
     crumbs: list[Cell] = []
     if graph is not None:

@@ -1,4 +1,6 @@
-"""Grid world state: ground truth, belief, procedural generators, and sensing.
+"""Grid world state: ground truth, belief, sensing, and every world an episode
+can run in (GENERATORS: procedural generators and scripted scenario worlds,
+whose precovered rectangles BeliefGrid.for_world puts in the first belief).
 
 Cells are addressed as (row, col). Metric coordinates put the center of cell
 (r, c) at x = (c + 0.5) * cell_size, y = (r + 0.5) * cell_size.
@@ -6,6 +8,7 @@ Cells are addressed as (row, col). Metric coordinates put the center of cell
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import operator
@@ -160,12 +163,20 @@ class BeliefGrid:
 
     @classmethod
     def for_world(cls, world: WorldModel) -> "BeliefGrid":
+        """The belief an episode starts from: all unknown, but for the
+        rectangles [r0, c0, r1, c1) of world.params["precover"], which hold
+        the ground truth with their free cells covered."""
         shape = (world.height, world.width)
-        return cls(
+        belief = cls(
             state=np.full(shape, UNKNOWN, dtype=np.uint8),
             covered=np.zeros(shape, dtype=bool),
             cell_size=world.cell_size,
         )
+        for r0, c0, r1, c1 in world.params.get("precover", ()):
+            region = world.occupancy[r0:r1, c0:c1]
+            belief.state[r0:r1, c0:c1] = np.where(region == OBSTACLE, KNOWN_OBSTACLE, KNOWN_FREE)
+            belief.covered[r0:r1, c0:c1] = region == FREE
+        return belief
 
     @property
     def height(self) -> int:
@@ -398,22 +409,6 @@ def grid_bfs(passable: bytes, width: int, start: int, diagonal: bool = False):
         level = reached
 
 
-def flood_fill_free(occupancy: np.ndarray, start: Cell) -> np.ndarray:
-    """4-connected reachability mask over free cells from start."""
-    h, w = occupancy.shape
-    r0, c0 = start
-    if not (0 <= r0 < h and 0 <= c0 < w) or occupancy[r0, c0] != FREE:
-        return np.zeros((h, w), dtype=bool)
-    passable, wp = padded_mask(occupancy == FREE)
-    mask = np.zeros((h + 2) * wp, dtype=bool)
-    mask[[i for i, _ in grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1)]] = True
-    return mask.reshape(h + 2, wp)[1:-1, 1:-1].copy()
-
-
-def reachable_free_count(world: WorldModel) -> int:
-    return int(np.sum(flood_fill_free(world.occupancy, world.spawn)))
-
-
 def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray, int]:
     """Connected components of a boolean mask: (labels, count), with 0 for
     background and components numbered from 1 in raster order of their first
@@ -427,6 +422,14 @@ def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarr
             count += 1
             labels[[i for i, _ in grid_bfs(passable, wp, first, diagonal)]] = count
     return labels.reshape(-1, wp)[1:-1, 1:-1], count
+
+
+def reachable_free_count(world: WorldModel) -> int:
+    """Free cells 4-connected to the spawn; 0 when the spawn is not free."""
+    if not world.is_free(*world.spawn):
+        return 0
+    labels, _ = label_components(world.occupancy == FREE)
+    return int(np.sum(labels == labels[world.spawn]))
 
 
 def _obstacle_neighbours(occ: np.ndarray) -> np.ndarray:
@@ -519,11 +522,11 @@ def generate_subway(
                 j = int(rng.integers(0, i - 1))
                 carve_corridor(centers[j], centers[i])
 
-        spawn = centers[0]
-        reach = flood_fill_free(occ, spawn)
-        if int(reach.sum()) == int(np.sum(occ == FREE)):
+        # one component: the spawn, a room centre, reaches every free cell
+        _, components = label_components(occ == FREE)
+        if components == 1:
             return make_world(
-                occ, spawn, rng_seed=seed, generator="subway",
+                occ, centers[0], rng_seed=seed, generator="subway",
                 params={"rooms": rooms, "room_size_range": [lo_m, hi_m],
                         "corridor_width": SUBWAY_CORRIDOR_WIDTH},
             )
@@ -735,6 +738,60 @@ def generate_cave(
                     "automaton_steps": CAVE_AUTOMATON_STEPS},
         )
     raise GenerationError(f"cave generation failed for seed={seed}")
+
+
+def _scenario_switchback_world(seed: int) -> WorldModel:
+    """A long corridor to a distant frontier passing a side pocket that is
+    invisible until the robot gets close: en-route local coverage appears
+    after the robot commits to the far goal. The layout is fixed; seed is
+    ignored."""
+    h, w = 21, 46
+    occ = np.full((h, w), OBSTACLE, dtype=np.uint8)
+    occ[9:12, 1:45] = FREE          # main corridor
+    occ[2:8, 24:33] = FREE          # side pocket
+    occ[8, 28] = FREE               # one-cell shaft into the pocket
+    occ[2:19, 38:45] = FREE         # far room
+    return make_world(
+        occ, spawn=(10, 3), rng_seed=0, generator="scenario_switchback",
+        params={"precover": [[8, 1, 13, 38]]},
+    )
+
+
+def _scenario_riskpocket_world(seed: int) -> WorldModel:
+    """A high-risk cluttered pocket around the robot with uncovered cells,
+    plus a clean distant frontier: the risky local policy wins the score but
+    trips the risk threshold. The layout is fixed; seed is ignored."""
+    h, w = 25, 40
+    occ = np.full((h, w), OBSTACLE, dtype=np.uint8)
+    occ[6:15, 2:13] = FREE          # pocket
+    occ[9:12, 13:31] = FREE         # corridor out
+    occ[4:17, 31:39] = FREE         # far area
+    # clutter inside the pocket
+    for r, c in ((7, 5), (8, 9), (11, 4), (12, 8), (13, 11), (6, 11)):
+        occ[r, c] = OBSTACLE
+    mu = np.zeros((h, w))
+    sigma = np.zeros((h, w))
+    mu[6:15, 2:13] = 1.2
+    sigma[6:15, 2:13] = 0.3
+    return make_world(
+        occ, spawn=(10, 6), risk_mu=mu, risk_sigma=sigma, rng_seed=0,
+        generator="scenario_riskpocket",
+        params={"precover": [[8, 2, 13, 10], [9, 13, 12, 30]]},
+    )
+
+
+# generator name -> (builder, the params it accepts with their defaults); a
+# builder is called as builder(seed, **params), and its signature is the one
+# home of those params: every param after the seed, each with a default
+GENERATORS = {
+    name: (builder, {param.name: param.default
+                     for param in list(inspect.signature(builder).parameters.values())[1:]})
+    for name, builder in (
+        ("subway", generate_subway), ("maze", generate_maze), ("cave", generate_cave),
+        ("scenario_switchback", _scenario_switchback_world),
+        ("scenario_riskpocket", _scenario_riskpocket_world),
+    )
+}
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,15 @@ def test_replay_truncated_log_warns(tmp_path):
     assert result.steps < record.total_steps
 
 
+@pytest.mark.parametrize("budget", [60, 0])
+def test_replay_counts_moves_not_step_events(tmp_path, budget):
+    # the step-0 event is written before the first move
+    record = run_episode(small_maze_config(budget=budget), out_dir=str(tmp_path))
+    result = replay(str(tmp_path / "events.ndjson"))
+    assert result.ok, result.warnings
+    assert result.steps == record.total_steps
+
+
 def half_log(tmp_path):
     """The first half of a 60-step maze MLDM episode's log, as text."""
     run_episode(small_maze_config(budget=60), out_dir=str(tmp_path))

@@ -10,7 +10,7 @@ from gridexplore import world as gw
 from gridexplore.planners import RewardModel, plan_local
 from gridexplore.risk import RiskField
 from gridexplore.roadmap import (
-    BREADCRUMB, FRONTIER, LOCAL, ROBOT_NODE_ID, InvalidStateError,
+    BREADCRUMB, FRONTIER, LOCAL, ROBOT_NODE_ID,
     build_local_irm, detect_frontiers, graph_to_dict, update_global_irm,
 )
 from gridexplore.world import BeliefGrid, SensorSpec
@@ -96,7 +96,7 @@ def test_local_irm_restricted_to_robot_component():
 def test_local_irm_rejects_bad_robot_pose():
     b = known_free_belief(5, 5)
     b.state[2, 2] = gw.KNOWN_OBSTACLE
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(gw.InvalidPoseError):
         build_local_irm(b, riskless_field((5, 5)), (2, 2))
 
 
@@ -267,7 +267,7 @@ def test_global_irm_rejects_pose_not_believed_free(pose):
     if isinstance(pose, str):
         state = gw.KNOWN_OBSTACLE if pose == "obstacle" else gw.UNKNOWN
         pose = tuple(int(x) for x in np.argwhere(b.state == state)[0])
-    with pytest.raises(InvalidStateError, match="not believed free"):
+    with pytest.raises(gw.InvalidPoseError, match="not believed free"):
         update_global_irm(graph, b, riskless_field(b.state.shape), pose)
 
 

@@ -308,6 +308,29 @@ def test_coverage_is_monotone_over_senses():
         last = area
 
 
+# --- starting belief ------------------------------------------------------------
+
+# each generator's precovered rectangles, [r0, c0, r1, c1) each
+PRECOVER = {
+    "subway": [], "maze": [], "cave": [],
+    "scenario_switchback": [(8, 1, 13, 38)],
+    "scenario_riskpocket": [(8, 2, 13, 10), (9, 13, 12, 30)],
+}
+
+
+@pytest.mark.parametrize("generator", sorted(PRECOVER))
+def test_starting_belief_holds_exactly_the_precover(generator):
+    builder, _ = gw.GENERATORS[generator]
+    w = builder(3)
+    b = gw.BeliefGrid.for_world(w)
+    inside = np.zeros(b.state.shape, dtype=bool)
+    for r0, c0, r1, c1 in PRECOVER[generator]:
+        inside[r0:r1, c0:c1] = True
+    truth = np.where(w.occupancy == gw.OBSTACLE, gw.KNOWN_OBSTACLE, gw.KNOWN_FREE)
+    assert np.array_equal(b.state, np.where(inside, truth, gw.UNKNOWN))
+    assert np.array_equal(b.covered, inside & (w.occupancy == gw.FREE))
+
+
 # --- covered_area ---------------------------------------------------------------
 
 def test_covered_area_all_unknown_is_zero():
