@@ -76,22 +76,18 @@ def _cmd_scenarios(args) -> int:
     return 0 if ok else 1
 
 
+def _generator_params() -> dict:
+    """Each param of any registered generator, with its default."""
+    return {name: default for _, defaults in gw.GENERATORS.values()
+            for name, default in defaults.items()}
+
+
 def _cmd_gen_world(args) -> int:
-    """A param flag the generator does not take is a ConfigError from
-    build_world. A lone room bound takes the other bound from the
-    generator's default."""
-    _, defaults = gw.GENERATORS[args.generator]
-    rooms = (args.room_min, args.room_max)
-    flags = {
-        "rooms": args.rooms, "width": args.width, "height": args.height,
-        "deadend_fraction": args.deadend_fraction, "risk_intensity": args.risk_intensity,
-        "room_size_range": None if rooms == (None, None) else rooms,
-    }
-    params = {name: value for name, value in flags.items() if value is not None}
-    if "room_size_range" in params and "room_size_range" in defaults:
-        low, high = defaults["room_size_range"]
-        params["room_size_range"] = (low if args.room_min is None else args.room_min,
-                                     high if args.room_max is None else args.room_max)
+    """Only the param flags given are passed: the generator's signature holds
+    the other defaults, and build_world refuses a param the generator does
+    not take with a ConfigError."""
+    params = {name: getattr(args, name) for name in _generator_params()
+              if getattr(args, name) is not None}
     world = build_world(WorldSpec(generator=args.generator, seed=args.seed, params=params))
     gw.save_world(world, args.out)
     print(f"{args.generator} world ({world.width}x{world.height}, "
@@ -132,16 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--generator", required=True, choices=tuple(gw.GENERATORS))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    # a param flag not given is not passed: the generator's signature holds
-    # its default; one the generator does not take exits 2. --room-min and
-    # --room-max set room_size_range
-    p_gen.add_argument("--rooms", type=int)
-    p_gen.add_argument("--room-min", type=float)
-    p_gen.add_argument("--room-max", type=float)
-    p_gen.add_argument("--width", type=int)
-    p_gen.add_argument("--height", type=int)
-    p_gen.add_argument("--deadend-fraction", type=float)
-    p_gen.add_argument("--risk-intensity", type=float)
+    # flags from the registry, so that a new generator param needs no edit here
+    for name, default in _generator_params().items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(default, tuple):
+            p_gen.add_argument(flag, type=type(default[0]), nargs=len(default))
+        else:
+            p_gen.add_argument(flag, type=type(default))
     p_gen.set_defaults(func=_cmd_gen_world)
     return parser
 

@@ -696,10 +696,11 @@ def run_batch(
     parallelism: int = 1,
     out_dir: str | None = None,
 ) -> tuple[list[dict], list[dict]]:
-    """Run every (config x repetition) episode; repetition r offsets the world
-    seed by r. Individual failures, a crashed worker included, are recorded
-    and the batch continues. Returns (results, summary_rows). ConfigError
-    if repetitions or parallelism is below 1."""
+    """Run every (config x repetition) episode in worker processes, at most
+    parallelism and never more than there are episodes; repetition r offsets
+    the world seed by r. Individual failures, a crashed worker included, are
+    recorded and the batch continues. Returns (results, summary_rows).
+    ConfigError if repetitions or parallelism is below 1."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     if parallelism < 1:
@@ -709,10 +710,7 @@ def run_batch(
          None if out_dir is None else str(Path(out_dir) / f"config{idx:03d}_rep{rep:02d}"))
         for idx, config in enumerate(configs) for rep in range(repetitions)
     ]
-    if parallelism > 1:
-        results = _run_parallel(jobs, parallelism)
-    else:
-        results = [_episode_job(job) for job in jobs]
+    results = _run_parallel(jobs, min(parallelism, len(jobs)))
 
     summary = []
     for idx, config in enumerate(configs):
@@ -787,10 +785,11 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
     switching: each entry must equal score_entry of its factors exactly
     (logged floats round-trip through JSON) and, when all do, choose over
     them must give the logged choice and override, and the cycle event the
-    same cycle and choice. Coverage must never decrease, and the end event's
-    steps, collisions and final coverage must be those of the step events
-    before it. Each miss, and each event of the wrong shape, is a mismatch
-    with a warning that names its line. A truncated log (no end event)
+    same cycle and choice. The header's config_hash must be the hash of its
+    config, coverage must never decrease, and the end event's steps,
+    collisions and final coverage must be those of the step events before
+    it. Each miss, and each event of the wrong shape, is a mismatch with a
+    warning that names its line. A truncated log (no end event)
     replays partially with a warning that is no mismatch. A log that cannot
     be read, or whose header is bad, raises ReplayError. With verify=True the
     episode is re-run from the embedded config and the regenerated event
@@ -823,6 +822,8 @@ def replay(log_path: str, verify: bool = False) -> ReplayResult:
 
     warnings: list[str] = []
     notes = 0  # the warnings on truncation; every other one is a mismatch
+    if header.get("config_hash") != config_hash(config):
+        warnings.append("line 1: config_hash is not the hash of the header's config")
     cycles = 0
     steps = 0
     last_coverage = -1.0

@@ -317,7 +317,8 @@ def plan_nbv(
 ) -> Policy | None:
     """Next-best-view baseline: sample viewpoints near the robot, plan an A*
     path to each, score by gain minus travel cost, keep the argmax. Returns
-    None when no reachable viewpoint scores positive.
+    None when no reachable viewpoint scores positive; InvalidPoseError for a
+    robot pose that is not believed free.
 
     The argmax is exact branch and bound: a path is never shorter than the
     octile distance, so w * gain - distance_cost * octile bounds a
@@ -328,10 +329,10 @@ def plan_nbv(
     reward_model = reward_model or RewardModel()
     rng = rng or np.random.default_rng(0)
     robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
+    if not belief.is_known_free(*robot_pose):
+        raise InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
     radius_cells = radius / belief.cell_size
-    free = np.argwhere(belief.state == KNOWN_FREE)
-    if len(free) == 0:
-        return None
+    free = np.argwhere(belief.state == KNOWN_FREE)  # the robot pose among them
     d = np.hypot(free[:, 0] - robot_pose[0], free[:, 1] - robot_pose[1])
     pool = free[(d <= radius_cells) & (d > 0)]
     if len(pool) == 0:
@@ -340,8 +341,6 @@ def plan_nbv(
     picks = rng.choice(len(pool), size=count, replace=False)
     if count == 0:
         return None
-    if not belief.is_known_free(*robot_pose):
-        raise InvalidPoseError(f"A* start {robot_pose!r} is not believed free")
     viewpoints = [(int(r), int(c)) for r, c in pool[np.sort(picks)]]
     cell_area = belief.cell_size * belief.cell_size
     w = reward_model.coverage_weight

@@ -598,11 +598,14 @@ def plan_nbv(
 ) -> Policy | None:
     """Next-best-view baseline: sample viewpoints near the robot, plan an A*
     path to each, score by gain minus travel cost, keep the argmax. Returns
-    None when no reachable viewpoint scores positive."""
+    None when no reachable viewpoint scores positive; InvalidPoseError for a
+    robot pose that is not believed free."""
     sensor = sensor or SensorSpec()
     reward_model = reward_model or RewardModel()
     rng = rng or np.random.default_rng(0)
     robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
+    if not belief.is_known_free(*robot_pose):
+        raise gw.InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
     radius_cells = radius / belief.cell_size
     free = np.argwhere(belief.state == 1)  # KNOWN_FREE
     if len(free) == 0:

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -225,7 +226,8 @@ def _episode_job_or_fail(args):
     return _EPISODE_JOB(args)
 
 
-def test_batch_survives_a_crashed_worker(monkeypatch):
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_batch_survives_a_crashed_worker(monkeypatch, parallelism):
     # fork, so that the patched job reaches the workers
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
@@ -234,7 +236,7 @@ def test_batch_survives_a_crashed_worker(monkeypatch):
     crash.seed = 99
     configs = [good, crash, good, good]
     monkeypatch.setattr(harness, "_episode_job", _episode_job_or_exit)
-    results, summary = run_batch(configs, parallelism=2)
+    results, summary = run_batch(configs, parallelism=parallelism)
     assert multiprocessing.active_children() == []
     assert [r["ok"] for r in results] == [True, False, True, True]
     assert "BrokenProcessPool" in results[1]["error"]
@@ -247,6 +249,23 @@ def test_batch_survives_a_crashed_worker(monkeypatch):
         if a["ok"]:
             a["record"].pop("wall_time_s"), b["record"].pop("wall_time_s")
             assert a == b
+
+
+def test_batch_pool_has_no_more_workers_than_jobs(monkeypatch):
+    # under fork a pool starts all of its workers at the first submit
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    results, _ = run_batch([small_maze_config(budget=5)], parallelism=4)
+    assert [r["ok"] for r in results] == [True]
+    assert len(started) == 1
 
 
 # --- replay ------------------------------------------------------------------------
@@ -379,6 +398,30 @@ def rewrite_header(tmp_path, edit):
 def test_replay_rejects_invalid_header_config(tmp_path, edit):
     with pytest.raises(ReplayError):
         replay(rewrite_header(tmp_path, edit))
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(world=WorldSpec("subway", 2, {"room_size_range": (7.0, 9.0)}), step_budget=10),
+    RunConfig(world=WorldSpec("cave", 0, {"width": 31, "height": 31}),
+              switch=SwitchSettings(j_max=math.inf), step_budget=10),
+    RunConfig(world=WorldSpec("maze", 1, {"width": 21, "height": 21}), planner="NBV",
+              sensor=SensorSpec(arc=1.0), step_budget=10),
+    RunConfig(world=WorldSpec("scenario_switchback"), planner="HFE", step_budget=10),
+], ids=["subway_tuple_param", "cave_j_max_inf", "nbv_sensor_arc", "hfe_switchback"])
+def test_replay_checks_the_header_config_hash(tmp_path, config):
+    run_episode(config, out_dir=str(tmp_path))
+    lines = (tmp_path / "events.ndjson").read_text().splitlines()
+    assert replay(str(tmp_path / "events.ndjson")).ok
+    for edit in (lambda h: h.update(config_hash="0" * 64),
+                 lambda h: h["config"].update(seed=7)):
+        header = json.loads(lines[0])
+        edit(header)
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        result = replay(str(bad))
+        assert result.score_mismatches == 1 and not result.ok
+        assert result.warnings == ["line 1: config_hash is not the hash of the header's config"]
+        assert cli_main(["replay", "--log", str(bad)]) == 1
 
 
 def test_replay_verify_refuses_a_log_of_another_behaviour(tmp_path, monkeypatch, capsys):
@@ -612,18 +655,57 @@ def test_cli_gen_world_defaults_are_the_generators(tmp_path, generator):
     assert cli_path.read_bytes() == lib_path.read_bytes()
 
 
-def test_cli_gen_world_lone_room_bound_keeps_the_other_default(tmp_path):
-    path = tmp_path / "subway.json"
-    assert cli_main(["gen-world", "--generator", "subway", "--room-min", "7",
+def test_cli_gen_world_room_size_range_sets_both_bounds(tmp_path):
+    cli_path, lib_path = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert cli_main(["gen-world", "--generator", "subway", "--seed", "3",
+                     "--room-size-range", "7", "9", "--out", str(cli_path)]) == 0
+    spec = WorldSpec("subway", 3, {"room_size_range": (7.0, 9.0)})
+    gw.save_world(build_world(spec), str(lib_path))
+    assert cli_path.read_bytes() == lib_path.read_bytes()
+
+
+def test_cli_gen_world_has_one_flag_per_registry_param(capsys):
+    params = {name: default for _, defaults in gw.GENERATORS.values()
+              for name, default in defaults.items()}
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["gen-world", "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert flags - {"help", "generator", "seed", "out"} == {
+        name.replace("_", "-") for name in params}
+    for name, default in params.items():
+        values = default if isinstance(default, tuple) else (default,)
+        args = cli.build_parser().parse_args([
+            "gen-world", "--generator", "maze", "--out", "world.json",
+            "--" + name.replace("_", "-"), *map(str, values)])
+        given = getattr(args, name)
+        given = tuple(given) if isinstance(default, tuple) else (given,)
+        assert given == values and list(map(type, given)) == list(map(type, values))
+
+
+def test_cli_gen_world_reaches_a_newly_registered_param(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake(seed, wiggle=3):
+        calls.append((seed, wiggle))
+        return gw.generate_maze(seed, width=11, height=11)
+
+    monkeypatch.setitem(gw.GENERATORS, "fake", (fake, {"wiggle": 3}))
+    path = tmp_path / "world.json"
+    assert cli_main(["gen-world", "--generator", "fake", "--seed", "5", "--wiggle", "7",
                      "--out", str(path)]) == 0
-    assert gw.load_world(str(path)).params["room_size_range"] == [7.0, 10.0]
+    assert calls == [(5, 7)] and type(calls[0][1]) is int
+    assert gw.load_world(str(path)).width == 11
+    assert cli_main(["gen-world", "--generator", "maze", "--wiggle", "7",
+                     "--out", str(tmp_path / "maze.json")]) == 2
+    assert "invalid config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("generator, flags", [
     ("maze", ["--rooms", "3"]),
-    ("maze", ["--rooms", "3", "--room-min", "4"]),
-    ("maze", ["--room-min", "4"]),
-    ("cave", ["--room-max", "9"]),
+    ("maze", ["--rooms", "3", "--room-size-range", "4", "8"]),
+    ("maze", ["--room-size-range", "4", "8"]),
+    ("cave", ["--room-size-range", "7", "9"]),
     ("cave", ["--deadend-fraction", "0.5"]),
     ("subway", ["--risk-intensity", "0.2"]),
     ("subway", ["--width", "31"]),

@@ -324,6 +324,17 @@ def test_plan_nbv_none_when_nothing_gains():
     assert policy is None
 
 
+@pytest.mark.parametrize("known", [False, True], ids=["all_unknown", "known_around"])
+@pytest.mark.parametrize("pose_state", [gw.UNKNOWN, gw.KNOWN_OBSTACLE], ids=["unknown", "obstacle"])
+def test_plan_nbv_refuses_a_pose_not_believed_free(known, pose_state):
+    # the same invalid pose is refused whether or not any cell near it is known
+    state = np.full((9, 9), gw.KNOWN_FREE if known else gw.UNKNOWN, dtype=np.uint8)
+    state[4, 4] = pose_state
+    b = BeliefGrid(state=state, covered=np.zeros((9, 9), dtype=bool), cell_size=0.5)
+    with pytest.raises(gw.InvalidPoseError, match=r"robot pose \(4, 4\) is not believed free"):
+        plan_nbv(b, riskless_field((9, 9)), (4, 4), samples=10, rng=np.random.default_rng(0))
+
+
 def test_plan_nbv_deterministic_given_rng_seed():
     b = open_belief_with_unknown_east()
     field = riskless_field(b.state.shape)
