@@ -47,9 +47,9 @@ for node in frontiers[:6]:
 
 crumbs = global_graph.nodes_of_kind(BREADCRUMB)
 front = global_graph.nodes_of_kind(FRONTIER)
+doc = graph_to_dict(global_graph)
 print(f"\nglobal IRM after the {len(visited)}-cell traverse: "
       f"{len(crumbs)} breadcrumbs, {len(front)} attached frontiers, "
-      f"{len(global_graph.edges)} edges")
+      f"{len(doc['edges'])} edges")
 
-doc = graph_to_dict(global_graph)
 print(f"JSON dump carries {len(doc['nodes'])} nodes and {len(doc['edges'])} edges")

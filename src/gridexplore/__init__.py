@@ -9,7 +9,7 @@ feasibility factors.
 
 from .world import (
     BeliefGrid, GenerationError, InvalidPoseError, SensorSpec, WorldModel,
-    covered_area, generate_cave, generate_maze, generate_subway, load_world,
+    covered_area, generate_cave, generate_maze, generate_subway,
     save_world, sense, visible_unknown_count,
 )
 from .roadmap import (
@@ -47,7 +47,7 @@ __all__ = [
     "detect_frontiers", "discrepancy", "edge_risk",
     "execute_step", "execution_score", "generate_cave",
     "generate_maze", "generate_subway", "graph_to_dict", "load_config",
-    "load_world", "make_path_pair", "plan_global", "plan_hfe", "plan_local",
+    "make_path_pair", "plan_global", "plan_hfe", "plan_local",
     "plan_nbv", "policy_risk", "replay", "run_batch",
     "run_episode", "save_world", "scenario_regressions", "score_entry", "sense",
     "smooth_kinodynamic", "update_global_irm",

@@ -131,10 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     # flags from the registry, so that a new generator param needs no edit here
     for name, default in _generator_params().items():
         flag = "--" + name.replace("_", "-")
+        takers = ", ".join(gen for gen, (_, params) in gw.GENERATORS.items() if name in params)
+        shown = " ".join(map(str, default)) if isinstance(default, tuple) else default
+        help_text = f"{takers}; default {shown}"  # e.g. "maze, cave; default 51"
         if isinstance(default, tuple):
-            p_gen.add_argument(flag, type=type(default[0]), nargs=len(default))
+            p_gen.add_argument(flag, type=type(default[0]), nargs=len(default), help=help_text)
         else:
-            p_gen.add_argument(flag, type=type(default))
+            p_gen.add_argument(flag, type=type(default), help=help_text)
     p_gen.set_defaults(func=_cmd_gen_world)
     return parser
 

@@ -234,11 +234,12 @@ def _builder(spec: WorldSpec):
 
 def build_world(spec: WorldSpec) -> WorldModel:
     """The world spec describes; ConfigError for params its generator
-    rejects, such as a maze narrower than 5 cells."""
+    rejects, such as a maze narrower than 5 cells, or a world it cannot
+    generate (a 5 x 5 cave at seed 7): the world depends on the spec alone."""
     builder = _builder(spec)
     try:
         return builder(spec.seed, **spec.params)
-    except ValueError as exc:
+    except (ValueError, gw.GenerationError) as exc:
         raise ConfigError(f"generator {spec.generator!r}: {exc}") from exc
 
 

@@ -119,14 +119,6 @@ def _capped_costs(mu: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarra
     return np.minimum(costs, COST_CAP_FACTOR * mu, out=costs)
 
 
-def sample_cell_costs(field: RiskField, cells: list[Cell], rng: np.random.Generator) -> np.ndarray:
-    """Draw (len(cells), sample_count) cost samples from the cell distributions."""
-    mu = np.array([[field.mu.item(r, c)] for r, c in cells])
-    sigma = np.array([[field.sigma.item(r, c)] for r, c in cells])
-    z = rng.standard_normal((len(cells), field.sample_count))
-    return _capped_costs(mu, sigma, z)
-
-
 def _draw_rows(field: RiskField, n: int) -> np.ndarray:
     """The field's first n rows of standard normal draws. Row j comes from a
     SeedSequence of its own, so its value does not depend on when it is

@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -106,12 +105,6 @@ class RoadmapGraph:
 
     def neighbors(self, u: int) -> list[int]:
         return sorted(self.adjacency.get(u, ()))
-
-    @property
-    def edges(self) -> MappingProxyType:
-        """Every edge once, by (src, dst): a read-only view made from adjacency."""
-        return MappingProxyType({(e.src, e.dst): e for near in self.adjacency.values()
-                                 for e in near.values()})
 
     def nodes_of_kind(self, kind: str) -> list[RoadmapNode]:
         return [n for n in sorted(self.nodes.values(), key=lambda n: n.id) if n.kind == kind]
@@ -435,6 +428,8 @@ def update_global_irm(
 
 
 def graph_to_dict(graph: RoadmapGraph) -> dict:
+    # adjacency holds each edge under both ends; keyed by (src, dst), once
+    edges = {(e.src, e.dst): e for near in graph.adjacency.values() for e in near.values()}
     return {
         "scope": graph.scope,
         "horizon": graph.horizon,
@@ -445,6 +440,6 @@ def graph_to_dict(graph: RoadmapGraph) -> dict:
         ],
         "edges": [
             {"from": e.src, "to": e.dst, "length": e.length, "risk": e.risk}
-            for _, e in sorted(graph.edges.items())
+            for _, e in sorted(edges.items())
         ],
     }

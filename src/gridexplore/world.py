@@ -466,7 +466,7 @@ def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Generators: every world is made at DEFAULT_CELL_SIZE; one at another cell
-# size comes from make_world or a world file
+# size comes from make_world
 # ---------------------------------------------------------------------------
 
 def generate_subway(
@@ -795,7 +795,7 @@ GENERATORS = {
 
 
 # ---------------------------------------------------------------------------
-# Save / load
+# Export: gen-world writes this JSON; no command reads a world file back
 # ---------------------------------------------------------------------------
 
 def world_to_dict(world: WorldModel) -> dict:
@@ -815,30 +815,7 @@ def world_to_dict(world: WorldModel) -> dict:
     }
 
 
-def world_from_dict(doc: dict) -> WorldModel:
-    if doc.get("version") != WORLD_SCHEMA_VERSION:
-        raise ValueError(f"unsupported world schema version: {doc.get('version')!r}")
-    occ = np.array(
-        [[OBSTACLE if ch == "#" else FREE for ch in row] for row in doc["occupancy"]],
-        dtype=np.uint8,
-    )
-    return make_world(
-        occ,
-        spawn=(doc["spawn"][0], doc["spawn"][1]),
-        cell_size=float(doc["cell_size"]),
-        risk_mu=np.array(doc["risk_mu"], dtype=np.float64),
-        risk_sigma=np.array(doc["risk_sigma"], dtype=np.float64),
-        rng_seed=int(doc["seed"]),
-        generator=doc["generator"],
-        params=doc["params"],
-    )
-
-
 def save_world(world: WorldModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(world_to_dict(world), fh, sort_keys=True, separators=(",", ":"))
 
-
-def load_world(path: str) -> WorldModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return world_from_dict(json.load(fh))

@@ -33,6 +33,18 @@ def small_maze_config(planner="MLDM", seed=3, budget=120):
     )
 
 
+def assert_file_is_export_of(path, spec):
+    """A gen-world file, read with json alone, holds the world spec builds:
+    its grid, spawn, params and cell size, and its risks bit for bit."""
+    doc = json.loads(Path(path).read_text())
+    world = build_world(spec)
+    expected = gw.world_to_dict(world)
+    for key in ("occupancy", "spawn", "params", "cell_size"):
+        assert doc[key] == expected[key], key
+    assert np.array_equal(np.array(doc["risk_mu"]), world.risk_mu)
+    assert np.array_equal(np.array(doc["risk_sigma"]), world.risk_sigma)
+
+
 def empty_room_config(planner):
     return RunConfig(
         world=WorldSpec(generator="subway", seed=1,
@@ -632,9 +644,7 @@ def test_cli_gen_world_and_run(tmp_path):
     assert cli_main(["gen-world", "--generator", "maze", "--seed", "4",
                      "--width", "21", "--height", "21",
                      "--out", str(world_path)]) == 0
-    loaded = gw.load_world(str(world_path))
-    assert loaded.generator == "maze"
-    assert (loaded.width, loaded.height) == (21, 21)
+    assert_file_is_export_of(world_path, WorldSpec("maze", 4, {"width": 21, "height": 21}))
 
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(asdict(small_maze_config(budget=30))))
@@ -670,14 +680,21 @@ def test_cli_gen_world_has_one_flag_per_registry_param(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["gen-world", "--help"])
     assert exit_info.value.code == 0
-    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    text = " ".join(capsys.readouterr().out.split())
+    flags = set(re.findall(r"--([a-z][a-z-]*)", text))
+    options = text.split("show this help message and exit")[1]
     assert flags - {"help", "generator", "seed", "out"} == {
         name.replace("_", "-") for name in params}
     for name, default in params.items():
         values = default if isinstance(default, tuple) else (default,)
+        # the flag's help names the generators that take it and its default
+        flag = "--" + name.replace("_", "-")
+        help_text = re.search(rf"{flag}(?: [A-Z_]+)* (.*?)(?= --|$)", options).group(1)
+        takers = {gen for gen, (_, defaults) in gw.GENERATORS.items() if name in defaults}
+        assert {gen for gen in gw.GENERATORS if re.search(rf"\b{gen}\b", help_text)} == takers
+        assert f"default {' '.join(map(str, values))}" in help_text
         args = cli.build_parser().parse_args([
-            "gen-world", "--generator", "maze", "--out", "world.json",
-            "--" + name.replace("_", "-"), *map(str, values)])
+            "gen-world", "--generator", "maze", "--out", "world.json", flag, *map(str, values)])
         given = getattr(args, name)
         given = tuple(given) if isinstance(default, tuple) else (given,)
         assert given == values and list(map(type, given)) == list(map(type, values))
@@ -695,7 +712,7 @@ def test_cli_gen_world_reaches_a_newly_registered_param(tmp_path, monkeypatch, c
     assert cli_main(["gen-world", "--generator", "fake", "--seed", "5", "--wiggle", "7",
                      "--out", str(path)]) == 0
     assert calls == [(5, 7)] and type(calls[0][1]) is int
-    assert gw.load_world(str(path)).width == 11
+    assert_file_is_export_of(path, WorldSpec("fake", 5, {"wiggle": 7}))
     assert cli_main(["gen-world", "--generator", "maze", "--wiggle", "7",
                      "--out", str(tmp_path / "maze.json")]) == 2
     assert "invalid config" in capsys.readouterr().err
@@ -849,6 +866,25 @@ def test_cli_generator_value_error_exits_2(tmp_path):
     assert cli_main(["run", "--config", str(bad)]) == 2
     with pytest.raises(ConfigError):
         build_world(WorldSpec(generator="maze", params={"width": 3}))
+
+
+@pytest.mark.parametrize("seed, width, height", [(7, 5, 5), (1, 5, 9)])
+def test_cli_world_that_cannot_be_generated_exits_2(tmp_path, capsys, seed, width, height):
+    """Every generation attempt of these small caves fails; the world
+    depends on the config alone, so that is bad input, not a fault."""
+    spec = WorldSpec("cave", seed, {"width": width, "height": height})
+    with pytest.raises(ConfigError, match="generation failed"):
+        build_world(spec)
+    bad = tmp_path / "cave.json"
+    bad.write_text(json.dumps({"world": asdict(spec)}))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    path = tmp_path / "world.json"
+    assert cli_main(["gen-world", "--generator", "cave", "--seed", str(seed),
+                     "--width", str(width), "--height", str(height),
+                     "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("invalid config") == 2 and "Traceback" not in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("doc", [

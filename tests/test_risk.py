@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridexplore.planners import Policy
-from gridexplore.risk import RiskField, cvar, edge_risk, policy_risk, sample_cell_costs
+from gridexplore.risk import RiskField, _capped_costs, cvar, edge_risk, policy_risk
 from gridexplore.roadmap import LOCAL, RoadmapGraph, RoadmapNode
 
 
@@ -211,9 +211,10 @@ def test_replaced_field_shares_no_stored_risk():
 
 
 def test_sampled_costs_respect_cap_and_mean():
-    field = field_with({(0, 0): 1.0}, {(0, 0): 1.0}, sample_count=50_000)
-    rng = np.random.default_rng(3)
-    costs = sample_cell_costs(field, [(0, 0)], rng)
+    """The cost model behind every edge risk: lognormal with mean mu, capped
+    at 20 mu."""
+    z = np.random.default_rng(3).standard_normal((1, 50_000))
+    costs = _capped_costs(np.array([[1.0]]), np.array([[1.0]]), z)
     assert np.all(costs <= 20.0 + 1e-12)
     assert np.all(costs >= 0)
     assert np.mean(costs) == pytest.approx(1.0, rel=0.05)
