@@ -24,7 +24,10 @@ from .planners import (
     Policy, RewardModel, plan_global, plan_hfe, plan_local, plan_nbv,
 )
 from .risk import RiskField
-from .roadmap import GLOBAL, LOCAL, RoadmapGraph, build_local_irm, update_global_irm
+from .roadmap import (
+    GLOBAL, LOCAL, RoadmapGraph, attach_frontiers, build_local_irm, grow_trail,
+    update_global_irm,
+)
 from .switching import (
     Candidate, HistoryWindow, SwitchConfig, calibrate_j_max, choose, decide, score_entry,
 )
@@ -36,6 +39,11 @@ EVENT_SCHEMA_VERSION = 1
 BEHAVIOUR_VERSION = 3
 
 Cell = tuple[int, int]
+
+# the longest local walk a config may ask for: plan_local keeps a bound list
+# per depth, so a horizon of 10**6 runs out of memory, and a walk may revisit
+# nodes, so a lattice's node count does not bound it
+MAX_HORIZON_LOCAL = 1000
 
 
 class ConfigError(ValueError):
@@ -109,6 +117,8 @@ class RunConfig:
                      "min_frontier_cluster"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.horizon_local > MAX_HORIZON_LOCAL:
+            raise ConfigError(f"horizon_local must be <= {MAX_HORIZON_LOCAL}")
         for name in ("local_radius", "nbv_radius", "breadcrumb_spacing"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be finite and > 0")
@@ -378,7 +388,8 @@ PlanOutcome = tuple[Candidate | None, list[Candidate], dict]
 
 def _update_global_graph(state: _EpisodeState) -> RoadmapGraph:
     """Update the global roadmap from the last one: its breadcrumb trail
-    grows every cycle, and the crumb layer it carries is extended."""
+    grows every cycle, the crumb layer it carries is extended, and the
+    frontiers are attached again (see roadmap.Attachments)."""
     config = state.config
     state.global_graph = update_global_irm(
         state.global_graph, state.belief, state.risk_field, state.pose,
@@ -434,9 +445,14 @@ def _plan_mldm(state: _EpisodeState) -> PlanOutcome:
 
 def _plan_hcp(state: _EpisodeState) -> PlanOutcome:
     """Fixed precedence: pursue the committed frontier goal until within the
-    commit distance, else the local policy, else commit to a new frontier."""
+    commit distance, else the local policy, else commit to a new frontier.
+    The trail grows every cycle; frontiers are attached only on the cycles
+    that plan globally."""
     config = state.config
-    _update_global_graph(state)
+    state.global_graph = grow_trail(
+        state.global_graph, state.belief, state.risk_field, state.pose,
+        breadcrumb_spacing=config.breadcrumb_spacing, horizon=config.horizon_global,
+    )
     local_policy = _plan_local_policy(state)
     fields: dict = {"local_found": local_policy is not None}
     commit_cells = config.hcp_commit_distance / state.world.cell_size
@@ -459,6 +475,10 @@ def _plan_hcp(state: _EpisodeState) -> PlanOutcome:
         if local_policy is not None:
             chosen = _candidate_for(state, local_policy)
         else:
+            state.global_graph = attach_frontiers(
+                state.global_graph, state.belief, state.risk_field, state.pose,
+                min_cluster=config.min_frontier_cluster,
+            )
             global_policy = _plan_global_policy(state)
             fields["global_found"] = global_policy is not None
             chosen = _candidate_for(state, global_policy)

@@ -86,10 +86,10 @@ def astar(
     if not belief.is_known_free(*goal):
         return None
     cs = belief.cell_size
+    if risk_field.mu.shape != belief.state.shape:
+        raise ValueError("risk field and belief shapes differ")
     free, width = gw.padded_mask(belief.state == gw.KNOWN_FREE)
-    mu = np.zeros((belief.height + 2, width))
-    mu[1:-1, 1:-1] = risk_field.mu
-    mu = mu.ravel().tolist()
+    mu = risk_field.padded_mu
     straight, diagonal = 1.0 * cs, SQRT2 * cs
     # (index offset, row offset, col offset, step cost, offsets of the two
     # cells a diagonal passes), straight moves first; a straight move
@@ -103,14 +103,15 @@ def astar(
     source = (start[0] + 1) * width + start[1] + 1
     target = gr * width + gc
 
-    g_best = {source: 0.0}
-    parent: dict[int, int] = {}
+    inf = math.inf
+    g_best = [inf] * len(free)
+    g_best[source] = 0.0
+    parent = [0] * len(free)
     open_heap = [(hypot(start[0] - goal[0], start[1] - goal[1]) * cs, 0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
-    inf = math.inf
     while open_heap:
         f, g, i = pop(open_heap)
-        if g > g_best.get(i, inf):
+        if g > g_best[i]:
             continue
         if i == target:
             path = [i]
@@ -123,7 +124,7 @@ def astar(
             nb = i + off
             if free[nb] and free[i + side_a] and free[i + side_b]:
                 ng = g + step + risk_weight * mu[nb]
-                if ng < g_best.get(nb, inf):
+                if ng < g_best[nb]:
                     g_best[nb] = ng
                     parent[nb] = i
                     push(open_heap, (ng + hypot(r + dr - gr, c + dc - gc) * cs, ng, nb))

@@ -7,6 +7,7 @@ a degenerate cell (sigma = 0) costs exactly mu.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -67,6 +68,16 @@ class RiskField:
         self._unit_risks = np.zeros((2,) + self.mu.shape)
         if self.mu.any():  # a riskless field has zero planes and draws nothing
             _fill_unit_planes(self)
+
+    @functools.cached_property
+    def padded_mu(self) -> list[float]:
+        """mu with a one-cell zero border, flattened row-major into a list:
+        cell (r, c) at index (r + 1) * (w + 2) + c + 1, the layout of a
+        world.padded_mask. Built on first use, since the field never
+        changes."""
+        padded = np.zeros((self.mu.shape[0] + 2, self.mu.shape[1] + 2))
+        padded[1:-1, 1:-1] = self.mu
+        return padded.ravel().tolist()
 
     @classmethod
     def for_world(

@@ -76,6 +76,27 @@ class CrumbMesh:
     waiting: tuple[tuple[int, int, tuple[Cell, ...]], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Attachments:
+    """The nearest-crumb searches of the last attach_frontiers, for the next
+    one to reuse: the belief and crumbs they ran on, the padded_mask of
+    passable cells they read, and each searched pose's _nearest_crumb
+    answer.
+
+    A BFS that stops at depth hops reads only cells within hops Manhattan
+    steps of its pose. Passable space only shrinks and crumbs only append,
+    so on the same belief, with these crumbs a prefix of the new ones, an
+    answer (id, hops) holds while no cell within hops steps of its pose has
+    lost passability or gained a crumb (crumb_at keeps a cell's later
+    crumb), and a None answer while no crumb was added. A cell that became
+    passable again breaks the premise and drops every answer."""
+
+    belief: BeliefGrid
+    crumbs: tuple[Cell, ...]
+    passable: bytes
+    answers: dict[Cell, tuple[int, int] | None]
+
+
 @dataclass
 class RoadmapGraph:
     """Nodes by id and one edge store: adjacency[u][v] is the edge of u and v
@@ -85,8 +106,10 @@ class RoadmapGraph:
     horizon: int
     nodes: dict[int, RoadmapNode] = field(default_factory=dict)
     adjacency: dict[int, dict[int, RoadmapEdge]] = field(default_factory=dict)
-    # the crumb layer a global roadmap carries to the next update_global_irm
+    # the crumb layer a global roadmap carries to the next grow_trail
     mesh: CrumbMesh | None = field(default=None, repr=False, compare=False)
+    # the frontier attachments it carries to the next attach_frontiers
+    attached: Attachments | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, node: RoadmapNode) -> None:
         self.nodes[node.id] = node
@@ -308,6 +331,14 @@ def _nearest_crumb(
     return None
 
 
+def _same_trail(belief_then: BeliefGrid, crumbs_then: tuple[Cell, ...], belief: BeliefGrid,
+                crumbs) -> bool:
+    """Whether a layer made on belief_then for crumbs_then carries over to
+    belief and crumbs: the same belief object, and crumbs_then a prefix of
+    crumbs."""
+    return belief_then is belief and tuple(crumbs[:len(crumbs_then)]) == crumbs_then
+
+
 def _crumb_mesh(
     mesh: CrumbMesh | None,
     crumbs: list[Cell],
@@ -321,8 +352,8 @@ def _crumb_mesh(
     made on the same belief, risk field and radius for a prefix of crumbs,
     and starts from nothing otherwise."""
     state, cs = belief.state, belief.cell_size
-    if (mesh is not None and mesh.belief is belief and mesh.risk_field is risk_field
-            and mesh.radius == radius and tuple(crumbs[:len(mesh.crumbs)]) == mesh.crumbs):
+    if (mesh is not None and mesh.risk_field is risk_field and mesh.radius == radius
+            and _same_trail(mesh.belief, mesh.crumbs, belief, crumbs)):
         known = len(mesh.crumbs)
         adjacency = {i: near.copy() for i, near in mesh.adjacency.items()}
         pending = list(mesh.waiting)
@@ -354,29 +385,42 @@ def _crumb_mesh(
     return CrumbMesh(belief, risk_field, radius, tuple(crumbs), adjacency, tuple(waiting))
 
 
-def update_global_irm(
+def _believed_free(belief: BeliefGrid, robot_pose) -> Cell:
+    """robot_pose as a tuple of ints; InvalidPoseError unless it is believed
+    free."""
+    robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
+    if not belief.is_known_free(*robot_pose):
+        raise gw.InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
+    return robot_pose
+
+
+def _trail_graph(mesh: CrumbMesh, horizon: int, attached: Attachments | None) -> RoadmapGraph:
+    """A global roadmap of mesh's crumbs and crumb edges alone."""
+    return RoadmapGraph(
+        scope=GLOBAL, horizon=horizon,
+        nodes={i: RoadmapNode(i, pose, BREADCRUMB) for i, pose in enumerate(mesh.crumbs)},
+        adjacency={i: near.copy() for i, near in mesh.adjacency.items()},
+        mesh=mesh, attached=attached)
+
+
+def grow_trail(
     graph: RoadmapGraph | None,
     belief: BeliefGrid,
     risk_field: RiskField,
     robot_pose: Cell,
     breadcrumb_spacing: float = DEFAULT_BREADCRUMB_SPACING,
-    min_cluster: int = DEFAULT_MIN_CLUSTER,
     horizon: int = 20,
 ) -> RoadmapGraph:
-    """The global roadmap after the previous one, graph (None at the start):
-    the breadcrumb trail (appending one when the robot moved at least
-    breadcrumb_spacing from the last), current frontier nodes attached to
-    their nearest reachable breadcrumb, and a robot node. Frontiers that
-    cannot reach any breadcrumb through believed-free space are dropped so
-    the graph stays connected. Consecutive breadcrumbs are linked unless they
-    share a cell, other pairs when within twice the spacing and in line of
-    sight. The crumb layer is carried on graph.mesh and extended (see
-    CrumbMesh), which gives the graph a from-scratch build would, as long as
-    the belief only ever learns cells. Raises InvalidPoseError for a robot
-    pose that is not believed free."""
-    robot_pose = (int(robot_pose[0]), int(robot_pose[1]))
-    if not belief.is_known_free(*robot_pose):
-        raise gw.InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
+    """The breadcrumb trail after graph's (graph None at the start), as a
+    global roadmap of crumbs alone: it appends one when the robot moved at
+    least breadcrumb_spacing from the last. Consecutive breadcrumbs are
+    linked unless they share a cell, other pairs when within twice the
+    spacing and in line of sight. The crumb layer is carried on graph.mesh
+    and extended (see CrumbMesh), which gives the graph a from-scratch build
+    would, as long as the belief only ever learns cells; graph.attached
+    rides along for the next attach_frontiers. Raises InvalidPoseError for a
+    robot pose that is not believed free."""
+    robot_pose = _believed_free(belief, robot_pose)
     cs = belief.cell_size
     crumbs: list[Cell] = []
     if graph is not None:
@@ -393,20 +437,71 @@ def update_global_irm(
     # that hop distances reflect the metric layout rather than the walk order
     mesh = _crumb_mesh(graph.mesh if graph is not None else None, crumbs, belief,
                        risk_field, 2.0 * breadcrumb_spacing / cs)
-    out = RoadmapGraph(scope=GLOBAL, horizon=horizon,
-                       adjacency={i: near.copy() for i, near in mesh.adjacency.items()},
-                       mesh=mesh)
-    for i, pose in enumerate(crumbs):
-        out.add_node(RoadmapNode(id=i, pose=pose, kind=BREADCRUMB))
+    return _trail_graph(mesh, horizon, graph.attached if graph is not None else None)
 
+
+def _carried_answers(
+    carry: Attachments | None,
+    belief: BeliefGrid,
+    crumbs: tuple[Cell, ...],
+    passable: bytes,
+    width: int,
+) -> dict[Cell, tuple[int, int] | None]:
+    """The answers of carry that still hold for crumbs on belief, whose
+    padded_mask of passable cells is passable (see Attachments); none when
+    the trail is not carry's or a cell became passable again."""
+    if carry is None or not _same_trail(carry.belief, carry.crumbs, belief, crumbs):
+        return {}
+    then = np.frombuffer(carry.passable, dtype=np.uint8)
+    now = np.frombuffer(passable, dtype=np.uint8)
+    if (now > then).any():
+        return {}
+    # the dirty cells: passable then but not now, or under a new crumb
+    added = [(r + 1) * width + c + 1 for r, c in crumbs[len(carry.crumbs):]]
+    dirty = np.concatenate([np.flatnonzero(then > now), np.array(added, dtype=np.intp)])
+    poses = np.array(list(carry.answers), dtype=np.intp).reshape(-1, 2) + 1
+    hops = np.array([-1 if a is None else a[1] for a in carry.answers.values()])
+    # each pose's Manhattan distance to its nearest dirty cell
+    near = (np.abs(poses[:, :1] - dirty // width)
+            + np.abs(poses[:, 1:] - dirty % width)).min(axis=1, initial=len(now))
+    holds = np.where(hops < 0, not added, near > hops).tolist()
+    return {pose: answer for (pose, answer), ok in zip(carry.answers.items(), holds) if ok}
+
+
+def attach_frontiers(
+    trail: RoadmapGraph,
+    belief: BeliefGrid,
+    risk_field: RiskField,
+    robot_pose: Cell,
+    min_cluster: int = DEFAULT_MIN_CLUSTER,
+) -> RoadmapGraph:
+    """The global roadmap of trail (a grow_trail result): its crumbs and
+    crumb edges, current frontier nodes attached to their nearest reachable
+    breadcrumb, and a robot node. Frontiers that cannot reach any breadcrumb
+    through believed-free space are dropped so the graph stays connected.
+    The nearest-crumb answers are carried on the result's attached, and the
+    next call reuses those that still hold (see Attachments). Raises
+    InvalidPoseError for a robot pose that is not believed free."""
+    robot_pose = _believed_free(belief, robot_pose)
+    cs = belief.cell_size
+    crumbs = trail.mesh.crumbs
     passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
     crumb_at = {(r + 1) * wp + c + 1: i for i, (r, c) in enumerate(crumbs)}
+    carried = _carried_answers(trail.attached, belief, crumbs, passable, wp)
+    answers: dict[Cell, tuple[int, int] | None] = {}
 
+    def nearest(pose: Cell) -> tuple[int, int] | None:
+        if pose not in answers:
+            answers[pose] = (carried[pose] if pose in carried
+                             else _nearest_crumb(passable, wp, crumb_at, pose))
+        return answers[pose]
+
+    out = _trail_graph(trail.mesh, trail.horizon, Attachments(belief, crumbs, passable, answers))
     frontiers = detect_frontiers(belief, min_cluster=min_cluster)
     frontiers.sort(key=lambda n: n.pose)
     next_id = len(crumbs)
     for node in frontiers:
-        hit = _nearest_crumb(passable, wp, crumb_at, node.pose)
+        hit = nearest(node.pose)
         if hit is None:
             continue
         crumb_id, hops = hit
@@ -417,7 +512,7 @@ def update_global_irm(
         out.add_edge(node.id, crumb_id, length=length,
                      risk=edge_risk(risk_field, node.pose, crumbs[crumb_id]))
 
-    hit = _nearest_crumb(passable, wp, crumb_at, robot_pose)
+    hit = nearest(robot_pose)
     out.add_node(RoadmapNode(id=ROBOT_NODE_ID, pose=robot_pose, kind=ROBOT))
     if hit is not None:
         crumb_id, hops = hit
@@ -425,6 +520,23 @@ def update_global_irm(
         out.add_edge(ROBOT_NODE_ID, crumb_id, length=hops * cs if hops else 1e-6,
                      risk=edge_risk(risk_field, robot_pose, crumbs[crumb_id]))
     return out
+
+
+def update_global_irm(
+    graph: RoadmapGraph | None,
+    belief: BeliefGrid,
+    risk_field: RiskField,
+    robot_pose: Cell,
+    breadcrumb_spacing: float = DEFAULT_BREADCRUMB_SPACING,
+    min_cluster: int = DEFAULT_MIN_CLUSTER,
+    horizon: int = 20,
+) -> RoadmapGraph:
+    """The global roadmap after the previous one, graph (None at the start):
+    the breadcrumb trail grown by grow_trail with the current frontiers
+    attached by attach_frontiers. Raises InvalidPoseError for a robot pose
+    that is not believed free."""
+    trail = grow_trail(graph, belief, risk_field, robot_pose, breadcrumb_spacing, horizon)
+    return attach_frontiers(trail, belief, risk_field, robot_pose, min_cluster)
 
 
 def graph_to_dict(graph: RoadmapGraph) -> dict:

@@ -860,6 +860,21 @@ def test_config_out_of_range_exits_2(tmp_path, doc):
     assert cli_main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("horizon", [harness.MAX_HORIZON_LOCAL + 1, 10**6])
+def test_horizon_local_above_its_ceiling_exits_2(tmp_path, capsys, horizon):
+    """plan_local keeps a bound list per depth, so 10**6 ran out of memory;
+    the config refuses any horizon_local above the ceiling, which it takes."""
+    ceiling = harness.MAX_HORIZON_LOCAL
+    assert config_from_dict({"horizon_local": ceiling}).horizon_local == ceiling
+    with pytest.raises(ConfigError, match=f"horizon_local must be <= {ceiling}"):
+        config_from_dict({"horizon_local": horizon})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"horizon_local": horizon}))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+
+
 def test_cli_generator_value_error_exits_2(tmp_path):
     bad = tmp_path / "narrow.json"
     bad.write_text(json.dumps({"world": {"generator": "maze", "params": {"width": 3}}}))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_impl as ref
-from gridexplore import harness
+from gridexplore import harness, roadmap
 from gridexplore import world as gw
 from gridexplore.planners import RewardModel, plan_local
 from gridexplore.risk import RiskField
@@ -280,28 +281,45 @@ def test_global_irm_rejects_pose_not_believed_free(pose):
 def test_carried_global_roadmap_equals_a_fresh_build(monkeypatch, generator, seed, params,
                                                      planner):
     """On every cycle of a whole episode, the roadmap built on the carried
-    crumb mesh equals the one built from the same crumbs without it."""
-    carried = harness.update_global_irm
-    cycles = 0
+    crumb mesh and frontier attachments equals the one built from the same
+    crumbs without them. HCP grows its trail every cycle and attaches
+    frontiers only on the cycles that plan globally, which log
+    global_found."""
+    calls = collections.Counter()
+    # what the bare graph of each step drops: attach_frontiers reads the
+    # trail's mesh, so it keeps that
+    carried_layers = {"update_global_irm": {"mesh": None, "attached": None},
+                      "grow_trail": {"mesh": None, "attached": None},
+                      "attach_frontiers": {"attached": None}}
 
-    def checked(graph, belief, risk_field, robot_pose, **kwargs):
-        nonlocal cycles
-        got = carried(graph, belief, risk_field, robot_pose, **kwargs)
-        bare = None if graph is None else dataclasses.replace(graph, mesh=None)
-        want = carried(bare, belief, risk_field, robot_pose, **kwargs)
-        assert graph_to_dict(got) == graph_to_dict(want)
-        assert got.adjacency == want.adjacency
-        cycles += 1
-        return got
+    def checked(name, carried):
+        def check(graph, belief, risk_field, robot_pose, **kwargs):
+            got = carried(graph, belief, risk_field, robot_pose, **kwargs)
+            bare = None if graph is None else dataclasses.replace(graph, **carried_layers[name])
+            want = carried(bare, belief, risk_field, robot_pose, **kwargs)
+            assert graph_to_dict(got) == graph_to_dict(want)
+            assert got.adjacency == want.adjacency
+            calls[name] += 1
+            return got
+        return check
 
-    monkeypatch.setattr(harness, "update_global_irm", checked)
+    for name in carried_layers:
+        monkeypatch.setattr(harness, name, checked(name, getattr(harness, name)))
     config = harness.RunConfig(
         world=harness.WorldSpec(generator=generator, seed=seed, params=params),
         planner=planner, min_frontier_cluster=1,
     )
     record = harness.run_episode(config)
     assert record.termination != "budget"
-    assert cycles == record.cycles > 1
+    assert record.cycles > 1
+    if planner == "HCP":
+        global_cycles = sum(1 for ev in record.events
+                            if ev["type"] == "cycle" and "global_found" in ev)
+        want = {"grow_trail": record.cycles, "attach_frontiers": global_cycles}
+        assert global_cycles < record.cycles
+    else:
+        want = {"update_global_irm": record.cycles}
+    assert calls == collections.Counter(want)
 
 
 @pytest.mark.parametrize("planner", ["MLDM", "HCP"])
@@ -395,6 +413,112 @@ def test_crumb_shortcut_waits_on_its_unknown_cells():
     assert graph_to_dict(got) == graph_to_dict(want)
     assert got.get_edge(0, 2) is not None and got.get_edge(1, 3) is None
     assert got.mesh.waiting == ()
+
+
+# --- carried frontier attachments ------------------------------------------------
+
+def counted_searches(monkeypatch) -> list:
+    """The poses of every _nearest_crumb search from here on."""
+    poses = []
+    search = roadmap._nearest_crumb
+
+    def counted(passable, width, crumb_at, pose):
+        poses.append(pose)
+        return search(passable, width, crumb_at, pose)
+
+    monkeypatch.setattr(roadmap, "_nearest_crumb", counted)
+    return poses
+
+
+def frontier_edge(graph, pose) -> tuple[int, float]:
+    """(crumb id, edge length) of the frontier node at pose."""
+    node = next(n for n in graph.nodes_of_kind(FRONTIER) if n.pose == pose)
+    [(crumb_id, edge)] = graph.adjacency[node.id].items()
+    return crumb_id, edge.length
+
+
+def assert_fresh(got, graph, belief, field, pose):
+    """got is the roadmap update_global_irm builds from graph's crumbs with
+    neither the mesh nor the attachments carried."""
+    bare = dataclasses.replace(graph, mesh=None, attached=None)
+    want = update_global_irm(bare, belief, field, pose, min_cluster=1)
+    assert graph_to_dict(got) == graph_to_dict(want)
+
+
+def test_attachment_is_searched_again_once_an_obstacle_appears_within_its_hops(monkeypatch):
+    """An answer (crumb, hops) holds while every new obstacle is more than
+    hops steps from its pose, and not once one is within hops."""
+    b = known_free_belief(9, 40)
+    f = riskless_field(b.state.shape)
+    b.state[:, 14:] = gw.UNKNOWN  # a frontier along column 13, its node at (4, 13)
+    b.state[:8, 7] = gw.UNKNOWN  # a wall not yet seen, open at row 8
+    graph = update_global_irm(None, b, f, (4, 1), min_cluster=1)
+    assert frontier_edge(graph, (4, 13)) == (0, 12 * b.cell_size)
+    searches = counted_searches(monkeypatch)
+    b.state[4, 39] = gw.KNOWN_OBSTACLE  # 26 steps from (4, 13): every answer holds
+    graph = update_global_irm(graph, b, f, (4, 1), min_cluster=1)
+    assert searches == []
+    b.state[:8, 7] = gw.KNOWN_OBSTACLE  # 6 steps away: the path detours through row 8
+    got = update_global_irm(graph, b, f, (4, 1), min_cluster=1)
+    assert frontier_edge(got, (4, 13)) == (0, 20 * b.cell_size)
+    assert_fresh(got, graph, b, f, (4, 1))
+
+
+def test_new_crumb_on_an_older_crumbs_cell_takes_over_its_attachments():
+    """crumb_at keeps a cell's later crumb, so a frontier whose nearest crumb
+    cell gets a new crumb attaches to the new one."""
+    b = known_free_belief(9, 15)
+    f = riskless_field(b.state.shape)
+    b.state[0, :3] = gw.UNKNOWN  # a frontier whose node is (1, 1)
+    graph = None
+    for pose in [(4, 1), (4, 5)]:
+        graph = update_global_irm(graph, b, f, pose, min_cluster=1)
+    assert frontier_edge(graph, (1, 1)) == (0, 3 * b.cell_size)
+    got = update_global_irm(graph, b, f, (4, 1), min_cluster=1)  # crumb 2, on crumb 0's cell
+    assert [n.pose for n in got.nodes_of_kind(BREADCRUMB)] == [(4, 1), (4, 5), (4, 1)]
+    assert frontier_edge(got, (1, 1)) == (2, 3 * b.cell_size)
+    assert_fresh(got, graph, b, f, (4, 1))
+
+
+def test_unattached_frontier_waits_for_a_new_crumb(monkeypatch):
+    """A frontier that reaches no crumb stays unattached, unsearched, while
+    only obstacles appear, and is searched again once a crumb is added."""
+    b = known_free_belief(9, 15)
+    f = riskless_field(b.state.shape)
+    b.state[:, 7] = gw.KNOWN_OBSTACLE  # the robot's side is walled off
+    b.state[:, 13:] = gw.UNKNOWN  # a frontier along column 12, its node at (4, 12)
+    graph = update_global_irm(None, b, f, (4, 1), min_cluster=1)
+    assert graph.nodes_of_kind(FRONTIER) == []
+    searches = counted_searches(monkeypatch)
+    b.state[4, 14] = gw.KNOWN_OBSTACLE
+    graph = update_global_irm(graph, b, f, (4, 1), min_cluster=1)
+    assert searches == [] and graph.nodes_of_kind(FRONTIER) == []
+    got = update_global_irm(graph, b, f, (4, 10), min_cluster=1)  # crumb 1, behind the wall
+    assert searches == [(4, 12), (4, 10)]
+    assert frontier_edge(got, (4, 12)) == (1, 2 * b.cell_size)
+    assert_fresh(got, graph, b, f, (4, 10))
+
+
+def test_attachments_are_dropped_when_a_cell_reopens_or_the_belief_changes(monkeypatch):
+    """Every answer is searched again on a belief in which a cell went back
+    from obstacle to unknown, and on another belief object."""
+    b = known_free_belief(9, 15)
+    f = riskless_field(b.state.shape)
+    b.state[:, 14:] = gw.UNKNOWN  # a frontier along column 13, its node at (4, 13)
+    b.state[:8, 7] = gw.KNOWN_OBSTACLE  # a wall open at row 8
+    graph = update_global_irm(None, b, f, (4, 1), min_cluster=1)
+    assert frontier_edge(graph, (4, 13)) == (0, 20 * b.cell_size)
+    searches = counted_searches(monkeypatch)
+    b.state[4, 7] = gw.UNKNOWN  # passable again: the straight line opens
+    got = update_global_irm(graph, b, f, (4, 1), min_cluster=1)
+    assert frontier_edge(got, (4, 13)) == (0, 12 * b.cell_size)
+    assert sorted(searches) == sorted([n.pose for n in got.nodes_of_kind(FRONTIER)] + [(4, 1)])
+    assert_fresh(got, graph, b, f, (4, 1))
+    twin = BeliefGrid(state=b.state.copy(), covered=b.covered.copy(), cell_size=b.cell_size)
+    searches.clear()
+    again = update_global_irm(got, twin, f, (4, 1), min_cluster=1)
+    assert graph_to_dict(again) == graph_to_dict(got)
+    assert sorted(searches) == sorted([n.pose for n in got.nodes_of_kind(FRONTIER)] + [(4, 1)])
 
 
 def test_global_irm_deterministic():
