@@ -44,6 +44,10 @@ Cell = tuple[int, int]
 # per depth, so a horizon of 10**6 runs out of memory, and a walk may revisit
 # nodes, so a lattice's node count does not bound it
 MAX_HORIZON_LOCAL = 1000
+# the longest sensor range a config may ask for: each pose's sensor window
+# holds (2 * range / cell_size + 1)^2 cells, and the ray table behind it is
+# built in Python, one Bresenham line per target
+MAX_SENSOR_RANGE_M = 20.0
 
 
 class ConfigError(ValueError):
@@ -119,6 +123,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.horizon_local > MAX_HORIZON_LOCAL:
             raise ConfigError(f"horizon_local must be <= {MAX_HORIZON_LOCAL}")
+        if self.sensor.range_m > MAX_SENSOR_RANGE_M:
+            raise ConfigError(f"sensor.range_m must be <= {MAX_SENSOR_RANGE_M}")
         for name in ("local_radius", "nbv_radius", "breadcrumb_spacing"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be finite and > 0")

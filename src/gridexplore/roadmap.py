@@ -9,7 +9,6 @@ count of unknown cells within sensor range, converted to square meters.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -210,36 +209,60 @@ def build_local_irm(
 
     A node's id is its cell's rank in row-major order among all cells of the
     radius-disk component, so the ids of a cut lattice skip the cells a walk
-    cannot reach. The radius disk is a cached offset mask (_disk); one BFS
-    over it gives each member's move count from the robot. The arrays are
-    filled from a padded grid of node positions, whose up, left, right and
-    down neighbours are each node's moves in ascending id order. Edge risks
-    are read from the field's unit-edge planes."""
+    cannot reach. The radius disk is a cached offset mask (_disk) over the
+    window of the grid it covers. The component is a stack flood over the
+    row runs of that window's believed-free cells (world.row_runs), and a
+    cell's rank is its offset in its run plus the lengths of the
+    component's runs before it. A BFS from the robot cut after horizon - 1
+    levels gives the kept cells, and only those. The arrays are filled from
+    a padded window of node positions, whose up, left, right and down
+    neighbours are each node's moves in ascending id order. Edge risks are
+    read from the field's unit-edge planes."""
     sensor = sensor or SensorSpec()
     r0, c0 = int(robot_pose[0]), int(robot_pose[1])
     if not belief.is_known_free(r0, c0):
         raise gw.InvalidPoseError(f"robot pose {robot_pose!r} is not believed free")
     radius_cells = radius / belief.cell_size
 
-    # connected component of believed-free cells within the radius disk
+    # the believed-free cells of the radius disk, in the window it covers
     h, w = belief.state.shape
     limit = radius_cells + 1e-9
     k = max(int(min(limit, h + w)), 0)
     top, bottom = max(r0 - k, 0), min(r0 + k + 1, h)
     left, right = max(c0 - k, 0), min(c0 + k + 1, w)
-    disk = np.zeros((h, w), dtype=bool)
-    disk[top:bottom, left:right] = _disk(k, limit)[
+    free = (belief.state[top:bottom, left:right] == gw.KNOWN_FREE) & _disk(k, limit)[
         top - r0 + k:bottom - r0 + k, left - c0 + k:right - c0 + k]
-    passable, wp = gw.padded_mask((belief.state == gw.KNOWN_FREE) & disk)
-    start = (r0 + 1) * wp + c0 + 1
-    # (flat index, depth) of every member in row-major order, so that a
-    # member's row is its id; the lattice keeps those a walk can reach
-    flood = np.fromiter(itertools.chain.from_iterable(gw.grid_bfs(passable, wp, start)),
-                        dtype=np.intp).reshape(-1, 2)
-    flood = flood[np.argsort(flood[:, 0])]
-    ids = np.flatnonzero(flood[:, 1] <= max(horizon, 1) - 1)
-    members = flood[ids, 0]
-    rows, cols = members // wp - 1, members % wp - 1
+    free[r0 - top, c0 - left] = True  # the robot is a node whatever the radius
+    passable, wp = gw.padded_mask(free)
+    start = (r0 - top + 1) * wp + c0 - left + 1
+
+    # the robot's component, as runs, and the rank of each run's first cell
+    starts, ends, near = gw.row_runs(passable, wp)
+    label = [0] * len(starts)
+    gw.flood_runs(near, int(np.searchsorted(starts, start, side="right")) - 1, label, 1)
+    runs = np.flatnonzero(label)
+    starts, lengths = starts[runs], ends[runs] - starts[runs]
+    ranks = np.cumsum(lengths) - lengths
+
+    # the cells at most horizon - 1 moves from the robot, by a BFS over the
+    # window: the moves stay in the component
+    unseen = bytearray(passable)
+    unseen[start] = 0
+    level, reached = [start], [start]
+    for _ in range(max(horizon, 1) - 1):
+        if not level:
+            break
+        level, below = [], level
+        for i in below:
+            for j in (i - wp, i - 1, i + 1, i + wp):
+                if unseen[j]:
+                    unseen[j] = 0
+                    level.append(j)
+        reached += level
+    members = np.sort(np.array(reached, dtype=np.intp))
+    run = np.searchsorted(starts, members, side="right") - 1
+    ids = ranks[run] + members - starts[run]
+    rows, cols = members // wp - 1 + top, members % wp - 1 + left
     position = np.full(len(passable), -1)
     position[members] = np.arange(len(members))
     # per node: up, left, right, down neighbour positions (-1 for none or out
@@ -248,8 +271,8 @@ def build_local_irm(
     moves = around >= 0
 
     cell_area = belief.cell_size * belief.cell_size
-    cells = list(zip(rows.tolist(), cols.tolist()))
-    gains = visible_unknown_counts(belief, cells, sensor) * cell_area
+    poses = np.stack([rows, cols], axis=1)
+    gains = visible_unknown_counts(belief, poses, sensor) * cell_area
     # the unit edge of each node's up, left, right and down move: its plane
     # (0 right, 1 down) and upper-left cell
     node, side = np.nonzero(moves)
@@ -259,7 +282,7 @@ def build_local_irm(
     np.cumsum(moves.sum(axis=1), out=indptr[1:])
     return LocalLattice(
         scope=LOCAL, horizon=horizon, nodes=ids,
-        poses=np.stack([rows, cols], axis=1), gains=gains,
+        poses=poses, gains=gains,
         robot=int(position[start]), indptr=indptr, targets=around[moves],
         lengths=np.full(len(risks), belief.cell_size), risks=risks,
     )
@@ -480,14 +503,23 @@ def attach_frontiers(
     breadcrumb, and a robot node. Frontiers that cannot reach any breadcrumb
     through believed-free space are dropped so the graph stays connected.
     The nearest-crumb answers are carried on the result's attached, and the
-    next call reuses those that still hold (see Attachments). Raises
-    InvalidPoseError for a robot pose that is not believed free."""
+    next call reuses those that still hold (see Attachments). trail itself
+    is left as it was. Raises InvalidPoseError for a robot pose that is not
+    believed free."""
+    return _attach(_trail_graph(trail.mesh, trail.horizon, trail.attached), belief, risk_field,
+                   robot_pose, min_cluster)
+
+
+def _attach(out: RoadmapGraph, belief: BeliefGrid, risk_field: RiskField, robot_pose: Cell,
+            min_cluster: int) -> RoadmapGraph:
+    """attach_frontiers onto out, a graph of crumbs alone that no caller
+    holds, in place; returns out."""
     robot_pose = _believed_free(belief, robot_pose)
     cs = belief.cell_size
-    crumbs = trail.mesh.crumbs
+    crumbs = out.mesh.crumbs
     passable, wp = gw.padded_mask(belief.state != gw.KNOWN_OBSTACLE)
     crumb_at = {(r + 1) * wp + c + 1: i for i, (r, c) in enumerate(crumbs)}
-    carried = _carried_answers(trail.attached, belief, crumbs, passable, wp)
+    carried = _carried_answers(out.attached, belief, crumbs, passable, wp)
     answers: dict[Cell, tuple[int, int] | None] = {}
 
     def nearest(pose: Cell) -> tuple[int, int] | None:
@@ -496,7 +528,7 @@ def attach_frontiers(
                              else _nearest_crumb(passable, wp, crumb_at, pose))
         return answers[pose]
 
-    out = _trail_graph(trail.mesh, trail.horizon, Attachments(belief, crumbs, passable, answers))
+    out.attached = Attachments(belief, crumbs, passable, answers)
     frontiers = detect_frontiers(belief, min_cluster=min_cluster)
     frontiers.sort(key=lambda n: n.pose)
     next_id = len(crumbs)
@@ -533,10 +565,11 @@ def update_global_irm(
 ) -> RoadmapGraph:
     """The global roadmap after the previous one, graph (None at the start):
     the breadcrumb trail grown by grow_trail with the current frontiers
-    attached by attach_frontiers. Raises InvalidPoseError for a robot pose
-    that is not believed free."""
+    attached by attach_frontiers, onto the trail's own fresh graph, so the
+    crumb graph is built once. Raises InvalidPoseError for a robot pose that
+    is not believed free."""
     trail = grow_trail(graph, belief, risk_field, robot_pose, breadcrumb_spacing, horizon)
-    return attach_frontiers(trail, belief, risk_field, robot_pose, min_cluster)
+    return _attach(trail, belief, risk_field, robot_pose, min_cluster)
 
 
 def graph_to_dict(graph: RoadmapGraph) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import math
 import operator
@@ -18,6 +19,7 @@ import numpy as np
 
 FREE = 0
 OBSTACLE = 1
+OFF_GRID = 2  # the border of WorldModel.padded_occupancy
 
 UNKNOWN = 0
 KNOWN_FREE = 1
@@ -121,6 +123,17 @@ class WorldModel:
     def free_cell_count(self) -> int:
         return int(np.sum(self.occupancy == FREE))
 
+    @functools.cached_property
+    def padded_occupancy(self) -> np.ndarray:
+        """occupancy inside an OFF_GRID border of max(height, width) - 1
+        cells, as wide as the widest sensor window (see _ray_table); read-only
+        and built on first use, since the world never changes."""
+        pad = max(self.height, self.width) - 1
+        padded = np.full((self.height + 2 * pad, self.width + 2 * pad), OFF_GRID, dtype=np.uint8)
+        padded[pad:pad + self.height, pad:pad + self.width] = self.occupancy
+        padded.setflags(write=False)
+        return padded
+
 
 def make_world(
     occupancy: np.ndarray,
@@ -222,48 +235,62 @@ def bresenham_line(r0: int, c0: int, r1: int, c1: int) -> list[Cell]:
 
 @functools.lru_cache(maxsize=32)
 def _ray_table(range_cells: float, height: int, width: int) -> dict:
-    """Precomputed rays from a pose of a height x width grid: every target
-    offset within range ("targets") and the chain table of their occlusion
-    checks. A ray's chain is the interior of its Bresenham line (endpoints
-    excluded); the table holds the distinct chain offsets ("chain_cells"),
-    each chain entry's row among them ("chain_row"), and the rays with a
-    non-empty chain ("chained") with the starts of their chains
-    ("chained_starts"). No two cells of the grid lie farther apart than its
-    diagonal, so the range is cut there: every on-grid ray stays."""
+    """Precomputed rays from a pose of a height x width grid, in the
+    coordinates of the pose's window: the (2 * pad + 1)^2 cells around it,
+    flattened row-major, the pose at its centre.
+
+    "targets" holds the window position of every target offset within
+    range, "offsets" its flat offset in the grid and "angles" its bearing
+    (arctan2(dr, dc)). A ray's chain is the interior of its Bresenham line
+    (endpoints excluded). "chain_cells" holds the window positions of the
+    distinct chain cells and, last, of the sentinel (the centre, a stand-in
+    whose flag _blocked clears); "chained" holds the rays with a non-empty
+    chain; the matrix "chains" has one column per chained ray and one row
+    per chain step, each entry an index into chain_cells, the sentinel's
+    below the end of a shorter chain. No two cells of the grid lie farther
+    apart than its diagonal, or than max(height, width) - 1 along a row or
+    column, so the range and the window are cut there: every on-grid ray
+    stays."""
     range_cells = min(range_cells, math.hypot(height, width))
-    rmax = int(math.floor(range_cells + 1e-9))
+    pad = min(int(math.floor(range_cells + 1e-9)), max(height, width) - 1)
+    side = 2 * pad + 1
     targets: list[Cell] = []
-    for dr in range(-rmax, rmax + 1):
-        for dc in range(-rmax, rmax + 1):
-            if dr == 0 and dc == 0:
-                continue
-            if math.hypot(dr, dc) <= range_cells + 1e-9:
+    chains: list[list[int]] = []
+    for dr in range(-pad, pad + 1):
+        for dc in range(-pad, pad + 1):
+            if (dr or dc) and math.hypot(dr, dc) <= range_cells + 1e-9:
                 targets.append((dr, dc))
-    chain_cells: list[Cell] = []
-    chained: list[int] = []
-    starts: list[int] = []
-    for i, (dr, dc) in enumerate(targets):
-        interior = bresenham_line(0, 0, dr, dc)[1:-1]
-        if interior:
-            chained.append(i)
-            starts.append(len(chain_cells))
-            chain_cells.extend(interior)
-    distinct, row = np.unique(np.asarray(chain_cells, dtype=np.int64).reshape(-1, 2),
-                              axis=0, return_inverse=True)
+                chains.append([(r + pad) * side + c + pad
+                               for r, c in bresenham_line(0, 0, dr, dc)[1:-1]])
+    tgt = np.asarray(targets, dtype=np.intp).reshape(-1, 2)
+    chained = [i for i, chain in enumerate(chains) if chain]
+    steps = np.array([len(chains[i]) for i in chained], dtype=np.intp)
+    distinct, row = np.unique(np.array([cell for i in chained for cell in chains[i]],
+                                       dtype=np.intp), return_inverse=True)
+    # each chain entry's column (its ray) and row (its step along the ray)
+    ray = np.repeat(np.arange(len(chained)), steps)
+    step = np.arange(len(ray)) - np.repeat(np.cumsum(steps) - steps, steps)
+    matrix = np.full((steps.max(initial=0), len(chained)), len(distinct), dtype=np.intp)
+    matrix[step, ray] = row
     return {
-        "targets": np.asarray(targets, dtype=np.int64).reshape(-1, 2),
-        "chain_cells": distinct,
-        "chain_row": row.reshape(-1),
-        "chained": np.asarray(chained, dtype=np.int64),
-        "chained_starts": np.asarray(starts, dtype=np.int64),
+        "pad": pad,
+        "targets": (tgt[:, 0] + pad) * side + tgt[:, 1] + pad,
+        "offsets": tgt[:, 0] * width + tgt[:, 1],
+        "angles": np.arctan2(tgt[:, 0].astype(float), tgt[:, 1].astype(float)),
+        "chain_cells": np.append(distinct, pad * side + pad),
+        "chained": np.asarray(chained, dtype=np.intp),
+        "chains": matrix,
     }
 
 
-def _blocked(blocking: np.ndarray, tab: dict) -> np.ndarray:
-    """Whether each chained ray of tab is blocked: the or of the flags of its
-    chain cells, in one reduceat. blocking holds one row per distinct chain
-    cell: a bool for a single pose, or a bit-packed byte row for many."""
-    return np.bitwise_or.reduceat(blocking[tab["chain_row"]], tab["chained_starts"], axis=0)
+def _blocked(flags: np.ndarray, tab: dict) -> np.ndarray:
+    """Whether each chained ray of tab is blocked: the or down its column of
+    the chain matrix. flags holds one row per entry of tab["chain_cells"],
+    flagging the cells that block: a bool for a single pose, or a row of
+    bytes of 8 poses' bits each for many. The sentinel's row is cleared
+    here, in place."""
+    flags[-1] = 0
+    return np.bitwise_or.reduce(np.take(flags, tab["chains"], axis=0), axis=0)
 
 
 def sense(
@@ -278,34 +305,34 @@ def sense(
     Every free cell on an unobstructed ray within range becomes known and
     covered; the first obstacle on a ray becomes known (not covered) and
     blocks everything behind it. Idempotent for a fixed pose and belief.
+
+    The pose's window is one slice of world.padded_occupancy, so a target
+    off the grid reads OFF_GRID and needs no bounds check; a ray is blocked
+    when any entry of its column of the chain matrix is an obstacle, and the
+    cells seen are written through their flat offsets.
     """
     sensor = sensor or SensorSpec()
     r0, c0 = int(pose[0]), int(pose[1])
     if not world.in_bounds(r0, c0) or world.occupancy[r0, c0] != FREE:
         raise InvalidPoseError(f"pose {pose!r} is not a free in-bounds cell")
-    h, w = world.occupancy.shape
-    tab = _ray_table(sensor.range_m / world.cell_size, h, w)
-    tgt = tab["targets"]
-    tr = tgt[:, 0] + r0
-    tc = tgt[:, 1] + c0
-    ok = (tr >= 0) & (tr < h) & (tc >= 0) & (tc < w)
+    tab = _ray_table(sensor.range_m / world.cell_size, world.height, world.width)
+    side = 2 * tab["pad"] + 1
+    # how far padded_occupancy's border reaches beyond the window's
+    shift = max(world.height, world.width) - 1 - tab["pad"]
+    window = world.padded_occupancy[r0 + shift:r0 + shift + side,
+                                    c0 + shift:c0 + shift + side].ravel()
+    vals = window[tab["targets"]]
+    ok = vals != OFF_GRID
     if sensor.arc < 2.0 * math.pi - 1e-12:
-        ang = np.arctan2(tgt[:, 0].astype(float), tgt[:, 1].astype(float))
-        diff = np.mod(ang - heading + math.pi, 2.0 * math.pi) - math.pi
+        diff = np.mod(tab["angles"] - heading + math.pi, 2.0 * math.pi) - math.pi
         ok &= np.abs(diff) <= sensor.arc / 2.0 + 1e-12
     if sensor.occlusion and tab["chained"].size:
-        # the chain of an on-grid target lies on the grid, so clipping only
-        # moves chain cells of off-grid targets, which ok drops anyway
-        cells = tab["chain_cells"]
-        obstacle = world.occupancy[np.clip(cells[:, 0] + r0, 0, h - 1),
-                                   np.clip(cells[:, 1] + c0, 0, w - 1)] == OBSTACLE
-        ok[tab["chained"]] &= ~_blocked(obstacle, tab)
-    vr, vc = tr[ok], tc[ok]
-    vals = world.occupancy[vr, vc]
-    free_sel = vals == FREE
-    belief.state[vr[free_sel], vc[free_sel]] = KNOWN_FREE
-    belief.covered[vr[free_sel], vc[free_sel]] = True
-    belief.state[vr[~free_sel], vc[~free_sel]] = KNOWN_OBSTACLE
+        ok[tab["chained"]] &= ~_blocked(window[tab["chain_cells"]] == OBSTACLE, tab)
+    seen = tab["offsets"][ok] + (r0 * world.width + c0)
+    vals = vals[ok]
+    # KNOWN_FREE and KNOWN_OBSTACLE are FREE and OBSTACLE plus one
+    belief.state.put(seen, vals + (KNOWN_FREE - FREE))
+    belief.covered.put(seen[vals == FREE], True)
     belief.state[r0, c0] = KNOWN_FREE
     belief.covered[r0, c0] = True
     return belief
@@ -332,34 +359,33 @@ def visible_unknown_counts(
 ) -> np.ndarray:
     """visible_unknown_count for every (row, col) in poses, as one int array.
 
-    The target and chain-offset cells of all poses are gathered at once,
-    bit-packed over the pose axis (8 poses a byte). A border as wide as the
-    range reads as known free, so off-grid targets never count. Rays are
-    blocked by the chain table and reduce that sense uses. Like
+    Every pose's window (see _ray_table) is gathered at once, by one fancy
+    index into a sliding_window_view of the belief inside a border as wide
+    as the window's reach, which reads as known free, so off-grid targets
+    never count. The flags are bit-packed over the pose axis (8 poses a
+    byte), and rays are blocked by the chain matrix sense uses. Like
     visible_unknown_count, it ignores sensor.arc, which sense honours. A pose
     off the grid raises InvalidPoseError.
     """
     sensor = sensor or SensorSpec()
-    poses = np.asarray(poses, dtype=np.int64).reshape(-1, 2)
+    poses = np.asarray(poses, dtype=np.intp).reshape(-1, 2)
     h, w = belief.state.shape
     off_grid = poses[((poses < 0) | (poses >= (h, w))).any(axis=1)]
     if len(off_grid):
         raise InvalidPoseError(f"pose {tuple(off_grid[0].tolist())} is outside the {h} x {w} grid")
     tab = _ray_table(sensor.range_m / belief.cell_size, h, w)
-    pad = int(np.abs(tab["targets"]).max(initial=0))
-    wp = w + 2 * pad
-    grid = np.full((h + 2 * pad, wp), KNOWN_FREE, dtype=np.uint8)
+    pad = tab["pad"]
+    grid = np.full((h + 2 * pad, w + 2 * pad), KNOWN_FREE, dtype=np.uint8)
     grid[pad:pad + h, pad:pad + w] = belief.state
-    grid = grid.ravel()
-    origin = (poses[:, 0] + pad) * wp + (poses[:, 1] + pad)
-
-    def bits(offsets: np.ndarray, value: int) -> np.ndarray:
-        cells = (offsets[:, 0] * wp + offsets[:, 1])[:, None] + origin[None, :]
-        return np.packbits(grid[cells] == value, axis=1)
-
-    unknown = bits(tab["targets"], UNKNOWN)
+    side = 2 * pad + 1
+    # one column per pose
+    windows = np.lib.stride_tricks.sliding_window_view(grid, (side, side))[
+        poses[:, 0], poses[:, 1]].reshape(len(poses), side * side).T
+    unknown = np.packbits(np.take(windows, tab["targets"], axis=0) == UNKNOWN, axis=1)
     if sensor.occlusion and tab["chained"].size:
-        unknown[tab["chained"]] &= ~_blocked(bits(tab["chain_cells"], KNOWN_OBSTACLE), tab)
+        obstacle = np.packbits(np.take(windows, tab["chain_cells"], axis=0) == KNOWN_OBSTACLE,
+                               axis=1)
+        unknown[tab["chained"]] &= ~_blocked(obstacle, tab)
     return np.unpackbits(unknown, axis=1, count=len(poses)).sum(axis=0, dtype=np.int64)
 
 
@@ -373,26 +399,24 @@ def covered_area(belief: BeliefGrid) -> float:
 # ---------------------------------------------------------------------------
 
 def padded_mask(mask: np.ndarray) -> tuple[bytes, int]:
-    """A boolean mask with a one-cell False border, flattened for grid_bfs:
-    (bytes, padded row width). Cell (r, c) sits at index (r + 1) * width + c + 1."""
+    """A boolean mask with a one-cell False border, flattened for grid_bfs
+    and row_runs: (bytes, padded row width). Cell (r, c) sits at index (r + 1) * width + c + 1."""
     h, w = mask.shape
     padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
     padded[1:-1, 1:-1] = mask
     return padded.tobytes(), w + 2
 
 
-def grid_bfs(passable: bytes, width: int, start: int, diagonal: bool = False):
+def grid_bfs(passable: bytes, width: int, start: int):
     """Breadth-first search over a padded_mask from the flat index start,
     which must be an in-bounds cell and is entered whether or not it is
     passable. Neighbours are tried in the order (1, 0), (-1, 0), (0, 1),
-    (0, -1), then, with diagonal=True (8-connected), (1, 1), (1, -1),
-    (-1, 1), (-1, -1). Yields (index, depth) for every cell reached, in
-    discovery order, the start first with depth 0."""
+    (0, -1). Yields (index, depth) for every cell reached, in discovery
+    order, the start first with depth 0: for searches that need that order
+    or stop early."""
     unseen = bytearray(passable)
     unseen[start] = 0
     steps = (width, -width, 1, -1)
-    if diagonal:
-        steps += (width + 1, width - 1, -width + 1, -width - 1)
     yield start, 0
     level = [start]
     depth = 0
@@ -409,18 +433,65 @@ def grid_bfs(passable: bytes, width: int, start: int, diagonal: bool = False):
         level = reached
 
 
+def row_runs(passable: bytes, width: int,
+             diagonal: bool = False) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The runs of passable cells along the rows of a padded_mask, in raster
+    order, as (starts, ends, near): run k covers the flat indices
+    starts[k]:ends[k], and touches the runs near[0][k]:near[1][k] of the row
+    above and near[2][k]:near[3][k] of the row below, each a list. Runs
+    touch when their column spans share a column, or with diagonal=True
+    (8-connected) when they also meet at a corner. The False border ends
+    every run within its row."""
+    cells = np.frombuffer(passable, dtype=np.uint8)
+    # where the value changes: a run's start, then its end, and so on
+    edges = np.flatnonzero(cells[1:] != cells[:-1]) + 1
+    starts, ends = edges[::2], edges[1::2]
+    # the runs of the row at offset d that touch a run: those that end after
+    # its start and start before its end, a corner further with diagonal
+    corner = int(diagonal)
+    near = [bound.tolist() for d in (-width, width) for bound in (
+        np.searchsorted(ends, starts + d - corner, side="right"),
+        np.searchsorted(starts, ends + d + corner, side="left"))]
+    return starts, ends, near
+
+
+def flood_runs(near: list[list[int]], first: int, label: list[int], value: int) -> None:
+    """Set label to value for run first and every run that row_runs' near
+    joins to it, through runs whose label is 0: a stack flood."""
+    up_lo, up_hi, down_lo, down_hi = near
+    label[first] = value
+    stack = [first]
+    while stack:
+        k = stack.pop()
+        for j in itertools.chain(range(up_lo[k], up_hi[k]), range(down_lo[k], down_hi[k])):
+            if not label[j]:
+                label[j] = value
+                stack.append(j)
+
+
 def label_components(mask: np.ndarray, diagonal: bool = False) -> tuple[np.ndarray, int]:
     """Connected components of a boolean mask: (labels, count), with 0 for
     background and components numbered from 1 in raster order of their first
     cell. 4-connected, or 8-connected with diagonal=True. This is the
-    numbering of scipy.ndimage.label with the matching structure."""
+    numbering of scipy.ndimage.label with the matching structure. The
+    components are flooded over the mask's row runs (row_runs), the first
+    unlabelled run in raster order starting the next one, and the labels are
+    made by one np.repeat."""
     passable, wp = padded_mask(mask)
-    labels = np.zeros(len(passable), dtype=np.int32)
+    starts, ends, near = row_runs(passable, wp, diagonal)
+    label = [0] * len(starts)
     count = 0
-    for first in np.flatnonzero(np.frombuffer(passable, dtype=np.uint8)).tolist():
-        if not labels[first]:
+    for first in range(len(starts)):
+        if not label[first]:
             count += 1
-            labels[[i for i, _ in grid_bfs(passable, wp, first, diagonal)]] = count
+            flood_runs(near, first, label, count)
+    # a label for each run and a 0 for each gap around them, repeated over
+    # its cells
+    values = np.zeros(2 * len(starts) + 1, dtype=np.int32)
+    values[1::2] = label
+    bounds = np.zeros(2 * len(starts) + 2, dtype=np.intp)
+    bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = starts, ends, len(passable)
+    labels = np.repeat(values, np.diff(bounds))
     return labels.reshape(-1, wp)[1:-1, 1:-1], count
 
 

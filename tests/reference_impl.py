@@ -320,10 +320,9 @@ def _bfs_to_targets(
     return None
 
 
-# --- the DFS labelling that grid_bfs replaced, and a BFS over any step list --------
+# --- a DFS labelling over cells, and a BFS over any step list ---------------------
 
 STEPS4 = ((1, 0), (-1, 0), (0, 1), (0, -1))
-STEPS8 = STEPS4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def bfs_order(mask: np.ndarray, start: Cell, steps) -> list[tuple[Cell, int]]:

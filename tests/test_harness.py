@@ -915,12 +915,40 @@ def test_cli_non_finite_size_exits_2(tmp_path, doc, capsys):
 
 
 def test_cli_range_beyond_the_grid_runs(tmp_path):
-    """The ray table stops at the grid diagonal, so a huge range is cheap."""
+    """The ray table stops at the grid diagonal, so a range beyond it runs:
+    here the ceiling, on a 21 x 21 maze."""
+    assert harness.MAX_SENSOR_RANGE_M > math.hypot(21, 21) * gw.DEFAULT_CELL_SIZE
     config = asdict(small_maze_config(budget=5))
-    config["sensor"]["range_m"] = 20000.0
+    config["sensor"]["range_m"] = harness.MAX_SENSOR_RANGE_M
     path = tmp_path / "far.json"
     path.write_text(json.dumps(config))
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("doc", [
+    # the config a fuzz found to run for minutes: a 174 x 174 subway at 1 km
+    {"world": {"generator": "subway", "params": {"room_size_range": [3, 40]}},
+     "sensor": {"range_m": 1000}},
+    {"sensor": {"range_m": 20000.0}},
+    {"sensor": {"range_m": harness.MAX_SENSOR_RANGE_M + gw.DEFAULT_CELL_SIZE}},
+], ids=["fuzz_subway_1km", "range_20km", "ceiling_plus_one_cell"])
+def test_sensor_range_above_its_ceiling_exits_2(tmp_path, capsys, doc):
+    """Each pose's sensor window grows as the square of the range, so the
+    config refuses a range above the ceiling, before any world is built."""
+    ceiling = harness.MAX_SENSOR_RANGE_M
+    with pytest.raises(ConfigError, match=f"sensor.range_m must be <= {ceiling}"):
+        config_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("range_m", [harness.MAX_SENSOR_RANGE_M - gw.DEFAULT_CELL_SIZE,
+                                     harness.MAX_SENSOR_RANGE_M])
+def test_sensor_range_up_to_its_ceiling_is_taken(range_m):
+    assert config_from_dict({"sensor": {"range_m": range_m}}).sensor.range_m == range_m
 
 
 def test_cli_internal_fault_exits_1_with_traceback(tmp_path, monkeypatch, capsys):

@@ -245,6 +245,138 @@ def test_sense_equals_reference(seed, kind, range_m, arc, heading, occlusion, ce
         assert np.array_equal(got.covered, want.covered)
 
 
+def border_poses(shape):
+    """The four corners and two more cells of each side of a grid."""
+    h, w = shape
+    return [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (0, w // 2), (0, 1),
+            (h - 1, w // 3), (h - 1, w - 2), (h // 2, 0), (1, 0), (h // 3, w - 1), (h - 2, w - 1)]
+
+
+# 40 m is 80 cells, beyond the 17 x 23 grid's diagonal of 28.6 cells; from
+# 8 m (16 cells) on the window is larger than the grid
+@pytest.mark.parametrize("range_m", [0.4, 1.0, 2.5, 5.0, 8.0, 40.0])
+@pytest.mark.parametrize("arc, heading", [(2.0 * math.pi, 0.0), (math.pi, 0.0),
+                                          (1.5, math.pi / 2), (math.pi / 2, -3 * math.pi / 4),
+                                          (0.3, math.pi)])
+@pytest.mark.parametrize("occlusion", [True, False])
+def test_sense_at_border_poses_equals_reference(range_m, arc, heading, occlusion):
+    """A sweep from every corner and from cells on each side, the pose's
+    window reaching past the grid on one or two sides (or on all four),
+    with and without occlusion and with arcs about several headings."""
+    rng = np.random.default_rng(7)
+    shape = (17, 23)
+    occ = (rng.random(shape) < 0.25).astype(np.uint8)
+    poses = border_poses(shape)
+    for pose in poses:
+        occ[pose] = gw.FREE
+    world = gw.make_world(occ, poses[0])
+    sensor = SensorSpec(range_m=range_m, arc=arc, occlusion=occlusion)
+    got = BeliefGrid.for_world(world)
+    want = BeliefGrid.for_world(world)
+    for pose in poses:
+        gw.sense(world, got, pose, sensor, heading)
+        ref.sense(world, want, pose, sensor, heading)
+        assert np.array_equal(got.state, want.state), pose
+        assert np.array_equal(got.covered, want.covered), pose
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 65])
+@pytest.mark.parametrize("range_m", [0.4, 3.0, 8.0, 40.0])
+@pytest.mark.parametrize("occlusion", [True, False])
+def test_batched_counts_at_corner_poses_equal_reference(batch, range_m, occlusion):
+    """Batches of corner and side poses on a 13 x 19 belief; from 8 m (16
+    cells) on each pose's window is larger than the grid, and a believed
+    obstacle may sit on a pose itself."""
+    rng = np.random.default_rng(batch)
+    belief = random_belief(rng, (13, 19))
+    poses = border_poses((13, 19))
+    cells = [poses[i % len(poses)] for i in range(batch)]
+    sensor = SensorSpec(range_m=range_m, occlusion=occlusion)
+    counts = gw.visible_unknown_counts(belief, cells, sensor)
+    assert counts.shape == (batch,) and counts.dtype == np.int64
+    assert counts.tolist() == [ref.visible_unknown_count(belief, cell, sensor) for cell in cells]
+
+
+def belief_of(rows):
+    """The belief a map draws: '.' believed free, '#' a believed obstacle,
+    '?' unknown, 'R' the robot's believed-free cell. Returns (belief,
+    robot)."""
+    chars = np.array([list(row) for row in rows])
+    state = np.full(chars.shape, gw.UNKNOWN, dtype=np.uint8)
+    state[(chars == ".") | (chars == "R")] = gw.KNOWN_FREE
+    state[chars == "#"] = gw.KNOWN_OBSTACLE
+    robot = tuple(int(x) for x in np.argwhere(chars == "R")[0])
+    return BeliefGrid(state=state, covered=np.zeros(chars.shape, dtype=bool),
+                      cell_size=0.5), robot
+
+
+# (map, radius in m); the first two maps have free cells that touch the
+# robot's component at a corner only, on either end of a run, which a
+# 4-connected flood must leave out
+FLOOD_MAPS = {
+    "u_shape": ([
+        "R.#..?",
+        "..#..?",
+        "..#..?",
+        "......",
+        "?....#",
+        ".####.",
+    ], 10.0),
+    "ring_around_an_obstacle": ([
+        ".??????",
+        "?.....?",
+        "?.###.?",
+        "?.#?#.?",
+        "?.###.#",
+        "?..R..#",
+        "??????.",
+    ], 10.0),
+    "one_cell_run_holds_the_robot": ([
+        "..#....",
+        "#.#.##.",
+        "#R###.#",
+        "#.....?",
+        "?###.#?",
+        "#?#?.?#",
+        "?#?#.#.",
+    ], 10.0),
+    # the arms meet in row 11 only, beyond the 3 m (6-cell) disk, so the
+    # right arm is a component of its own inside the disk
+    "component_cut_by_the_disk_edge": ([
+        "R.#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        "..#..",
+        ".....",
+    ], 3.0),
+}
+
+
+@pytest.mark.parametrize("name", FLOOD_MAPS)
+@pytest.mark.parametrize("horizon", [1, 2, 4, 7, 100])
+def test_run_flood_equals_reference_flood(name, horizon):
+    """The run flood on maps drawn to test it: the component (each node's id
+    is its cell's rank in ref.local_component), the cells a walk of horizon
+    nodes reaches (ref.local_reach) and the whole reference assembly."""
+    rows, radius = FLOOD_MAPS[name]
+    belief, robot = belief_of(rows)
+    field = RiskField(mu=np.full(belief.state.shape, 0.4),
+                      sigma=np.full(belief.state.shape, 0.2), seed=3)
+    lattice = assert_same_lattice(belief, field, robot, radius, SensorSpec(range_m=2.5), horizon)
+    component = ref.local_component(belief, robot, radius)
+    assert cells_of(lattice) == ref.local_reach(belief, robot, radius, horizon)
+    assert lattice.nodes.tolist() == [component.index(cell) for cell in cells_of(lattice)]
+    if horizon == 100:
+        assert cells_of(lattice) == component
+
+
 # --- local search -----------------------------------------------------------------
 
 @given(seed=seeds, radius=st.sampled_from([1.0, 2.0, 4.0, 10.0]),
@@ -576,19 +708,19 @@ def test_nearest_crumb_equals_bfs_to_targets(seed, n_targets):
             ref._bfs_to_targets(belief, start, targets)
 
 
-@given(seed=seeds, diagonal=st.booleans())
+@given(seed=seeds)
 @settings(max_examples=200, deadline=None)
-def test_grid_bfs_yields_each_cell_once_at_its_reference_depth(seed, diagonal):
+def test_grid_bfs_yields_each_cell_once_at_its_reference_depth(seed):
     rng = np.random.default_rng(seed)
     belief = random_grid_belief(rng)
     (r0, c0), = random_cells(rng, belief.state.shape, 1)
     passable_mask = belief.state != gw.KNOWN_OBSTACLE
     passable, wp = gw.padded_mask(passable_mask)
-    order = list(gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1, diagonal))
+    order = list(gw.grid_bfs(passable, wp, (r0 + 1) * wp + c0 + 1))
     assert order[0] == ((r0 + 1) * wp + c0 + 1, 0)
     assert len({i for i, _ in order}) == len(order)
     # the same cells at the same depths, discovered in the same order
-    want = ref.bfs_order(passable_mask, (r0, c0), ref.STEPS8 if diagonal else ref.STEPS4)
+    want = ref.bfs_order(passable_mask, (r0, c0), ref.STEPS4)
     assert [((i // wp - 1, i % wp - 1), depth) for i, depth in order] == want
 
 

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import math
 
@@ -519,6 +520,38 @@ def test_attachments_are_dropped_when_a_cell_reopens_or_the_belief_changes(monke
     again = update_global_irm(got, twin, f, (4, 1), min_cluster=1)
     assert graph_to_dict(again) == graph_to_dict(got)
     assert sorted(searches) == sorted([n.pose for n in got.nodes_of_kind(FRONTIER)] + [(4, 1)])
+
+
+def test_update_global_irm_builds_the_crumb_graph_once(monkeypatch):
+    """update_global_irm attaches the frontiers onto the graph grow_trail
+    returned; attach_frontiers, called on a trail a caller holds (as HCP
+    does), returns a new graph and leaves the trail as it was. Both give
+    the same roadmap."""
+    w = gw.generate_maze(9, 21, 21)
+    b = BeliefGrid.for_world(w)
+    f = riskless_field((21, 21))
+    gw.sense(w, b, w.spawn)
+    built = collections.Counter()
+    trail_graph = roadmap._trail_graph
+
+    def counted(*args):
+        built["crumb graphs"] += 1
+        return trail_graph(*args)
+
+    monkeypatch.setattr(roadmap, "_trail_graph", counted)
+    got = update_global_irm(None, b, f, w.spawn, min_cluster=1)
+    assert built["crumb graphs"] == 1
+    assert got.nodes_of_kind(FRONTIER) and got.attached is not None
+
+    trail = roadmap.grow_trail(None, b, f, w.spawn)
+    before = copy.deepcopy((graph_to_dict(trail), trail.adjacency, trail.nodes))
+    attached = roadmap.attach_frontiers(trail, b, f, w.spawn, min_cluster=1)
+    assert built["crumb graphs"] == 3
+    assert attached is not trail and attached.nodes is not trail.nodes
+    assert (graph_to_dict(trail), trail.adjacency, trail.nodes) == before
+    assert trail.attached is None and not trail.nodes_of_kind(FRONTIER)
+    assert graph_to_dict(attached) == graph_to_dict(got)
+    assert attached.adjacency == got.adjacency
 
 
 def test_global_irm_deterministic():
