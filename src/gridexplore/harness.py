@@ -202,6 +202,13 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _field_dict(obj) -> dict:
+    """A dataclass's fields as a plain dict that shares their values, where
+    asdict would deep-copy them: for event payloads nothing mutates after
+    they are logged."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def events_to_ndjson(events: list[dict]) -> str:
     return "".join(
         json.dumps(ev, sort_keys=True, separators=(",", ":"), default=_numpy_to_json) + "\n"
@@ -318,7 +325,7 @@ class _EpisodeState:
         return gw.covered_area(self.belief)
 
     def coverage_done(self) -> bool:
-        covered_free = int(np.sum(self.belief.covered))
+        covered_free = np.count_nonzero(self.belief.covered)
         return covered_free >= self.config.coverage_done_fraction * self.reachable_free
 
     def step_event(self, collided: bool) -> dict:
@@ -445,7 +452,7 @@ def _plan_mldm(state: _EpisodeState) -> PlanOutcome:
     )
     if decision.override_fired:
         state.counts["overrides"] += 1
-    fields["decision"] = asdict(decision)
+    fields["decision"] = _field_dict(decision)
     return (local_cand if decision.chosen == LOCAL else global_cand), logged, fields
 
 
@@ -541,7 +548,7 @@ def _plan_cycle(state: _EpisodeState) -> tuple[Candidate | None, dict]:
         event["chosen"] = policy.scope
         event["goal"] = list(policy.goal_pose) if policy.goal_pose else None
         event["policies"] = {cand.scope: cand.policy.to_dict() for cand in logged}
-        event["paths"] = {cand.scope: asdict(cand.path_pair) for cand in logged}
+        event["paths"] = {cand.scope: _field_dict(cand.path_pair) for cand in logged}
     return chosen, event
 
 

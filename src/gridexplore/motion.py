@@ -77,7 +77,10 @@ def astar(
 
     The search runs over flat indices of a padded_mask: the padded row-major
     index orders cells as (row, col) does, so heap ties pop in (f, g, row,
-    col) order.
+    col) order. Each pop reads its four straight neighbours once and pushes
+    up, down, left, right, then the four diagonals; every push's f is its g
+    plus math.hypot of the integer offset to the goal, times the cell size,
+    a last bit the tests pin.
     """
     start = (int(start[0]), int(start[1]))
     goal = (int(goal[0]), int(goal[1]))
@@ -91,13 +94,6 @@ def astar(
     free, width = gw.padded_mask(belief.state == gw.KNOWN_FREE)
     mu = risk_field.padded_mu
     straight, diagonal = 1.0 * cs, SQRT2 * cs
-    # (index offset, row offset, col offset, step cost, offsets of the two
-    # cells a diagonal passes), straight moves first; a straight move
-    # passes only the cell it leaves
-    moves = [(dr * width + dc, dr, dc, straight, 0, 0)
-             for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))]
-    moves += [(dr * width + dc, dr, dc, diagonal, dr * width, dc)
-              for dr, dc in ((-1, -1), (-1, 1), (1, -1), (1, 1))]
     hypot = math.hypot
     gr, gc = goal[0] + 1, goal[1] + 1
     source = (start[0] + 1) * width + start[1] + 1
@@ -120,14 +116,65 @@ def astar(
                 path.append(i)
             return [(j // width - 1, j % width - 1) for j in reversed(path)]
         r, c = divmod(i, width)
-        for off, dr, dc, step, side_a, side_b in moves:
-            nb = i + off
-            if free[nb] and free[i + side_a] and free[i + side_b]:
-                ng = g + step + risk_weight * mu[nb]
+        dr, dc = r - gr, c - gc
+        gs, gd = g + straight, g + diagonal
+        up, down, left, right = i - width, i + width, i - 1, i + 1
+        free_up, free_down, free_left, free_right = free[up], free[down], free[left], free[right]
+        if free_up:
+            ng = gs + risk_weight * mu[up]
+            if ng < g_best[up]:
+                g_best[up] = ng
+                parent[up] = i
+                push(open_heap, (ng + hypot(dr - 1, dc) * cs, ng, up))
+        if free_down:
+            ng = gs + risk_weight * mu[down]
+            if ng < g_best[down]:
+                g_best[down] = ng
+                parent[down] = i
+                push(open_heap, (ng + hypot(dr + 1, dc) * cs, ng, down))
+        if free_left:
+            ng = gs + risk_weight * mu[left]
+            if ng < g_best[left]:
+                g_best[left] = ng
+                parent[left] = i
+                push(open_heap, (ng + hypot(dr, dc - 1) * cs, ng, left))
+        if free_right:
+            ng = gs + risk_weight * mu[right]
+            if ng < g_best[right]:
+                g_best[right] = ng
+                parent[right] = i
+                push(open_heap, (ng + hypot(dr, dc + 1) * cs, ng, right))
+        # a diagonal passes the two straight neighbours it lies between
+        if free_up:
+            if free_left and free[up - 1]:
+                nb = up - 1
+                ng = gd + risk_weight * mu[nb]
                 if ng < g_best[nb]:
                     g_best[nb] = ng
                     parent[nb] = i
-                    push(open_heap, (ng + hypot(r + dr - gr, c + dc - gc) * cs, ng, nb))
+                    push(open_heap, (ng + hypot(dr - 1, dc - 1) * cs, ng, nb))
+            if free_right and free[up + 1]:
+                nb = up + 1
+                ng = gd + risk_weight * mu[nb]
+                if ng < g_best[nb]:
+                    g_best[nb] = ng
+                    parent[nb] = i
+                    push(open_heap, (ng + hypot(dr - 1, dc + 1) * cs, ng, nb))
+        if free_down:
+            if free_left and free[down - 1]:
+                nb = down - 1
+                ng = gd + risk_weight * mu[nb]
+                if ng < g_best[nb]:
+                    g_best[nb] = ng
+                    parent[nb] = i
+                    push(open_heap, (ng + hypot(dr + 1, dc - 1) * cs, ng, nb))
+            if free_right and free[down + 1]:
+                nb = down + 1
+                ng = gd + risk_weight * mu[nb]
+                if ng < g_best[nb]:
+                    g_best[nb] = ng
+                    parent[nb] = i
+                    push(open_heap, (ng + hypot(dr + 1, dc + 1) * cs, ng, nb))
     return None
 
 
@@ -174,10 +221,6 @@ def path_length_lower_bound(a: Cell, b: Cell, cell_size: float) -> float:
     return octile * cell_size * (1.0 - 1e-9)
 
 
-def _wrap_angle(a: float) -> float:
-    return math.atan2(math.sin(a), math.cos(a))
-
-
 def smooth_kinodynamic(
     reference: np.ndarray,
     spec: KinodynamicSpec,
@@ -191,6 +234,10 @@ def smooth_kinodynamic(
     tracker turns as far as allowed and advances, drifting off the corner and
     steering back over later waypoints. If the next pose would land on a
     believed obstacle, the output stops short and repeats the last safe pose.
+
+    The tracking runs over Python floats from ref.tolist(); their IEEE
+    arithmetic is numpy float64's, so the poses match a numpy tracker bit
+    for bit (tests/reference_impl.py keeps one).
     """
     ref = np.asarray(reference, dtype=np.float64)
     if ref.ndim != 2 or ref.shape[1] != 2 or len(ref) == 0:
@@ -199,42 +246,40 @@ def smooth_kinodynamic(
     if n == 1:
         return ref.copy()
 
-    out = np.empty_like(ref)
-    out[0] = ref[0]
-    pos = ref[0].copy()
-    heading = math.atan2(ref[1][1] - ref[0][1], ref[1][0] - ref[0][0])
-    halted = False
-    for i in range(1, n):
-        if halted:
-            out[i] = out[i - 1]
-            continue
-        target = ref[i]
+    points = ref.tolist()
+    x, y = points[0]
+    heading = math.atan2(points[1][1] - y, points[1][0] - x)
+    rate, step_length = spec.max_turn_rate, spec.step_length
+    if belief is not None:
+        state, cs = belief.state, belief.cell_size
+        height, width = state.shape
+    poses = [(x, y)]
+    for tx, ty in points[1:]:
         for _ in range(spec.smoothing_iterations):
-            dx = target[0] - pos[0]
-            dy = target[1] - pos[1]
+            dx = tx - x
+            dy = ty - y
             dist = math.hypot(dx, dy)
             if dist < 1e-12:
-                pos = target.copy()
+                x, y = tx, ty
                 break
             desired = math.atan2(dy, dx)
-            delta = _wrap_angle(desired - heading)
-            clamped = max(-spec.max_turn_rate, min(spec.max_turn_rate, delta))
+            delta = desired - heading
+            delta = math.atan2(math.sin(delta), math.cos(delta))
+            clamped = max(-rate, min(rate, delta))
             heading = heading + clamped
-            if clamped == delta and dist <= spec.step_length + 1e-12:
-                pos = target.copy()
+            if clamped == delta and dist <= step_length + 1e-12:
+                x, y = tx, ty
                 heading = desired
                 break
-            step = min(spec.step_length, dist)
-            pos = np.array([pos[0] + step * math.cos(heading),
-                            pos[1] + step * math.sin(heading)])
+            step = min(step_length, dist)
+            x, y = x + step * math.cos(heading), y + step * math.sin(heading)
         if belief is not None:
-            cell = point_cell(pos, belief.cell_size)
-            if not belief.in_bounds(*cell) or belief.state[cell] == gw.KNOWN_OBSTACLE:
-                halted = True
-                out[i] = out[i - 1]
-                continue
-        out[i] = pos
-    return out
+            r, c = math.floor(y / cs), math.floor(x / cs)  # point_cell((x, y), cs)
+            if not (0 <= r < height and 0 <= c < width) or state[r, c] == gw.KNOWN_OBSTACLE:
+                poses += [poses[-1]] * (n - len(poses))
+                break
+        poses.append((x, y))
+    return np.array(poses, dtype=np.float64)
 
 
 def discrepancy(pair: tuple[np.ndarray, np.ndarray]) -> float:

@@ -391,7 +391,7 @@ def visible_unknown_counts(
 
 def covered_area(belief: BeliefGrid) -> float:
     """Covered cells converted to square meters."""
-    return float(np.sum(belief.covered)) * belief.cell_size * belief.cell_size
+    return float(np.count_nonzero(belief.covered)) * belief.cell_size * belief.cell_size
 
 
 # ---------------------------------------------------------------------------

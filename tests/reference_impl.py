@@ -650,3 +650,58 @@ def plan_nbv(
         goal_pose=vp,
         path_cells=path,
     )
+
+
+# --- the turn-rate tracker over numpy 2-vectors ------------------------------------
+
+def _wrap_angle(a: float) -> float:
+    return math.atan2(math.sin(a), math.cos(a))
+
+
+def smooth_kinodynamic(reference: np.ndarray, spec, belief: BeliefGrid | None = None) -> np.ndarray:
+    """Track the reference under a per-step turn-rate limit, one pose per
+    waypoint, halting before a believed obstacle or the grid's edge."""
+    ref = np.asarray(reference, dtype=np.float64)
+    if ref.ndim != 2 or ref.shape[1] != 2 or len(ref) == 0:
+        raise ValueError("reference must be a nonempty (N, 2) array")
+    n = len(ref)
+    if n == 1:
+        return ref.copy()
+
+    out = np.empty_like(ref)
+    out[0] = ref[0]
+    pos = ref[0].copy()
+    heading = math.atan2(ref[1][1] - ref[0][1], ref[1][0] - ref[0][0])
+    halted = False
+    for i in range(1, n):
+        if halted:
+            out[i] = out[i - 1]
+            continue
+        target = ref[i]
+        for _ in range(spec.smoothing_iterations):
+            dx = target[0] - pos[0]
+            dy = target[1] - pos[1]
+            dist = math.hypot(dx, dy)
+            if dist < 1e-12:
+                pos = target.copy()
+                break
+            desired = math.atan2(dy, dx)
+            delta = _wrap_angle(desired - heading)
+            clamped = max(-spec.max_turn_rate, min(spec.max_turn_rate, delta))
+            heading = heading + clamped
+            if clamped == delta and dist <= spec.step_length + 1e-12:
+                pos = target.copy()
+                heading = desired
+                break
+            step = min(spec.step_length, dist)
+            pos = np.array([pos[0] + step * math.cos(heading),
+                            pos[1] + step * math.sin(heading)])
+        if belief is not None:
+            cell = (int(math.floor(pos[1] / belief.cell_size)),
+                    int(math.floor(pos[0] / belief.cell_size)))
+            if not belief.in_bounds(*cell) or belief.state[cell] == gw.KNOWN_OBSTACLE:
+                halted = True
+                out[i] = out[i - 1]
+                continue
+        out[i] = pos
+    return out

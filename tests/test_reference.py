@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 import reference_impl as ref
 from gridexplore import harness, planners, roadmap
 from gridexplore import world as gw
-from gridexplore.motion import astar, path_length, path_length_lower_bound
+from gridexplore.motion import (
+    KinodynamicSpec, astar, cells_to_waypoints, path_length, path_length_lower_bound,
+    smooth_kinodynamic,
+)
 from gridexplore.planners import RewardModel, plan_local, plan_nbv
 from gridexplore.risk import RiskField, cvar, edge_risk, edge_risks
 from gridexplore.roadmap import LocalLattice, build_local_irm, detect_frontiers, graph_to_dict
@@ -533,7 +536,7 @@ def open_belief(rng, shape):
     return BeliefGrid(state=state, covered=np.zeros(shape, dtype=bool), cell_size=0.5)
 
 
-@given(seed=seeds, risk_weight=st.sampled_from([0.0, 1.0]), uniform=st.booleans(),
+@given(seed=seeds, risk_weight=st.sampled_from([0.0, 0.25, 1.0, 2.5]), uniform=st.booleans(),
        open_room=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_astar_paths_equal_reference(seed, risk_weight, uniform, open_room):
@@ -558,6 +561,24 @@ def test_astar_paths_equal_reference(seed, risk_weight, uniform, open_room):
                     astar(belief, field, start, goal, risk_weight)
                 continue
             assert astar(belief, field, start, goal, risk_weight) == want
+
+
+@pytest.mark.parametrize("dr, dc", [(-1, -1), (-1, 1), (1, -1), (1, 1)])
+@pytest.mark.parametrize("row_corner", [True, False])
+def test_astar_diagonal_passes_no_blocked_corner(dr, dc, row_corner):
+    # a free 3 x 3 room, the start in its centre and the goal one diagonal
+    # away: with either of the two cells the diagonal passes blocked, the
+    # path detours through the other
+    state = np.full((3, 3), gw.KNOWN_FREE, dtype=np.uint8)
+    corners = [(1 + dr, 1), (1, 1 + dc)]
+    blocked, other = corners if row_corner else corners[::-1]
+    state[blocked] = gw.KNOWN_OBSTACLE
+    belief = BeliefGrid(state=state, covered=np.zeros(state.shape, dtype=bool), cell_size=0.5)
+    field = RiskField(mu=np.zeros(state.shape), sigma=np.zeros(state.shape))
+    goal = (1 + dr, 1 + dc)
+    want = ref.astar(belief, field, (1, 1), goal)
+    assert want == [(1, 1), other, goal]
+    assert astar(belief, field, (1, 1), goal) == want
 
 
 def test_astar_equals_reference_where_the_heuristic_last_bit_decides():
@@ -586,7 +607,7 @@ def test_astar_equals_reference_where_the_heuristic_last_bit_decides():
 
 @given(seed=seeds, samples=st.sampled_from([0, 1, 20, 200]),
        distance_cost=st.sampled_from([0.0, 0.05, 1.0]),
-       risk_weight=st.sampled_from([0.0, 1.0]), open_room=st.booleans(),
+       risk_weight=st.sampled_from([0.0, 0.25, 1.0, 2.5]), open_room=st.booleans(),
        radius=st.sampled_from([1.0, 4.0, 8.0, 20.0]), range_m=st.sampled_from([1.0, 2.5]),
        pose_free=st.sampled_from([True, True, True, False]))
 @settings(max_examples=300, deadline=None)
@@ -665,6 +686,43 @@ def test_path_length_lower_bound_never_exceeds_path_length(seed, steps, cell_siz
         dr, dc = moves[k]
         path.append((path[-1][0] + dr, path[-1][1] + dc))
     assert path_length_lower_bound(path[0], path[-1], cell_size) <= path_length(path, cell_size)
+
+
+# --- turn-rate tracking -----------------------------------------------------------
+
+def random_reference(rng, shape, cell_size):
+    """Cell centres of a random walk that steps to a neighbour, stays put or
+    jumps a few cells, and may wander off the grid."""
+    cell = (int(rng.integers(0, shape[0])), int(rng.integers(0, shape[1])))
+    cells = [cell]
+    for _ in range(int(rng.integers(0, 30))):
+        reach = 1 if rng.random() < 0.8 else int(rng.integers(2, 5))
+        dr, dc = (int(x) for x in rng.integers(-reach, reach + 1, size=2))
+        cell = (cell[0] + dr, cell[1] + dc)
+        cells.append(cell)
+    return cells_to_waypoints(cells, cell_size)
+
+
+@given(seed=seeds,
+       turn_rate=st.one_of(st.sampled_from([math.pi, math.pi / 2]), st.floats(0.05, math.pi)),
+       step_cells=st.sampled_from([0.2, 0.5, 1.0, math.sqrt(2.0), 2.0, 3.7]),
+       cell_size=st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]),
+       iterations=st.integers(1, 4), belief_kind=st.sampled_from(["none", "free", "obstacles"]))
+@settings(max_examples=500, deadline=None)
+def test_smooth_kinodynamic_equals_reference(seed, turn_rate, step_cells, cell_size, iterations,
+                                             belief_kind):
+    # step lengths of one cell or one diagonal put waypoints right at the
+    # tracker's reach; a free belief halts only off the grid
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+    reference = random_reference(rng, shape, cell_size)
+    belief = None if belief_kind == "none" else random_belief(rng, shape, cell_size)
+    if belief_kind == "free":
+        belief.state[:] = gw.KNOWN_FREE
+    spec = KinodynamicSpec(max_turn_rate=turn_rate, step_length=step_cells * cell_size,
+                           smoothing_iterations=iterations)
+    want = ref.smooth_kinodynamic(reference, spec, belief)
+    assert smooth_kinodynamic(reference, spec, belief).tobytes() == want.tobytes()
 
 
 # --- grid BFS -------------------------------------------------------------------
